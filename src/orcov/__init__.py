@@ -42,6 +42,7 @@ from .graphs import (
     complete_graph,
     cycle_graph,
     encode_graph6,
+    exact_coloring,
     parse_edge_list,
     parse_graph6,
     path_graph,
@@ -92,6 +93,7 @@ __all__ = [
     "cycle_graph",
     "encode_graph6",
     "enumerate_mifs",
+    "exact_coloring",
     "extend_to_maximal",
     "families_from_cover",
     "find_disjoint_pair",

@@ -23,9 +23,9 @@ from .graphs import (
     Graph,
     Orientation,
     _bits,
-    proper_coloring,
+    exact_coloring,
 )
-from .sigma import sigma_of_graph
+from .sigma import sigma_complete
 
 
 @dataclass(frozen=True)
@@ -159,10 +159,19 @@ def validate_assignment(
 
 def _disjoint_members(fu: SetFamily, fv: SetFamily) -> Optional[tuple[int, int]]:
     """Smallest-mask S in fu admitting a disjoint T in fv, then smallest T."""
+    full = (1 << fu.k) - 1
     for s in fu.members():
-        for t in fv.members():
-            if s & t == 0:
-                return (s, t)
+        # member vector of every subset of [k] \ S: each element b of the
+        # complement doubles it by a shift of 2^b positions
+        disjoint = 1
+        rest = full ^ s
+        while rest:
+            low = rest & -rest
+            disjoint |= disjoint << low
+            rest ^= low
+        hits = fv.member & disjoint
+        if hits:
+            return (s, (hits & -hits).bit_length() - 1)
     return None
 
 
@@ -170,16 +179,25 @@ def cover_from_families(g: Graph, fa: FamilyAssignment) -> CoverCertificate:
     """Build a k-orientation cover from a valid family assignment.
 
     Each edge uv gets deterministic disjoint direction sets
-    (smallest-mask choices); orientation i then directs uv by
-    membership of i, and slots claimed by neither set default to
-    low -> high.
+    (smallest-mask choices, memoised per pair of member vectors);
+    orientation i then directs uv by membership of i, and slots
+    claimed by neither set default to low -> high.
     """
     if len(fa.per_vertex) != g.n:
         raise ValueError("assignment size does not match vertex count")
     k = fa.k
     direction_sets: dict[tuple[int, int], int] = {}
+    chosen: dict[tuple[int, int], Optional[tuple[int, int]]] = {}
+    # Orientation i directs uv as u -> v unless i is in T = S_(v,u)
+    # (S and T are disjoint); forward[e] is that mask of [k] for edge e.
+    forward: list[int] = []
+    full = (1 << k) - 1
     for u, v in g.edges:
-        pair = _disjoint_members(fa.per_vertex[u], fa.per_vertex[v])
+        fu, fv = fa.per_vertex[u], fa.per_vertex[v]
+        key = (fu.member, fv.member)
+        if key not in chosen:
+            chosen[key] = _disjoint_members(fu, fv)
+        pair = chosen[key]
         if pair is None:
             raise ValueError(
                 f"condition 1 violated at edge ({u}, {v}): no disjoint direction sets"
@@ -187,17 +205,14 @@ def cover_from_families(g: Graph, fa: FamilyAssignment) -> CoverCertificate:
         s, t = pair
         direction_sets[(u, v)] = s
         direction_sets[(v, u)] = t
+        forward.append(full & ~t)
+    # Bit e of orientation i is bit i of forward[e], read as one base-2
+    # string with edge 0 last.
+    forward.reverse()
     orientations = []
     for i in range(k):
-        bits = 0
-        for e, (u, v) in enumerate(g.edges):
-            if (direction_sets[(u, v)] >> i) & 1:
-                bits |= 1 << e
-            elif (direction_sets[(v, u)] >> i) & 1:
-                pass
-            else:
-                bits |= 1 << e
-        orientations.append(Orientation(g.n, g.m, bits))
+        digits = "".join(["1" if (f >> i) & 1 else "0" for f in forward])
+        orientations.append(Orientation(g.n, g.m, int(digits or "0", 2)))
     meta = CertificateMeta(direction_sets=direction_sets)
     return CoverCertificate(k, tuple(orientations), meta)
 
@@ -207,25 +222,24 @@ def construct_cover(
 ) -> CoverCertificate:
     """Minimum orientation covering of g, with provenance metadata.
 
-    Colors g with chi colors, assigns color class c the c-th maximal
-    intersecting family over [sigma] in canonical order, and converts
-    the assignment to orientations.  The certificate has exactly
-    sigma(g) orientations and passes verify_cover.
+    Colors g once with chi colors (exact_coloring), assigns color class
+    c the c-th maximal intersecting family over [sigma(K_chi)] in
+    canonical order, and converts the assignment to orientations.  The
+    certificate has exactly sigma(g) orientations and passes
+    verify_cover.
     """
     if g.m == 0:
         raise ValueError("cover construction requires a non-empty graph")
-    res = sigma_of_graph(g, max_chi_vertices=max_chi_vertices)
-    coloring = proper_coloring(g, res.chi)
-    assert coloring is not None and coloring.t == res.chi
-    catalog = enumerate_mifs(res.value)
+    coloring = exact_coloring(g, max_vertices=max_chi_vertices)
+    k = sigma_complete(coloring.t).value
+    catalog = enumerate_mifs(k)
     fa = FamilyAssignment(
-        res.value,
-        tuple(catalog.families[coloring.colors[v]] for v in range(g.n)),
+        k, tuple(catalog.families[coloring.colors[v]] for v in range(g.n))
     )
     cert = cover_from_families(g, fa)
     meta = CertificateMeta(
         coloring=coloring.colors,
-        family_indices=tuple(range(res.chi)),
+        family_indices=tuple(range(coloring.t)),
         direction_sets=cert.meta.direction_sets if cert.meta else None,
     )
     return CoverCertificate(cert.k, cert.orientations, meta)
@@ -285,8 +299,55 @@ def certificate_to_json(g: Graph, cert: CoverCertificate) -> str:
     return "\n".join(lines)
 
 
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_tuple(raw: dict, field: str) -> Optional[tuple[int, ...]]:
+    value = raw.get(field)
+    if value is None:
+        return None
+    if not isinstance(value, list) or not all(_is_int(x) for x in value):
+        raise ParseError(f"certificate meta.{field} must be a list of integers")
+    return tuple(value)
+
+
+def _meta_from_json(raw: object) -> Optional[CertificateMeta]:
+    """Type-checked meta block; a missing or null field stays None."""
+    if raw is None:
+        return None
+    if not isinstance(raw, dict):
+        raise ParseError("certificate meta must be an object or null")
+    raw_ds = raw.get("direction_sets")
+    direction_sets = None
+    if raw_ds is not None:
+        if not isinstance(raw_ds, dict):
+            raise ParseError("certificate meta.direction_sets must be an object")
+        direction_sets = {}
+        for key, elems in raw_ds.items():
+            x, arrow, y = key.partition("->")
+            if not (arrow and x.isdecimal() and y.isdecimal() and type(elems) is list):
+                raise ParseError(f"certificate direction set {key!r} must map 'x->y' to a list")
+            mask = 0
+            for i in elems:
+                if type(i) is not int or i < 1:
+                    raise ParseError(
+                        f"certificate direction set {key!r} lists {i!r}, not a positive integer"
+                    )
+                mask |= 1 << (i - 1)
+            direction_sets[(int(x), int(y))] = mask
+    return CertificateMeta(
+        coloring=_int_tuple(raw, "coloring"),
+        family_indices=_int_tuple(raw, "family_indices"),
+        direction_sets=direction_sets,
+    )
+
+
 def certificate_from_json(text: str, g: Graph) -> CoverCertificate:
-    """Parse and shape-check a certificate against g."""
+    """Parse, type-check and shape-check a certificate against g.
+
+    Every malformed field raises ParseError with a one-line reason.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -306,32 +367,18 @@ def certificate_from_json(text: str, g: Graph) -> CoverCertificate:
         raise ParseError("certificate edges must be [u, v] pairs") from None
     if edges != list(g.edges):
         raise ParseError("certificate edge list does not match the graph's canonical edges")
+    k = doc["k"]
     raw_orients = doc["orientations"]
-    if not isinstance(raw_orients, list) or len(raw_orients) != doc["k"]:
+    if not _is_int(k) or not isinstance(raw_orients, list) or len(raw_orients) != k:
         raise ParseError("orientation count does not match k")
     orientations = []
     for flags in raw_orients:
-        if len(flags) != g.m or not all(isinstance(b, bool) for b in flags):
+        if (
+            not isinstance(flags, list)
+            or len(flags) != g.m
+            or not all(isinstance(b, bool) for b in flags)
+        ):
             raise ParseError("each orientation must list m booleans")
         orientations.append(Orientation.from_dir(g.n, flags))
-    meta = None
-    raw_meta = doc.get("meta")
-    if isinstance(raw_meta, dict):
-        coloring = raw_meta.get("coloring")
-        indices = raw_meta.get("family_indices")
-        raw_ds = raw_meta.get("direction_sets")
-        direction_sets = None
-        if isinstance(raw_ds, dict):
-            direction_sets = {}
-            for key, elems in raw_ds.items():
-                x, _, y = key.partition("->")
-                mask = 0
-                for i in elems:
-                    mask |= 1 << (int(i) - 1)
-                direction_sets[(int(x), int(y))] = mask
-        meta = CertificateMeta(
-            coloring=tuple(coloring) if coloring is not None else None,
-            family_indices=tuple(indices) if indices is not None else None,
-            direction_sets=direction_sets,
-        )
-    return CoverCertificate(doc["k"], tuple(orientations), meta)
+    meta = _meta_from_json(doc.get("meta"))
+    return CoverCertificate(k, tuple(orientations), meta)

@@ -359,60 +359,112 @@ def _greedy_clique(g: Graph) -> list[int]:
     return clique
 
 
+def _dsatur(nbrs: list[list[int]], t: int) -> Optional[list[int]]:
+    """Per-vertex colors of the first proper coloring with at most t colors, or None.
+
+    Iterative DSATUR branch and bound over precomputed neighbor lists.
+    The next vertex is the uncolored one with the most distinct
+    neighbor colors, ties broken by lowest index; its colors are tried
+    in ascending order below min(t, max_used + 2), so a fresh color
+    class is opened at most once per vertex.
+
+    Saturation is kept incrementally: count[w * t + c] is the number of
+    colored neighbors of w with color c, sat[w] the mask of colors with
+    a nonzero count and key[w] its popcount (-1 once w is colored).
+    Only uncolored neighbors are updated; the stack unwinds in LIFO
+    order, so a vertex's counts are current again by the time it is
+    uncolored.
+    """
+    n = len(nbrs)
+    t = min(t, n)  # colors >= n are never reached: limit <= colored + 1
+    colors = [-1] * n
+    key = [0] * n
+    sat = [0] * n
+    count = [0] * (n * t)
+    stack: list[tuple[int, int, int]] = []  # (vertex, color, max_used before it)
+    max_used = -1
+    v, c = 0, 0
+    while True:
+        limit = min(t, max_used + 2)
+        blocked = sat[v]
+        while c < limit and (blocked >> c) & 1:
+            c += 1
+        if c < limit:
+            colors[v] = c
+            key[v] = -1
+            stack.append((v, c, max_used))
+            if c > max_used:
+                max_used = c
+            bit = 1 << c
+            for w in nbrs[v]:
+                if colors[w] < 0:
+                    i = w * t + c
+                    if not count[i]:
+                        sat[w] |= bit
+                        key[w] += 1
+                    count[i] += 1
+            if len(stack) == n:
+                return colors
+            v = key.index(max(key))
+            c = 0
+            continue
+        if not stack:
+            return None
+        v, c, max_used = stack.pop()
+        bit = 1 << c
+        for w in nbrs[v]:
+            if colors[w] < 0:
+                i = w * t + c
+                count[i] -= 1
+                if not count[i]:
+                    sat[w] ^= bit
+                    key[w] -= 1
+        colors[v] = -1
+        key[v] = sat[v].bit_count()
+        c += 1
+
+
+def _neighbor_lists(g: Graph) -> list[list[int]]:
+    return [list(_bits(row)) for row in g.adj]
+
+
 def proper_coloring(g: Graph, t: int) -> Optional[Coloring]:
     """First proper coloring with at most t colors, or None.
 
-    Branch and bound in saturation order: the next vertex is the
-    uncolored one with the most distinct neighbor colors, ties broken
-    by lowest index.  Color classes are introduced in order (a fresh
-    color is only tried once per vertex), so the search is
-    deterministic and symmetry-reduced.
+    Branch and bound in saturation order (see _dsatur): deterministic
+    and symmetry-reduced, since color classes are introduced in order.
     """
     if t < 1:
         raise ValueError("t must be positive")
-    n = g.n
-    colors = [-1] * n
-
-    def backtrack(num_colored: int, max_used: int) -> bool:
-        if num_colored == n:
-            return True
-        best_v, best_sat, best_mask = -1, -1, 0
-        for v in range(n):
-            if colors[v] >= 0:
-                continue
-            mask = 0
-            for w in _bits(g.adj[v]):
-                if colors[w] >= 0:
-                    mask |= 1 << colors[w]
-            sat = mask.bit_count()
-            if sat > best_sat:
-                best_v, best_sat, best_mask = v, sat, mask
-        limit = min(t, max_used + 2)
-        for c in range(limit):
-            if (best_mask >> c) & 1:
-                continue
-            colors[best_v] = c
-            if backtrack(num_colored + 1, max(max_used, c)):
-                return True
-            colors[best_v] = -1
-        return False
-
-    if not backtrack(0, -1):
+    colors = _dsatur(_neighbor_lists(g), t)
+    if colors is None:
         return None
     return Coloring(tuple(colors), max(colors) + 1)
 
 
-def chromatic_number(g: Graph, max_vertices: int = DEFAULT_CHI_VERTEX_BOUND) -> int:
-    """Exact chromatic number (refuses graphs above the vertex bound)."""
+def exact_coloring(g: Graph, max_vertices: int = DEFAULT_CHI_VERTEX_BOUND) -> Coloring:
+    """A proper coloring with exactly chi(g) colors.
+
+    Tries t = greedy clique size, then t + 1, ..., and returns the
+    first coloring found, which is proper_coloring(g, chi(g)).
+    Refuses graphs above the vertex bound.
+    """
     if g.n > max_vertices:
         raise CapacityError(
             f"exact chromatic number limited to {max_vertices} vertices (graph has {g.n}); "
             "raise max_vertices to override"
         )
     if g.m == 0:
-        return 1
+        return Coloring((0,) * g.n, 1)
+    nbrs = _neighbor_lists(g)
     t = len(_greedy_clique(g))
     while True:
-        if proper_coloring(g, t) is not None:
-            return t
+        colors = _dsatur(nbrs, t)
+        if colors is not None:
+            return Coloring(tuple(colors), t)
         t += 1
+
+
+def chromatic_number(g: Graph, max_vertices: int = DEFAULT_CHI_VERTEX_BOUND) -> int:
+    """Exact chromatic number (refuses graphs above the vertex bound)."""
+    return exact_coloring(g, max_vertices=max_vertices).t

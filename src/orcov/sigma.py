@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import CapacityError
 from .families import KMAX_HARD, LITERATURE_LAMBDA, capacity, hosten_morris
-from .graphs import DEFAULT_CHI_VERTEX_BOUND, Graph, chromatic_number
+from .graphs import DEFAULT_CHI_VERTEX_BOUND, Graph, exact_coloring
 
 PROVENANCE_COMPUTED = "computed"
 PROVENANCE_LITERATURE = "literature-table"
@@ -42,10 +42,6 @@ class EstimateResult:
 
     raw: float
     rounded: int
-
-
-def lambda_value(k: int, literature_table: bool = False) -> int:
-    return hosten_morris(k, literature_table=literature_table)
 
 
 def sigma_complete(n: int, literature_table: bool = False) -> SigmaResult:
@@ -86,7 +82,7 @@ def sigma_of_graph(
     """sigma(G) = sigma(K_chi(G)) for any graph with at least one edge."""
     if g.m == 0:
         raise ValueError("sigma is defined only for non-empty graphs (m >= 1)")
-    chi = chromatic_number(g, max_vertices=max_chi_vertices)
+    chi = exact_coloring(g, max_vertices=max_chi_vertices).t
     base = sigma_complete(chi, literature_table=literature_table)
     return SigmaResult(
         value=base.value, chi=chi, witness_k=base.witness_k, provenance=base.provenance

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orcov
 from orcov.cli import main
 
 
@@ -137,6 +142,56 @@ class TestCover:
         first = run(capsys, "construct-cover", k3_file, "--json")
         second = run(capsys, "construct-cover", k3_file, "--json")
         assert first == second
+
+
+# Field overrides that make a construct-cover certificate of K_2 malformed.
+MALFORMED_CERTIFICATES = {
+    "orientation-not-list": {"k": 1, "orientations": [5]},
+    "k-not-int": {"k": True, "orientations": [[True]]},
+    "meta-not-object": {"meta": 5},
+    "coloring-not-list": {"meta": {"coloring": 5}},
+    "coloring-entry": {"meta": {"coloring": [0, "1"]}},
+    "family-indices-not-list": {"meta": {"family_indices": 5}},
+    "direction-sets-not-object": {"meta": {"direction_sets": [1]}},
+    "direction-set-not-list": {"meta": {"direction_sets": {"0->1": 5}}},
+    "direction-set-key": {"meta": {"direction_sets": {"a->b": [1]}}},
+    "direction-set-element": {"meta": {"direction_sets": {"0->1": [0]}}},
+}
+
+
+class TestMalformedCertificate:
+    """Every malformed certificate field ends in exit 2 and one error line."""
+
+    @pytest.fixture
+    def k2_cert(self, capsys, k2_g6):
+        code, out, _ = run(capsys, "construct-cover", k2_g6, "--json")
+        assert code == 0
+        return json.loads(out)
+
+    def write(self, tmp_path, doc, case):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({**doc, **MALFORMED_CERTIFICATES[case]}))
+        return str(p)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CERTIFICATES))
+    def test_exit_2_with_one_line(self, capsys, k2_g6, k2_cert, tmp_path, case):
+        bad = self.write(tmp_path, k2_cert, case)
+        code, out, err = run(capsys, "verify-cover", k2_g6, bad)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", ["orientation-not-list", "coloring-not-list"])
+    def test_no_traceback_in_a_process(self, k2_g6, k2_cert, tmp_path, case):
+        bad = self.write(tmp_path, k2_cert, case)
+        src = str(Path(orcov.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "orcov", "verify-cover", k2_g6, bad],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
 
 class TestBruteSigmaCli:

@@ -1,16 +1,20 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 from conftest import all_labeled_graphs, random_graph
 
+import orcov.graphs
 from orcov import (
     FamilyAssignment,
+    Graph,
     Orientation,
     ParseError,
     SetFamily,
     certificate_from_json,
     certificate_to_json,
+    chromatic_number,
     complete_graph,
     construct_cover,
     cover_from_families,
@@ -216,6 +220,58 @@ class TestConstructCover:
         a = certificate_to_json(g, construct_cover(g))
         b = certificate_to_json(g, construct_cover(g))
         assert a == b
+
+    def test_colors_once(self, monkeypatch):
+        """construct_cover runs the exact search once: one DSATUR pass per t."""
+        calls = []
+        dsatur = orcov.graphs._dsatur
+
+        def counting(nbrs, t):
+            calls.append(t)
+            return dsatur(nbrs, t)
+
+        monkeypatch.setattr(orcov.graphs, "_dsatur", counting)
+        g = petersen_graph()  # greedy clique 2, chi 3: t = 2 fails, t = 3 colors
+        chromatic_number(g)
+        assert calls == [2, 3]
+        calls.clear()
+        construct_cover(g)
+        assert calls == [2, 3]
+
+
+def _shuffled_multipartite(parts: int, size: int, seed: int) -> Graph:
+    n = parts * size
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(
+        [(perm[u], perm[v]) for u in range(n) for v in range(u + 1, n) if u // size != v // size],
+        n=n,
+    )
+
+
+def _gnp_half(n: int, seed: int) -> Graph:
+    rng = random.Random(seed)
+    return Graph.from_edges(
+        [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5], n=n
+    )
+
+
+# sha256 of certificate_to_json(g, construct_cover(g)), recorded with the
+# recursive rescanning DSATUR this search replaced; any change in the
+# colouring, the family assignment or the serialisation shows here.
+GOLDEN_CERTIFICATES = [
+    (complete_graph(12), "63c66478eff91d982fdb8bbe9b725667b6f646a5d45ef470594c41f9d1cf69ac"),
+    (_shuffled_multipartite(6, 3, seed=7),
+     "aff6107b865851e871c7c56c15afecc9df027055de79f1b732221e73651f8d6d"),
+    (petersen_graph(), "249a7e27e4f488c18c5bac4ac6f62a499c98bd087dc74a4fb5327d7079e55608"),
+    (_gnp_half(20, seed=2020), "76ae21f8d15f16f1a42c88bd1af84bba92f13891ab05cec4b85e4440755d2e71"),
+]
+
+
+@pytest.mark.parametrize("g, digest", GOLDEN_CERTIFICATES, ids=["K12", "K6x3", "petersen", "gnp20"])
+def test_golden_certificate(g, digest):
+    text = certificate_to_json(g, construct_cover(g))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
 
 class TestRoundTrip:

@@ -13,6 +13,7 @@ from orcov import (
     complete_graph,
     cycle_graph,
     encode_graph6,
+    exact_coloring,
     parse_edge_list,
     parse_graph6,
     path_graph,
@@ -205,6 +206,21 @@ class TestColoring:
                 t for t in range(1, n + 1) if proper_coloring(g, t) is not None
             )
             assert chromatic_number(g) == swept
+
+    def test_exact_coloring_is_first_chi_coloring(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            n = rng.randint(1, 12)
+            g = graph_from_mask(n, rng.getrandbits(n * (n - 1) // 2))
+            c = exact_coloring(g)
+            assert c.t == chromatic_number(g)
+            assert is_proper_coloring(g, c.colors)
+            if g.m:
+                assert c == proper_coloring(g, c.t)
+                assert proper_coloring(g, c.t - 1) is None
+
+    def test_long_cycle_without_recursion_limit(self):
+        assert chromatic_number(cycle_graph(1501), max_vertices=2000) == 3
 
     def test_vertex_bound_guard(self):
         big = complete_graph(33)
