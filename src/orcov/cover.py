@@ -22,6 +22,7 @@ from .graphs import (
     DEFAULT_CHI_VERTEX_BOUND,
     Graph,
     Orientation,
+    _bit_string,
     _bits,
     exact_coloring,
 )
@@ -80,6 +81,38 @@ def _check_shapes(g: Graph, orientations: Sequence[Orientation]) -> None:
             )
 
 
+def _edge_masks(m: int, orientations: Sequence[Orientation]) -> list[int]:
+    """Per canonical edge e = (u, v), the set of orientations directing it u -> v.
+
+    Bit i of mask[e] is bit e of orientations[i].bits, so mask[e] is the
+    direction set S_(u,v) and its complement in [k] is S_(v,u).  Each
+    orientation is read once as a base-2 string and the strings are
+    zipped edge by edge, so the transposition costs O(k * m).
+    """
+    if not orientations:
+        return [0] * m
+    rows = [_bit_string(o.bits, m) for o in reversed(orientations)]
+    return [int("".join(col), 2) for col in zip(*rows)]
+
+
+def _direction_sets_by_vertex(
+    g: Graph, orientations: Sequence[Orientation]
+) -> list[dict[int, int]]:
+    """Per vertex x, each distinct direction set S_(x,y) -> its smallest y.
+
+    Canonical edge order visits every vertex's neighbours in ascending
+    order (all (u, x) with u < x come before all (x, v)), so the first
+    neighbour stored for a set is its smallest, and each dict lists its
+    sets in ascending order of that neighbour.
+    """
+    full = (1 << len(orientations)) - 1
+    first: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for (u, v), s in zip(g.edges, _edge_masks(g.m, orientations)):
+        first[u].setdefault(s, v)
+        first[v].setdefault(full ^ s, u)
+    return first
+
+
 def verify_cover(
     g: Graph, orientations: Sequence[Orientation]
 ) -> Optional[tuple[int, int, int]]:
@@ -89,22 +122,20 @@ def verify_cover(
     directs both away from x; y = z counts, so every directed edge
     must appear somewhere.  The returned counterexample is the
     lexicographically smallest one.
+
+    The triple is bad iff the direction sets S_(x,y) and S_(x,z) are
+    disjoint, so only the distinct sets at each vertex are compared:
+    O(k * m + sum over x of D_x^2), D_x <= min(deg x, 2^k) the number
+    of distinct sets at x.  The sets come in ascending order of their
+    smallest neighbour, so the first disjoint pair met is the smallest
+    triple.
     """
     _check_shapes(g, orientations)
-    rows = [o.out_rows(g) for o in orientations]
-    for x in range(g.n):
-        nbrs = g.adj[x]
-        if nbrs == 0:
-            continue
-        for y in _bits(nbrs):
-            covered = 0
-            for r in rows:
-                if (r[x] >> y) & 1:
-                    covered |= r[x]
-            missing = nbrs & ~covered
-            if missing:
-                z = (missing & -missing).bit_length() - 1
-                return (x, y, z)
+    for x, first in enumerate(_direction_sets_by_vertex(g, orientations)):
+        for s, y in first.items():
+            for t, z in first.items():
+                if not s & t:
+                    return (x, y, z)
     return None
 
 
@@ -124,18 +155,10 @@ def families_from_cover(
         raise ValueError("need at least one orientation")
     if k > FAMILY_KMAX:
         raise CapacityError(f"direction-set families support at most k = {FAMILY_KMAX}")
-    rows = [o.out_rows(g) for o in orientations]
-    per_vertex = []
-    for v in range(g.n):
-        member = 0
-        for w in _bits(g.adj[v]):
-            s = 0
-            for i, r in enumerate(rows):
-                if (r[v] >> w) & 1:
-                    s |= 1 << i
-            member |= 1 << s
-        per_vertex.append(SetFamily(k, member))
-    return FamilyAssignment(k, tuple(per_vertex))
+    return FamilyAssignment(k, tuple(
+        SetFamily(k, sum(1 << s for s in first))  # the sets in `first` are distinct
+        for first in _direction_sets_by_vertex(g, orientations)
+    ))
 
 
 def validate_assignment(
@@ -253,49 +276,54 @@ def _subset_elements(mask: int) -> list[int]:
     return [b + 1 for b in _bits(mask)]
 
 
+def _orientation_json(o: Orientation) -> str:
+    # bit e of o.bits is the e-th flag; "1" is replaced first because
+    # "true, " holds no "0"
+    flags = _bit_string(o.bits, o.m).replace("1", "true, ").replace("0", "false, ")
+    return f"[{flags[:-2]}]"
+
+
+def _direction_sets_json(direction_sets: Optional[dict[tuple[int, int], int]]) -> str:
+    if direction_sets is None:
+        return "null"
+    # each distinct set is formatted once
+    elements = {s: json.dumps(_subset_elements(s)) for s in set(direction_sets.values())}
+    return "{" + ", ".join(
+        f'"{x}->{y}": {elements[s]}' for (x, y), s in sorted(direction_sets.items())
+    ) + "}"
+
+
 def certificate_to_json(g: Graph, cert: CoverCertificate) -> str:
     """Serialize a certificate against its graph.
 
     Field order is fixed (n, m, k, edges, orientations, meta) and the
     output is byte-identical across runs; each orientation sits on its
-    own line.
+    own line.  The text is what json.dumps gives for the same document,
+    built directly: each orientation row in one string pass and each
+    distinct direction set formatted once.
     """
     _check_shapes(g, cert.orientations)
-    orientation_rows = [
-        [bool((o.bits >> e) & 1) for e in range(g.m)] for o in cert.orientations
-    ]
     meta = cert.meta
     if meta is None:
-        meta_doc = None
+        meta_json = "null"
     else:
-        meta_doc = {
-            "coloring": list(meta.coloring) if meta.coloring is not None else None,
-            "family_indices": (
-                list(meta.family_indices) if meta.family_indices is not None else None
-            ),
-            "direction_sets": (
-                {
-                    f"{x}->{y}": _subset_elements(s)
-                    for (x, y), s in sorted(meta.direction_sets.items())
-                }
-                if meta.direction_sets is not None
-                else None
-            ),
-        }
+        meta_json = (
+            f'{{"coloring": {json.dumps(meta.coloring)}, '
+            f'"family_indices": {json.dumps(meta.family_indices)}, '
+            f'"direction_sets": {_direction_sets_json(meta.direction_sets)}}}'
+        )
     lines = [
         "{",
         f'  "n": {g.n},',
         f'  "m": {g.m},',
         f'  "k": {cert.k},',
-        f'  "edges": {json.dumps([[u, v] for u, v in g.edges])},',
+        f'  "edges": {json.dumps(g.edges)},',
         '  "orientations": [',
+        ",\n".join("    " + _orientation_json(o) for o in cert.orientations),
+        "  ],",
+        f'  "meta": {meta_json}',
+        "}",
     ]
-    lines.append(
-        ",\n".join("    " + json.dumps(row) for row in orientation_rows)
-    )
-    lines.append("  ],")
-    lines.append(f'  "meta": {json.dumps(meta_doc)}')
-    lines.append("}")
     return "\n".join(lines)
 
 
@@ -362,7 +390,7 @@ def certificate_from_json(text: str, g: Graph) -> CoverCertificate:
             f"certificate shape ({doc['n']}, {doc['m']}) does not match graph ({g.n}, {g.m})"
         )
     try:
-        edges = [tuple(e) for e in doc["edges"]]
+        edges = list(map(tuple, doc["edges"]))
     except TypeError:
         raise ParseError("certificate edges must be [u, v] pairs") from None
     if edges != list(g.edges):
@@ -376,7 +404,7 @@ def certificate_from_json(text: str, g: Graph) -> CoverCertificate:
         if (
             not isinstance(flags, list)
             or len(flags) != g.m
-            or not all(isinstance(b, bool) for b in flags)
+            or not set(map(type, flags)) <= {bool}
         ):
             raise ParseError("each orientation must list m booleans")
         orientations.append(Orientation.from_dir(g.n, flags))

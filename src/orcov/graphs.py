@@ -10,6 +10,7 @@ bit-exact and diffable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapacityError, ParseError
@@ -17,12 +18,32 @@ from .errors import CapacityError, ParseError
 DEFAULT_CHI_VERTEX_BOUND = 32
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Yield set bit positions of mask in ascending order."""
-    while mask:
-        lsb = mask & -mask
-        yield lsb.bit_length() - 1
-        mask ^= lsb
+# '0'/'1' digits <-> 0/1 byte values
+_FLAG_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _bit_string(mask: int, width: int) -> str:
+    """Bits 0..width-1 of mask as '0'/'1' characters, bit 0 first (mask < 2**width)."""
+    return bin(mask | 1 << width)[:2:-1]
+
+
+def _bits(mask: int) -> list[int]:
+    """Set bit positions of a non-negative mask in ascending order.
+
+    One pass over the base-2 digits from the lowest set bit up, so a
+    dense row of n bits costs O(n) rather than a shift per set bit.
+    """
+    if not mask:
+        return []
+    low = (mask & -mask).bit_length() - 1
+    flags = _bit_string(mask >> low, mask.bit_length() - low).encode("ascii")
+    return list(compress(range(low, mask.bit_length()), flags.translate(_FLAG_BYTES)))
+
+
+def _upper_edges(adj: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """(u, v) for every bit v > u of row u: the canonical edge order."""
+    return tuple((u, v) for u, row in enumerate(adj) for v in _bits(row >> (u + 1) << (u + 1)))
 
 
 @dataclass(frozen=True)
@@ -48,13 +69,19 @@ class Graph:
                 raise ValueError(f"adjacency row of vertex {u} addresses vertices >= n")
             if (row >> u) & 1:
                 raise ValueError(f"self-loop at vertex {u}")
-        for u in range(self.n):
-            for v in _bits(self.adj[u]):
-                if not (self.adj[v] >> u) & 1:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        derived = tuple(
-            (u, v) for u in range(self.n) for v in _bits(self.adj[u]) if u < v
-        )
+        # One linear pass: read the edges off the upper triangle, rebuild
+        # every row from them, and compare; only a failed comparison pays
+        # for the scan that names the first asymmetric pair.
+        derived = _upper_edges(self.adj)
+        rebuilt = [0] * self.n
+        for u, v in derived:
+            rebuilt[u] |= 1 << v
+            rebuilt[v] |= 1 << u
+        if rebuilt != list(self.adj):
+            for u, row in enumerate(self.adj):
+                for v in _bits(row):
+                    if not (self.adj[v] >> u) & 1:
+                        raise ValueError(f"asymmetric adjacency between {u} and {v}")
         if self.edges != derived:
             raise ValueError("edge list does not match adjacency rows")
 
@@ -68,15 +95,13 @@ class Graph:
 
         Without an explicit n the vertex count is 1 + max endpoint.
         """
-        canon = set()
-        top = -1
-        for u, v in edges:
+        pairs = list(edges)
+        for u, v in pairs:
             if u < 0 or v < 0:
                 raise ValueError(f"negative endpoint in edge ({u}, {v})")
             if u == v:
                 raise ValueError(f"self-loop ({u}, {v})")
-            canon.add((u, v) if u < v else (v, u))
-            top = max(top, u, v)
+        top = max(map(max, pairs), default=-1)
         if n is None:
             if top < 0:
                 raise ValueError("cannot infer vertex count from an empty edge list")
@@ -84,13 +109,13 @@ class Graph:
         elif top >= n:
             raise ValueError(f"endpoint {top} out of range for n={n}")
         adj = [0] * n
-        for u, v in canon:
+        for u, v in pairs:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(n, tuple(adj), tuple(sorted(canon)))
+        return cls(n, tuple(adj), _upper_edges(adj))
 
     def neighbors(self, u: int) -> Iterator[int]:
-        return _bits(self.adj[u])
+        return iter(_bits(self.adj[u]))
 
     def degree(self, u: int) -> int:
         return self.adj[u].bit_count()
@@ -129,30 +154,17 @@ class Orientation:
 
     @classmethod
     def from_dir(cls, n: int, dir_flags: Sequence[bool]) -> "Orientation":
-        bits = 0
-        for e, flag in enumerate(dir_flags):
-            if flag:
-                bits |= 1 << e
-        return cls(n, len(dir_flags), bits)
+        """Orientation whose edge e points u -> v iff dir_flags[e] is true."""
+        digits = bytes(map(bool, dir_flags))[::-1].translate(_FLAG_DIGITS)
+        return cls(n, len(dir_flags), int(digits or b"0", 2))
 
     @property
     def dir(self) -> tuple[bool, ...]:
-        return tuple(bool((self.bits >> e) & 1) for e in range(self.m))
+        flags = _bit_string(self.bits, self.m).encode("ascii").translate(_FLAG_BYTES)
+        return tuple(map(bool, flags))
 
     def matches_shape(self, g: Graph) -> bool:
         return self.n == g.n and self.m == g.m
-
-    def out_rows(self, g: Graph) -> list[int]:
-        """Out-neighbor bitmask per vertex under this orientation."""
-        if not self.matches_shape(g):
-            raise ValueError("orientation shape does not match graph")
-        rows = [0] * g.n
-        for e, (u, v) in enumerate(g.edges):
-            if (self.bits >> e) & 1:
-                rows[u] |= 1 << v
-            else:
-                rows[v] |= 1 << u
-        return rows
 
 
 @dataclass(frozen=True)
@@ -274,8 +286,7 @@ def parse_graph6(text: str) -> Graph:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
             idx += 1
-    edges = tuple((u, v) for u in range(n) for v in _bits(adj[u]) if u < v)
-    return Graph(n, tuple(adj), edges)
+    return Graph(n, tuple(adj), _upper_edges(adj))
 
 
 def encode_graph6(g: Graph) -> str:
@@ -425,7 +436,7 @@ def _dsatur(nbrs: list[list[int]], t: int) -> Optional[list[int]]:
 
 
 def _neighbor_lists(g: Graph) -> list[list[int]]:
-    return [list(_bits(row)) for row in g.adj]
+    return [_bits(row) for row in g.adj]
 
 
 def proper_coloring(g: Graph, t: int) -> Optional[Coloring]:

@@ -14,11 +14,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapacityError
-from .families import KMAX_HARD, LITERATURE_LAMBDA, capacity, hosten_morris
+from .families import (
+    KMAX_HARD,
+    LITERATURE_LAMBDA,
+    capacity,
+    hosten_morris,
+    lambda_provenance,
+)
 from .graphs import DEFAULT_CHI_VERTEX_BOUND, Graph, exact_coloring
-
-PROVENANCE_COMPUTED = "computed"
-PROVENANCE_LITERATURE = "literature-table"
 
 
 @dataclass(frozen=True)
@@ -26,8 +29,8 @@ class SigmaResult:
     """sigma value with the chromatic number and witness it came from.
 
     witness_k is the smallest k with lambda(k) >= chi (and equals
-    value); provenance records whether any literature-table lambda was
-    consulted.
+    value); provenance is lambda_provenance(witness_k): "literature" when
+    a literature-table lambda was consulted, else "computed".
     """
 
     value: int
@@ -67,10 +70,7 @@ def sigma_complete(n: int, literature_table: bool = False) -> SigmaResult:
                 f"sigma(K_n) supported up to n = lambda({top}) = {largest}; got n={n}"
             ) from None
         if lam >= n:
-            provenance = (
-                PROVENANCE_LITERATURE if k > KMAX_HARD else PROVENANCE_COMPUTED
-            )
-            return SigmaResult(value=k, chi=n, witness_k=k, provenance=provenance)
+            return SigmaResult(value=k, chi=n, witness_k=k, provenance=lambda_provenance(k))
         k += 1
 
 

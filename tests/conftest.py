@@ -68,3 +68,25 @@ def random_graph(rng: random.Random, n_max: int = 10) -> Graph:
 
 def assert_equal_graphs(a: Graph, b: Graph) -> None:
     assert a.n == b.n and a.edges == b.edges
+
+
+def reference_counterexample(n: int, edges, rows):
+    """Smallest bad triple (x, y, z), checked one triple at a time, or None.
+
+    rows[i][e] is true when orientation i directs edges[e] = (u, v) as
+    u -> v.  Written from the definition alone, so that it shares no
+    code with verify_cover.
+    """
+    away = [set() for _ in rows]
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(edges):
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+        for i, row in enumerate(rows):
+            away[i].add((u, v) if row[e] else (v, u))
+    for x in range(n):
+        for y in sorted(nbrs[x]):
+            for z in sorted(nbrs[x]):
+                if not any((x, y) in a and (x, z) in a for a in away):
+                    return (x, y, z)
+    return None

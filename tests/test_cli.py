@@ -1,10 +1,12 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import reference_counterexample
 
 import orcov
 from orcov.cli import main
@@ -144,6 +146,49 @@ class TestCover:
         assert first == second
 
 
+def run_process(*argv):
+    src = str(Path(orcov.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "orcov", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+class TestCoverInAProcess:
+    """construct-cover --out, then verify-cover on the certificate and on a tampered copy."""
+
+    def test_multipartite_60(self, tmp_path):
+        n, parts = 60, 12
+        part = [v % parts for v in range(n)]
+        random.Random(60).shuffle(part)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]]
+        graph = tmp_path / "k12x5.el"
+        graph.write_text(f"n {n}\n" + "".join(f"{v} {u}\n" for u, v in reversed(edges)))
+        cert = tmp_path / "cert.json"
+        proc = run_process("construct-cover", str(graph), "--max-chi-vertices", "60",
+                           "--out", str(cert))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "4 accept\n", "")
+        proc = run_process("verify-cover", str(graph), str(cert))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "accept\n", "")
+
+        doc = json.loads(cert.read_text())
+        assert [tuple(e) for e in doc["edges"]] == edges
+        rows = doc["orientations"]
+        # flip the only orientation sending some edge forward: its backward
+        # direction set stays, its forward one becomes empty
+        e = next(e for e in range(len(edges)) if sum(row[e] for row in rows) == 1)
+        i = next(i for i, row in enumerate(rows) if row[e])
+        rows[i][e] = False
+        want = reference_counterexample(n, edges, rows)
+        assert want is not None
+        bad = tmp_path / "tampered.json"
+        bad.write_text(json.dumps(doc))
+        proc = run_process("verify-cover", str(graph), str(bad))
+        assert proc.returncode == 1 and proc.stderr == ""
+        assert proc.stdout == "counterexample {} {} {}\n".format(*want)
+
+
 # Field overrides that make a construct-cover certificate of K_2 malformed.
 MALFORMED_CERTIFICATES = {
     "orientation-not-list": {"k": 1, "orientations": [5]},
@@ -183,12 +228,7 @@ class TestMalformedCertificate:
     @pytest.mark.parametrize("case", ["orientation-not-list", "coloring-not-list"])
     def test_no_traceback_in_a_process(self, k2_g6, k2_cert, tmp_path, case):
         bad = self.write(tmp_path, k2_cert, case)
-        src = str(Path(orcov.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run(
-            [sys.executable, "-m", "orcov", "verify-cover", k2_g6, bad],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = run_process("verify-cover", k2_g6, bad)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr

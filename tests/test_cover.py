@@ -1,12 +1,15 @@
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
-from conftest import all_labeled_graphs, random_graph
+from conftest import all_labeled_graphs, random_graph, reference_counterexample
 
 import orcov.graphs
 from orcov import (
+    CertificateMeta,
+    CoverCertificate,
     FamilyAssignment,
     Graph,
     Orientation,
@@ -26,6 +29,7 @@ from orcov import (
     validate_assignment,
     verify_cover,
 )
+from orcov.cover import _edge_masks
 
 
 def orient(g, *flags):
@@ -75,6 +79,92 @@ class TestVerify:
     def test_empty_cover_rejected_on_first_edge(self):
         g = path_graph(3)
         assert verify_cover(g, []) == (0, 1, 1)
+
+
+def _flags(o):
+    return [bool(o.bits >> e & 1) for e in range(o.m)]
+
+
+def _flip(o, e):
+    return Orientation(o.n, o.m, o.bits ^ 1 << e)
+
+
+def _reference_families(g, orientations):
+    """A_v = {S_(v,w)}, each S read off the orientations one edge at a time."""
+    member = [0] * g.n
+    for e, (u, v) in enumerate(g.edges):
+        forward = sum(1 << i for i, o in enumerate(orientations) if o.bits >> e & 1)
+        backward = sum(1 << i for i, o in enumerate(orientations) if not o.bits >> e & 1)
+        member[u] |= 1 << forward
+        member[v] |= 1 << backward
+    return [SetFamily(len(orientations), mv) for mv in member]
+
+
+class TestVerifyAgainstReference:
+    """verify_cover and families_from_cover against literal definitions."""
+
+    def cases(self):
+        rng = random.Random(4242)
+        for _ in range(120):
+            g = random_graph(rng, n_max=8)
+            k = rng.randint(0, 5)
+            yield g, [Orientation(g.n, g.m, rng.getrandbits(g.m)) for _ in range(k)]
+            cover = list(construct_cover(g).orientations)
+            while len(cover) < 5 and rng.random() < 0.5:
+                cover.append(Orientation(g.n, g.m, rng.getrandbits(g.m)))
+            rng.shuffle(cover)
+            yield g, cover
+            i, e = rng.randrange(len(cover)), rng.randrange(g.m)
+            yield g, [_flip(o, e) if j == i else o for j, o in enumerate(cover)]
+
+    def test_counterexample_matches_triple_by_triple(self):
+        rejected = 0
+        for g, cover in self.cases():
+            want = reference_counterexample(g.n, g.edges, [_flags(o) for o in cover])
+            assert verify_cover(g, cover) == want
+            rejected += want is not None
+        assert 100 < rejected < 360  # both verdicts are exercised
+
+    def test_families_match_direction_sets(self):
+        for g, cover in self.cases():
+            if cover:
+                fa = families_from_cover(g, cover)
+                assert list(fa.per_vertex) == _reference_families(g, cover)
+
+    def test_dense_cover_with_flipped_edges(self):
+        g = complete_graph(14)
+        cover = list(construct_cover(g).orientations)
+        rng = random.Random(99)
+        for _ in range(20):
+            i, e = rng.randrange(len(cover)), rng.randrange(g.m)
+            bad = [_flip(o, e) if j == i else o for j, o in enumerate(cover)]
+            want = reference_counterexample(g.n, g.edges, [_flags(o) for o in bad])
+            assert verify_cover(g, bad) == want
+
+
+class TestEdgeMasks:
+    def test_out_rows_from_masks(self):
+        g = complete_graph(3)  # edges 01, 02, 12
+        o = Orientation(3, 3, 0b011)  # 0->1, 0->2, 2->1
+        assert _edge_masks(g.m, [o]) == [1, 1, 0]
+        rows = [0] * g.n  # out-neighbour rows read back from the masks
+        for (u, v), s in zip(g.edges, _edge_masks(g.m, [o])):
+            if s & 1:
+                rows[u] |= 1 << v
+            else:
+                rows[v] |= 1 << u
+        assert rows == [0b110, 0, 0b010]
+
+    def test_bit_i_is_orientation_i(self):
+        g = complete_graph(3)
+        cover = [Orientation(3, 3, 0b011), Orientation(3, 3, 0b100), Orientation(3, 3, 0)]
+        assert _edge_masks(g.m, cover) == [0b001, 0b001, 0b010]
+        assert _edge_masks(g.m, []) == [0, 0, 0]
+        assert _edge_masks(0, [Orientation(1, 0, 0)]) == []
+
+    def test_families_shape_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            families_from_cover(complete_graph(3), [Orientation(3, 2, 0)])
 
 
 class TestFamiliesFromCover:
@@ -313,3 +403,70 @@ class TestCertificateJson:
             certificate_from_json("{", complete_graph(2))
         with pytest.raises(ParseError, match="missing"):
             certificate_from_json("{}", complete_graph(2))
+
+    def test_direction_set_elements(self):
+        g = complete_graph(2)
+        doc = json.loads(certificate_to_json(g, construct_cover(g)))
+        doc["meta"]["direction_sets"] = {"0->1": [1], "1->0": [1, 0]}
+        with pytest.raises(ParseError, match="'1->0' lists 0"):
+            certificate_from_json(json.dumps(doc), g)
+        doc["meta"]["direction_sets"] = {"0->1": [2, 1], "1->0": [2, 1]}
+        meta = certificate_from_json(json.dumps(doc), g).meta
+        assert meta.direction_sets == {(0, 1): 0b11, (1, 0): 0b11}
+
+    def test_orientations_with_leading_zeros_round_trip(self):
+        g = path_graph(40)
+        rng = random.Random(3)
+        cover = tuple(Orientation(g.n, g.m, rng.getrandbits(g.m) >> s) for s in (0, 5, 20, 39))
+        cert = CoverCertificate(len(cover), cover)
+        loaded = certificate_from_json(certificate_to_json(g, cert), g)
+        assert loaded == cert
+
+
+def _path3_orientation(bits):
+    return Orientation(3, 2, bits)
+
+
+# certificate_to_json text recorded with the json.dumps serialiser it
+# replaced: no meta, meta without direction sets, direction sets with
+# empty sets and keys whose numeric order differs from their string
+# order, orientations whose high edges are 0, no orientations, no edges.
+CERTIFICATE_TEXT = [
+    (path_graph(3), CoverCertificate(2, (_path3_orientation(0b01), _path3_orientation(0b00))),
+     '{\n  "n": 3,\n  "m": 2,\n  "k": 2,\n  "edges": [[0, 1], [1, 2]],\n  "orientations": [\n'
+     '    [true, false],\n    [false, false]\n  ],\n  "meta": null\n}'),
+    (path_graph(3), CoverCertificate(
+        2, (_path3_orientation(0b01), _path3_orientation(0b00)),
+        CertificateMeta(coloring=(0, 1, 0), family_indices=(0, 1))),
+     '{\n  "n": 3,\n  "m": 2,\n  "k": 2,\n  "edges": [[0, 1], [1, 2]],\n  "orientations": [\n'
+     '    [true, false],\n    [false, false]\n  ],\n'
+     '  "meta": {"coloring": [0, 1, 0], "family_indices": [0, 1], "direction_sets": null}\n}'),
+    (path_graph(3), CoverCertificate(
+        3, (_path3_orientation(0b00), _path3_orientation(0b01), _path3_orientation(0b00)),
+        CertificateMeta(direction_sets={(1, 0): 0, (0, 1): 0b101, (1, 2): 0b111, (2, 1): 0})),
+     '{\n  "n": 3,\n  "m": 2,\n  "k": 3,\n  "edges": [[0, 1], [1, 2]],\n  "orientations": [\n'
+     '    [false, false],\n    [true, false],\n    [false, false]\n  ],\n'
+     '  "meta": {"coloring": null, "family_indices": null, "direction_sets": '
+     '{"0->1": [1, 3], "1->0": [], "1->2": [1, 2, 3], "2->1": []}}\n}'),
+    (path_graph(3), CoverCertificate(
+        1, (_path3_orientation(0b10),),
+        CertificateMeta(coloring=(), direction_sets={(10, 2): 1, (2, 10): 6, (9, 1): 1})),
+     '{\n  "n": 3,\n  "m": 2,\n  "k": 1,\n  "edges": [[0, 1], [1, 2]],\n  "orientations": [\n'
+     '    [false, true]\n  ],\n  "meta": {"coloring": [], "family_indices": null, '
+     '"direction_sets": {"2->10": [2, 3], "9->1": [1], "10->2": [1]}}\n}'),
+    (path_graph(3), CoverCertificate(0, ()),
+     '{\n  "n": 3,\n  "m": 2,\n  "k": 0,\n  "edges": [[0, 1], [1, 2]],\n  "orientations": [\n'
+     '\n  ],\n  "meta": null\n}'),
+    (path_graph(1), CoverCertificate(1, (Orientation(1, 0, 0),)),
+     '{\n  "n": 1,\n  "m": 0,\n  "k": 1,\n  "edges": [],\n  "orientations": [\n'
+     '    []\n  ],\n  "meta": null\n}'),
+]
+
+
+@pytest.mark.parametrize(
+    "g, cert, text", CERTIFICATE_TEXT,
+    ids=["no-meta", "no-direction-sets", "empty-sets", "key-order", "k0", "m0"],
+)
+def test_certificate_text(g, cert, text):
+    assert certificate_to_json(g, cert) == text
+    assert certificate_from_json(text, g) == cert

@@ -19,9 +19,10 @@ from orcov import (
     path_graph,
     petersen_graph,
     proper_coloring,
+    verify_cover,
     wheel_graph,
 )
-from orcov.graphs import is_proper_coloring
+from orcov.graphs import _bits, is_proper_coloring
 
 
 class TestParseEdgeList:
@@ -164,6 +165,25 @@ class TestConstructions:
         with pytest.raises(ValueError, match="edge list"):
             Graph(2, (2, 1), ())
 
+    def test_asymmetric_adjacency_names_first_pair(self):
+        # 0 lists 2 and 3, but only 3 lists 0; 2 lists 1, 1 lists nobody
+        with pytest.raises(ValueError, match="between 0 and 2$"):
+            Graph(4, (0b1100, 0, 0b0010, 0b0001), ((0, 2), (0, 3)))
+        # only the lower triangle holds the stray bit: 2 lists 0 alone
+        with pytest.raises(ValueError, match="between 2 and 0$"):
+            Graph(3, (0, 0, 0b001), ())
+
+    def test_invariants_on_dense_and_sparse_rows(self):
+        for g in (complete_graph(70), cycle_graph(300), petersen_graph()):
+            assert Graph(g.n, g.adj, g.edges) == g
+            for u, v in g.edges[:: max(1, g.m // 7)]:
+                adj = list(g.adj)
+                adj[u] ^= 1 << v
+                with pytest.raises(ValueError, match=f"between {v} and {u}$"):
+                    Graph(g.n, tuple(adj), g.edges)
+                with pytest.raises(ValueError, match="edge list"):
+                    Graph(g.n, g.adj, tuple(e for e in g.edges if e != (u, v)))
+
     def test_relabel(self):
         g = path_graph(3)  # edges (0,1), (1,2)
         h = g.relabel([2, 0, 1])
@@ -241,14 +261,30 @@ class TestOrientation:
         assert o.dir == (True, False, True)
         assert o.bits == 0b101
 
-    def test_out_rows(self):
-        g = complete_graph(3)
-        o = Orientation(3, 3, 0b011)  # 0->1, 0->2, 2->1
-        rows = o.out_rows(g)
-        assert rows == [0b110, 0, 0b010]
+    def test_dir_with_leading_zeros_and_no_edges(self):
+        assert Orientation(5, 4, 0b0010).dir == (False, True, False, False)
+        assert Orientation.from_dir(5, [False] * 4).bits == 0
+        assert Orientation.from_dir(1, []) == Orientation(1, 0, 0)
+        assert Orientation(1, 0, 0).dir == ()
+        assert Orientation.from_dir(3, [1, 0, 2]).bits == 0b101  # truthy flags
+        rng = random.Random(8)
+        for m in (1, 63, 64, 65, 500):
+            bits = rng.getrandbits(m) >> rng.randrange(m)
+            o = Orientation(2, m, bits)
+            assert o.dir == tuple(bool(bits >> e & 1) for e in range(m))
+            assert Orientation.from_dir(2, list(o.dir)) == o
 
     def test_shape_checked(self):
         with pytest.raises(ValueError):
             Orientation(3, 2, 0b100)
         with pytest.raises(ValueError):
-            Orientation(3, 2, 0).out_rows(complete_graph(3))
+            verify_cover(complete_graph(3), [Orientation(3, 2, 0)])
+
+
+def test_bits_matches_shift_loop():
+    rng = random.Random(6)
+    masks = [0, 1, 2, 1 << 200, (1 << 1200) - 1, (1 << 1200) - 2]
+    masks += [rng.getrandbits(rng.randint(1, 300)) << rng.randrange(300) for _ in range(300)]
+    for mask in masks:
+        want = [b for b in range(mask.bit_length()) if mask >> b & 1]
+        assert _bits(mask) == want

@@ -60,7 +60,7 @@ class TestSigmaComplete:
     def test_literature_table_extends_range(self):
         res = sigma_complete(10**12, literature_table=True)
         assert res.value == 9
-        assert res.provenance == "literature-table"
+        assert res.provenance == "literature"
         res = sigma_complete(hosten_morris(7) + 1, literature_table=True)
         assert res.value == 8
         with pytest.raises(CapacityError):
