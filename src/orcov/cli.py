@@ -1,8 +1,9 @@
 """Command-line frontend.
 
 Machine-readable results go to stdout, diagnostics to stderr.  Exit
-codes: 0 success or accept, 1 cover verification rejected, 2 usage or
-input error, 3 capacity or budget error.
+codes: 0 success or accept, 1 cover verification rejected, 2 usage,
+input or output error (a reader that closed stdout included), 3
+capacity or budget error.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--stream",
         action="store_true",
-        help="print families as raw masks are walked (same bytes, lower memory)",
+        help="accepted for compatibility: the output is always streamed",
     )
 
     p = sub.add_parser("sigma-complete", help="covering number of the complete graph K_n")
@@ -144,22 +145,16 @@ def _run_command(args: argparse.Namespace) -> int:
         print(f"{value} {lambda_provenance(args.k)}")
         return EXIT_OK
     if cmd == "enumerate-mifs":
-        if args.stream:
-            subset_str = [format_subset(s) for s in range(1 << args.k)]
-            write = sys.stdout.write
-            for mask in sorted_mif_masks(args.k):
-                parts = []
-                while mask:
-                    lsb = mask & -mask
-                    parts.append(subset_str[lsb.bit_length() - 1])
-                    mask ^= lsb
-                parts.append("\n")
-                write("".join(parts))
-        else:
-            from .families import enumerate_mifs
-
-            for fam in enumerate_mifs(args.k).families:
-                print(fam.format())
+        subset_str = [format_subset(s) for s in range(1 << args.k)]
+        write = sys.stdout.write
+        for mask in sorted_mif_masks(args.k):
+            parts = []
+            while mask:
+                lsb = mask & -mask
+                parts.append(subset_str[lsb.bit_length() - 1])
+                mask ^= lsb
+            parts.append("\n")
+            write("".join(parts))
         return EXIT_OK
     if cmd == "sigma-complete":
         res = sigma_complete(args.n, literature_table=args.literature_table)
@@ -224,12 +219,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return _run_command(args)
-    except BrokenPipeError:
-        # downstream consumer (e.g. head) closed the pipe; finish quietly
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return EXIT_REJECTED
+        code = _run_command(args)
+        # a block-buffered stdout is written here, so that a closed one
+        # is reported below instead of at shutdown
+        sys.stdout.flush()
+        return code
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -237,6 +231,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the reader closed stdout: keep the flush at shutdown quiet
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

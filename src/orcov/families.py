@@ -2,9 +2,10 @@
 
 A subset S of [k] = {1, ..., k} is a k-bit mask (bit i-1 set means
 i in S).  A family of subsets is a 2^k-bit member vector (bit s set
-means the subset with mask s belongs to the family).  Enumeration of
-maximal intersecting families is delegated to the selected kernel; the
-counts lambda(k) are the Hosten-Morris numbers.
+means the subset with mask s belongs to the family).  Maximal
+intersecting families are listed by one pure-Python walk (_mif_walk);
+their counts lambda(k), the Hosten-Morris numbers, come from an
+independent up-set decomposition (_mif_count).
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from . import _kernel
 from .errors import CapacityError
 
 KMAX_HARD = 7
+
+# Reported as orcov.KERNEL_BACKEND: the package has one pure-Python kernel.
+KERNEL_BACKEND = "pure"
 
 FAMILY_KMAX = 16
 
@@ -197,10 +200,136 @@ def _require_within_capacity(k: int) -> int:
     return cap
 
 
+def _pair_reps(k: int) -> list[int]:
+    """One representative per complementary pair, ordered by (size, mask)."""
+    full = (1 << k) - 1
+    reps = []
+    for s in range(1 << k):
+        c = full ^ s
+        if (s.bit_count(), s) <= (c.bit_count(), c):
+            reps.append(s)
+    reps.sort(key=lambda s: (s.bit_count(), s))
+    return reps
+
+
+def _closure_tables(k: int) -> tuple[list[int], list[int]]:
+    """sup[s] / sub[s]: 2^k-bit masks of the supersets / subsets of s."""
+    size = 1 << k
+    full = size - 1
+    sup = [0] * size
+    sub = [0] * size
+    for s in range(size):
+        m = 0
+        t = s
+        while True:
+            m |= 1 << t
+            if t == full:
+                break
+            t = (t + 1) | s
+        sup[s] = m
+        m = 0
+        t = s
+        while True:
+            m |= 1 << t
+            if t == 0:
+                break
+            t = (t - 1) & s
+        sub[s] = m
+    return sup, sub
+
+
+def _mif_walk(k: int, reverse_pairs: bool = False) -> list[int]:
+    """All maximal intersecting families over [k] as 2^k-bit member vectors.
+
+    A family over [k] is maximal intersecting iff it is upward-closed
+    and holds exactly one side of every complementary pair {S, [k] \\ S}.
+    The walk decides the pairs in a fixed order; each decision
+    propagates (all supersets of the chosen set join, everything inside
+    its complement is shut out) and a clash between the state vectors
+    `inn` and `out` prunes the branch.  Order is the search order, not
+    canonical; reverse_pairs decides the pairs in the opposite order and
+    must find the same families.
+    """
+    reps = _pair_reps(k)
+    if reverse_pairs:
+        reps.reverse()
+    sup, sub = _closure_tables(k)
+    full = (1 << k) - 1
+    npairs = len(reps)
+    found: list[int] = []
+    stack = [(0, 0, 0)]
+    while stack:
+        inn, out, idx = stack.pop()
+        decided = inn | out
+        while idx < npairs and (decided >> reps[idx]) & 1:
+            idx += 1
+        if idx == npairs:
+            found.append(inn)
+            continue
+        r = reps[idx]
+        rc = full ^ r
+        idx += 1
+        ni = inn | sup[rc]
+        no = out | sub[r]
+        if not ni & no:
+            stack.append((ni, no, idx))
+        ni = inn | sup[r]
+        no = out | sub[rc]
+        if not ni & no:
+            stack.append((ni, no, idx))
+    return found
+
+
+def _mif_count(k: int) -> int:
+    """lambda(k) by up-set decomposition, sharing no search with _mif_walk.
+
+    A maximal intersecting family over [k] is fixed by its members
+    without k, which form an intersecting up-set on [k-1], and every
+    such up-set arises.  With m = k - 2, an up-set on [m+1] splits into
+    U0 (members without m+1) and U1 (the others, m+1 removed); it is
+    intersecting iff U0 is contained in U1 and in blocker(U1), the sets
+    that meet every member of U1.  So lambda(k) is the sum over up-sets
+    U1 on [m] of the number of up-sets inside P = U1 & blocker(U1),
+    i.e. of antichains of the poset P.
+    """
+    if k == 1:
+        return 1
+    m = k - 2
+    size = 1 << m
+    width = (1 << size) - 1
+    sup, _ = _closure_tables(m)
+    # Up-sets on [j+1] are the pairs U0 <= U1 of up-sets on [j].
+    upsets = [0, 1]
+    for j in range(m):
+        half = 1 << j
+        upsets = [a | b << half for b in upsets for a in upsets if not a & ~b]
+
+    memo = {0: 1}
+
+    def antichains(p: int) -> int:
+        # Antichains without x plus those with x.  x is the lowest mask in
+        # P, hence minimal in P, so the members of P comparable with x are
+        # its supersets.
+        value = memo.get(p)
+        if value is None:
+            x = (p & -p).bit_length() - 1
+            value = antichains(p ^ (1 << x)) + antichains(p & ~sup[x])
+            memo[p] = value
+        return value
+
+    total = 0
+    for u1 in upsets:
+        # S meets every member of the up-set U1 iff [m] \ S is not in U1;
+        # reversing the 2^m bits maps position S to [m] \ S.
+        blocker = width ^ int(f"{u1:0{size}b}"[::-1], 2)
+        total += antichains(u1 & blocker)
+    return total
+
+
 def sorted_mif_masks(k: int) -> list[int]:
     """Member vectors of all maximal intersecting families, ascending."""
     _require_within_capacity(k)
-    masks = _kernel.mif_masks(k)
+    masks = _mif_walk(k)
     masks.sort()
     return masks
 
@@ -228,7 +357,7 @@ def hosten_morris(k: int, literature_table: bool = False) -> int:
     if k <= cap:
         value = _lambda_cache.get(k)
         if value is None:
-            value = _kernel.mif_count(k)
+            value = _mif_count(k)
             with _lambda_lock:
                 _lambda_cache.setdefault(k, value)
         return value

@@ -57,6 +57,7 @@ class TestEnumerate:
         _, plain, _ = run(capsys, "enumerate-mifs", "4")
         _, streamed, _ = run(capsys, "enumerate-mifs", "4", "--stream")
         assert plain == streamed
+        assert plain == "".join(f.format() + "\n" for f in orcov.enumerate_mifs(4).families)
         assert len(plain.splitlines()) == 12
 
 
@@ -153,6 +154,32 @@ def run_process(*argv):
         [sys.executable, "-m", "orcov", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+class TestClosedStdout:
+    """A reader that closed stdout is an output error (exit 2), not a rejection."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", [("lambda", "3"), ("enumerate-mifs", "6")])
+    def test_exit_2_with_one_line(self, argv, unbuffered):
+        src = str(Path(orcov.__file__).resolve().parents[1])
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = src
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "orcov", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestCoverInAProcess:

@@ -14,8 +14,11 @@ from orcov import (
     sorted_mif_masks,
     upward_closure,
 )
+import orcov
 from orcov.families import (
     LITERATURE_LAMBDA,
+    _mif_count,
+    _mif_walk,
     capacity,
     format_subset,
     lambda_provenance,
@@ -156,6 +159,29 @@ class TestEnumeration:
         monkeypatch.setenv("ORCOV_KMAX", "99")
         assert capacity() == 7
 
+    def test_k_bounds(self):
+        with pytest.raises(ValueError):
+            sorted_mif_masks(0)
+        with pytest.raises(CapacityError):
+            sorted_mif_masks(8)
+        with pytest.raises(CapacityError):
+            hosten_morris(8)
+
+    def test_backend_is_pure(self):
+        assert orcov.KERNEL_BACKEND == "pure"
+
+    def test_counter_counts(self):
+        assert [_mif_count(k) for k in range(1, 7)] == list(LAMBDA_SMALL.values())
+
+    @pytest.mark.parametrize("k", sorted(LAMBDA_SMALL))
+    def test_walk_matches_counter(self, k):
+        # two independent methods: the pair walk, both orders, and the up-set count
+        walk = _mif_walk(k)
+        reverse = _mif_walk(k, reverse_pairs=True)
+        assert len(set(walk)) == len(walk) == _mif_count(k)
+        assert len(set(reverse)) == len(reverse) == len(walk)
+        assert set(reverse) == set(walk)
+
     def test_literature_values(self):
         with pytest.raises(CapacityError, match="literature"):
             hosten_morris(9)
@@ -173,9 +199,8 @@ class TestEnumeration:
         assert lambda_provenance(9) == "literature"
 
     def test_reverse_pair_order_self_consistent_k5(self):
-        from orcov import _kernel
-
-        assert _kernel.mif_count(5) == _kernel.mif_count(5, reverse_pairs=True) == 81
+        assert sorted(_mif_walk(5, reverse_pairs=True)) == sorted_mif_masks(5)
+        assert len(sorted_mif_masks(5)) == 81
 
 
 class TestMifInvariants:
