@@ -22,7 +22,7 @@ from .cover import (
 )
 from .errors import BudgetError, CapacityError, ParseError
 from .families import (
-    format_subset,
+    format_family,
     hosten_morris,
     lambda_provenance,
     sorted_mif_masks,
@@ -145,16 +145,9 @@ def _run_command(args: argparse.Namespace) -> int:
         print(f"{value} {lambda_provenance(args.k)}")
         return EXIT_OK
     if cmd == "enumerate-mifs":
-        subset_str = [format_subset(s) for s in range(1 << args.k)]
         write = sys.stdout.write
         for mask in sorted_mif_masks(args.k):
-            parts = []
-            while mask:
-                lsb = mask & -mask
-                parts.append(subset_str[lsb.bit_length() - 1])
-                mask ^= lsb
-            parts.append("\n")
-            write("".join(parts))
+            write(format_family(args.k, mask) + "\n")
         return EXIT_OK
     if cmd == "sigma-complete":
         res = sigma_complete(args.n, literature_table=args.literature_table)

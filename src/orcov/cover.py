@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import CapacityError, ParseError
-from .families import FAMILY_KMAX, SetFamily, enumerate_mifs, is_intersecting
+from .families import FAMILY_KMAX, SetFamily, is_intersecting, sorted_mif_masks
 from .graphs import (
     DEFAULT_CHI_VERTEX_BOUND,
     Graph,
@@ -255,10 +255,8 @@ def construct_cover(
         raise ValueError("cover construction requires a non-empty graph")
     coloring = exact_coloring(g, max_vertices=max_chi_vertices)
     k = sigma_complete(coloring.t).value
-    catalog = enumerate_mifs(k)
-    fa = FamilyAssignment(
-        k, tuple(catalog.families[coloring.colors[v]] for v in range(g.n))
-    )
+    families = [SetFamily(k, member) for member in sorted_mif_masks(k)[: coloring.t]]
+    fa = FamilyAssignment(k, tuple(families[c] for c in coloring.colors))
     cert = cover_from_families(g, fa)
     meta = CertificateMeta(
         coloring=coloring.colors,

@@ -10,7 +10,7 @@ independent up-set decomposition (_mif_count).
 
 from __future__ import annotations
 
-import os
+import functools
 import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -37,18 +37,6 @@ _lambda_cache: dict[int, int] = {}
 _lambda_lock = threading.Lock()
 
 
-def capacity() -> int:
-    """Enumeration capacity: ORCOV_KMAX clamped to 1..KMAX_HARD."""
-    raw = os.environ.get("ORCOV_KMAX")
-    if raw is None:
-        return KMAX_HARD
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"ORCOV_KMAX must be an integer, got {raw!r}") from None
-    return max(1, min(KMAX_HARD, value))
-
-
 def format_subset(mask: int) -> str:
     """Render a subset mask as a brace list, e.g. 0b101 -> "{1,3}"."""
     elems = []
@@ -59,6 +47,23 @@ def format_subset(mask: int) -> str:
         mask >>= 1
         i += 1
     return "{" + ",".join(elems) + "}"
+
+
+@functools.cache
+def _subset_strings(k: int) -> tuple[str, ...]:
+    """format_subset of every subset mask over [k], indexed by mask."""
+    return tuple(format_subset(s) for s in range(1 << k))
+
+
+def format_family(k: int, member: int) -> str:
+    """A 2^k-bit member vector as concatenated brace lists, ascending."""
+    subset_str = _subset_strings(k)
+    parts = []
+    while member:
+        lsb = member & -member
+        parts.append(subset_str[lsb.bit_length() - 1])
+        member ^= lsb
+    return "".join(parts)
 
 
 @dataclass(frozen=True)
@@ -115,7 +120,7 @@ class SetFamily:
 
     def format(self) -> str:
         """Members as concatenated brace lists in ascending mask order."""
-        return "".join(format_subset(s) for s in self.members())
+        return format_family(self.k, self.member)
 
 
 @dataclass(frozen=True)
@@ -187,17 +192,6 @@ def extend_to_maximal(f: SetFamily) -> SetFamily:
         if not added:
             raise AssertionError("no admissible extension below maximal size")
     return g
-
-
-def _require_within_capacity(k: int) -> int:
-    cap = capacity()
-    if k < 1:
-        raise ValueError("k must be positive")
-    if k > cap:
-        raise CapacityError(
-            f"enumeration capacity is k <= {cap} (hard cap {KMAX_HARD}; see ORCOV_KMAX)"
-        )
-    return cap
 
 
 def _pair_reps(k: int) -> list[int]:
@@ -328,7 +322,10 @@ def _mif_count(k: int) -> int:
 
 def sorted_mif_masks(k: int) -> list[int]:
     """Member vectors of all maximal intersecting families, ascending."""
-    _require_within_capacity(k)
+    if k < 1:
+        raise ValueError("k must be positive")
+    if k > KMAX_HARD:
+        raise CapacityError(f"enumeration capacity is k <= {KMAX_HARD}")
     masks = _mif_walk(k)
     masks.sort()
     return masks
@@ -353,8 +350,7 @@ def hosten_morris(k: int, literature_table: bool = False) -> int:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    cap = capacity()
-    if k <= cap:
+    if k <= KMAX_HARD:
         value = _lambda_cache.get(k)
         if value is None:
             value = _mif_count(k)
@@ -368,7 +364,7 @@ def hosten_morris(k: int, literature_table: bool = False) -> int:
             f"lambda({k}) is only served from the literature table; pass literature_table=True"
         )
     raise CapacityError(
-        f"lambda({k}) is beyond the enumeration capacity k <= {cap} "
+        f"lambda({k}) is beyond the enumeration capacity k <= {KMAX_HARD} "
         f"and the literature table (k <= 9)"
     )
 

@@ -131,10 +131,6 @@ class Graph:
             [(perm[u], perm[v]) for u, v in self.edges], n=self.n
         )
 
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Map canonical edge (u, v), u < v, to its position."""
-        return {e: i for i, e in enumerate(self.edges)}
-
 
 @dataclass(frozen=True)
 class Orientation:

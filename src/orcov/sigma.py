@@ -17,7 +17,6 @@ from .errors import CapacityError
 from .families import (
     KMAX_HARD,
     LITERATURE_LAMBDA,
-    capacity,
     hosten_morris,
     lambda_provenance,
 )
@@ -55,23 +54,12 @@ def sigma_complete(n: int, literature_table: bool = False) -> SigmaResult:
     """
     if n < 2:
         raise ValueError("sigma(K_n) requires n >= 2; K_1 has no edges")
-    k = 1
-    while True:
-        try:
-            lam = hosten_morris(k, literature_table=literature_table)
-        except CapacityError:
-            # the table only helps if the computed range reaches it
-            if literature_table and capacity() == KMAX_HARD:
-                top = max(LITERATURE_LAMBDA)
-            else:
-                top = capacity()
-            largest = hosten_morris(top, literature_table=literature_table)
-            raise CapacityError(
-                f"sigma(K_n) supported up to n = lambda({top}) = {largest}; got n={n}"
-            ) from None
+    top = max(LITERATURE_LAMBDA) if literature_table else KMAX_HARD
+    for k in range(1, top + 1):
+        lam = hosten_morris(k, literature_table=literature_table)
         if lam >= n:
             return SigmaResult(value=k, chi=n, witness_k=k, provenance=lambda_provenance(k))
-        k += 1
+    raise CapacityError(f"sigma(K_n) supported up to n = lambda({top}) = {lam}; got n={n}")
 
 
 def sigma_of_graph(

@@ -53,12 +53,21 @@ class TestEnumerate:
         assert code == 0
         assert out == "{1}{1,2}\n{2}{1,2}\n"
 
-    def test_stream_matches_catalog(self, capsys):
-        _, plain, _ = run(capsys, "enumerate-mifs", "4")
-        _, streamed, _ = run(capsys, "enumerate-mifs", "4", "--stream")
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_stream_matches_catalog(self, capsys, k):
+        _, plain, _ = run(capsys, "enumerate-mifs", str(k))
+        _, streamed, _ = run(capsys, "enumerate-mifs", str(k), "--stream")
         assert plain == streamed
-        assert plain == "".join(f.format() + "\n" for f in orcov.enumerate_mifs(4).families)
-        assert len(plain.splitlines()) == 12
+
+        def brace_list(s):
+            return "{" + ",".join(str(i + 1) for i in range(k) if s >> i & 1) + "}"
+
+        want = "".join(
+            "".join(brace_list(s) for s in range(1 << k) if f.member >> s & 1) + "\n"
+            for f in orcov.enumerate_mifs(k).families
+        )
+        assert plain == want
+        assert len(plain.splitlines()) == orcov.hosten_morris(k)
 
 
 class TestSigma:
@@ -68,6 +77,19 @@ class TestSigma:
     def test_sigma_complete_capacity(self, capsys):
         code, _, err = run(capsys, "sigma-complete", str(10**9))
         assert code == 3 and "supported" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("enumerate-mifs", "8"), "enumeration capacity is k <= 7"),
+        (("lambda", "10", "--literature-table"),
+         "lambda(10) is beyond the enumeration capacity k <= 7 and the literature table (k <= 9)"),
+        (("sigma-complete", "1422565"),
+         "sigma(K_n) supported up to n = lambda(7) = 1422564; got n=1422565"),
+        (("sigma-complete", str(10**21), "--literature-table"),
+         "sigma(K_n) supported up to n = lambda(9) = 423295099074735261880; "
+         f"got n={10**21}"),
+    ])
+    def test_capacity_exit_3(self, capsys, argv, message):
+        assert run(capsys, *argv) == (3, "", f"error: {message}\n")
 
     def test_sigma_graph(self, capsys, k3_file):
         assert run(capsys, "sigma", k3_file) == (0, "3 3 3\n", "")

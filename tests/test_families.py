@@ -19,7 +19,6 @@ from orcov.families import (
     LITERATURE_LAMBDA,
     _mif_count,
     _mif_walk,
-    capacity,
     format_subset,
     lambda_provenance,
 )
@@ -151,18 +150,10 @@ class TestEnumeration:
         values = [hosten_morris(k) for k in range(1, 7)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
-    def test_capacity_guard(self, monkeypatch):
-        monkeypatch.setenv("ORCOV_KMAX", "3")
-        assert capacity() == 3
-        with pytest.raises(CapacityError, match="k <= 3"):
-            enumerate_mifs(4)
-        monkeypatch.setenv("ORCOV_KMAX", "99")
-        assert capacity() == 7
-
     def test_k_bounds(self):
         with pytest.raises(ValueError):
             sorted_mif_masks(0)
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="k <= 7"):
             sorted_mif_masks(8)
         with pytest.raises(CapacityError):
             hosten_morris(8)
