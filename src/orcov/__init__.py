@@ -26,8 +26,6 @@ from .families import (
     MifCatalog,
     SetFamily,
     enumerate_mifs,
-    extend_to_maximal,
-    find_disjoint_pair,
     hosten_morris,
     is_intersecting,
     is_maximal_intersecting,
@@ -94,9 +92,7 @@ __all__ = [
     "encode_graph6",
     "enumerate_mifs",
     "exact_coloring",
-    "extend_to_maximal",
     "families_from_cover",
-    "find_disjoint_pair",
     "hosten_morris",
     "is_intersecting",
     "is_maximal_intersecting",

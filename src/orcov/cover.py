@@ -13,7 +13,7 @@ and handing each color class its own maximal intersecting family.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .errors import CapacityError, ParseError
@@ -24,6 +24,7 @@ from .graphs import (
     Orientation,
     _bit_string,
     _bits,
+    _transpose,
     exact_coloring,
 )
 from .sigma import sigma_complete
@@ -85,14 +86,9 @@ def _edge_masks(m: int, orientations: Sequence[Orientation]) -> list[int]:
     """Per canonical edge e = (u, v), the set of orientations directing it u -> v.
 
     Bit i of mask[e] is bit e of orientations[i].bits, so mask[e] is the
-    direction set S_(u,v) and its complement in [k] is S_(v,u).  Each
-    orientation is read once as a base-2 string and the strings are
-    zipped edge by edge, so the transposition costs O(k * m).
+    direction set S_(u,v) and its complement in [k] is S_(v,u).
     """
-    if not orientations:
-        return [0] * m
-    rows = [_bit_string(o.bits, m) for o in reversed(orientations)]
-    return [int("".join(col), 2) for col in zip(*rows)]
+    return _transpose([o.bits for o in orientations], m)
 
 
 def _direction_sets_by_vertex(
@@ -229,15 +225,9 @@ def cover_from_families(g: Graph, fa: FamilyAssignment) -> CoverCertificate:
         direction_sets[(u, v)] = s
         direction_sets[(v, u)] = t
         forward.append(full & ~t)
-    # Bit e of orientation i is bit i of forward[e], read as one base-2
-    # string with edge 0 last.
-    forward.reverse()
-    orientations = []
-    for i in range(k):
-        digits = "".join(["1" if (f >> i) & 1 else "0" for f in forward])
-        orientations.append(Orientation(g.n, g.m, int(digits or "0", 2)))
-    meta = CertificateMeta(direction_sets=direction_sets)
-    return CoverCertificate(k, tuple(orientations), meta)
+    # bit e of orientation i is bit i of forward[e]
+    orientations = tuple(Orientation(g.n, g.m, bits) for bits in _transpose(forward, k))
+    return CoverCertificate(k, orientations, CertificateMeta(direction_sets=direction_sets))
 
 
 def construct_cover(
@@ -258,12 +248,8 @@ def construct_cover(
     families = [SetFamily(k, member) for member in sorted_mif_masks(k)[: coloring.t]]
     fa = FamilyAssignment(k, tuple(families[c] for c in coloring.colors))
     cert = cover_from_families(g, fa)
-    meta = CertificateMeta(
-        coloring=coloring.colors,
-        family_indices=tuple(range(coloring.t)),
-        direction_sets=cert.meta.direction_sets if cert.meta else None,
-    )
-    return CoverCertificate(cert.k, cert.orientations, meta)
+    meta = replace(cert.meta, coloring=coloring.colors, family_indices=tuple(range(coloring.t)))
+    return replace(cert, meta=meta)
 
 
 # ---------------------------------------------------------------------------

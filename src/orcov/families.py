@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import CapacityError
+from .graphs import _bits
 
 KMAX_HARD = 7
 
@@ -39,14 +40,7 @@ _lambda_lock = threading.Lock()
 
 def format_subset(mask: int) -> str:
     """Render a subset mask as a brace list, e.g. 0b101 -> "{1,3}"."""
-    elems = []
-    i = 1
-    while mask:
-        if mask & 1:
-            elems.append(str(i))
-        mask >>= 1
-        i += 1
-    return "{" + ",".join(elems) + "}"
+    return "{" + ",".join([str(b + 1) for b in _bits(mask)]) + "}"
 
 
 @functools.cache
@@ -58,12 +52,7 @@ def _subset_strings(k: int) -> tuple[str, ...]:
 def format_family(k: int, member: int) -> str:
     """A 2^k-bit member vector as concatenated brace lists, ascending."""
     subset_str = _subset_strings(k)
-    parts = []
-    while member:
-        lsb = member & -member
-        parts.append(subset_str[lsb.bit_length() - 1])
-        member ^= lsb
-    return "".join(parts)
+    return "".join([subset_str[s] for s in _bits(member)])
 
 
 @dataclass(frozen=True)
@@ -109,6 +98,8 @@ class SetFamily:
 
     def members(self) -> Iterator[int]:
         """Member subset masks in ascending order."""
+        # lowest-bit steps, not _bits: callers stop early, where listing
+        # every member first would cost more than it saves
         vec = self.member
         while vec:
             lsb = vec & -vec
@@ -167,31 +158,6 @@ def upward_closure(f: SetFamily) -> SetFamily:
         step = 1 << i
         vec |= (vec & _zero_bit_pattern(f.k, i)) << step
     return SetFamily(f.k, vec & ((1 << size) - 1))
-
-
-def extend_to_maximal(f: SetFamily) -> SetFamily:
-    """Deterministic maximal intersecting extension of an intersecting f.
-
-    Repeatedly adds the smallest-mask admissible subset and closes
-    upward until the family reaches size 2^(k-1).
-    """
-    if not is_intersecting(f):
-        raise ValueError("family is not intersecting")
-    g = upward_closure(f)
-    target = 1 << (f.k - 1)
-    size = 1 << f.k
-    while g.size < target:
-        added = False
-        for s in range(1, size):
-            if s in g:
-                continue
-            if all(s & m for m in g.members()):
-                g = upward_closure(SetFamily(f.k, g.member | (1 << s)))
-                added = True
-                break
-        if not added:
-            raise AssertionError("no admissible extension below maximal size")
-    return g
 
 
 def _pair_reps(k: int) -> list[int]:
@@ -373,22 +339,3 @@ def lambda_provenance(k: int) -> str:
     """Where hosten_morris(k) comes from: "computed" or "literature"."""
     return "literature" if k > KMAX_HARD else "computed"
 
-
-def find_disjoint_pair(f1: SetFamily, f2: SetFamily) -> tuple[int, int]:
-    """Disjoint witnesses (S, T), S in f1, T in f2, for distinct MIFs.
-
-    S is the smallest-mask member of f1 \\ f2; T is its complement,
-    which f2 must contain (a maximal intersecting family holds exactly
-    one side of every complementary pair).
-    """
-    if f1.k != f2.k:
-        raise ValueError("families live over different ground sets")
-    if f1.member == f2.member:
-        raise ValueError("families are identical")
-    if not is_maximal_intersecting(f1) or not is_maximal_intersecting(f2):
-        raise ValueError("both families must be maximal intersecting")
-    diff = f1.member & ~f2.member
-    s = (diff & -diff).bit_length() - 1
-    t = ((1 << f1.k) - 1) ^ s
-    assert t in f2
-    return s, t

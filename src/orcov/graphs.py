@@ -1,15 +1,15 @@
 """Simple undirected graphs, orientations, parsers, and exact coloring.
 
-Graphs are immutable: vertices are 0..n-1, adjacency is a tuple of
-bitmask rows, and the edge list is kept in canonical order
-(lexicographically sorted pairs (u, v) with u < v).  Orientations are
-indexed against that canonical edge order, which makes certificates
-bit-exact and diffable.
+Graphs are immutable: vertices are 0..n-1 and a graph is its tuple of
+bitmask adjacency rows.  The edge list is derived from the rows on
+construction, in canonical order (lexicographically sorted pairs
+(u, v) with u < v).  Orientations are indexed against that canonical
+edge order, which makes certificates bit-exact and diffable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -26,6 +26,16 @@ _FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 def _bit_string(mask: int, width: int) -> str:
     """Bits 0..width-1 of mask as '0'/'1' characters, bit 0 first (mask < 2**width)."""
     return bin(mask | 1 << width)[:2:-1]
+
+
+def _transpose(rows: Sequence[int], width: int) -> list[int]:
+    """Bit matrix transpose: bit r of out[j] is bit j of rows[r] (rows < 2**width).
+
+    All rows are read as one base-2 string, last row first, so column j
+    is every width-th digit from offset j and costs one slice.
+    """
+    digits = "".join(_bit_string(r, width) for r in reversed(rows))
+    return [int(digits[j::width] or "0", 2) for j in range(width)]
 
 
 def _bits(mask: int) -> list[int]:
@@ -50,14 +60,14 @@ def _upper_edges(adj: Sequence[int]) -> tuple[tuple[int, int], ...]:
 class Graph:
     """Simple undirected graph with bitmask adjacency rows.
 
-    Invariants (checked on construction): adjacency is symmetric, has
-    no self-loops, and `edges` is exactly the sorted, deduplicated
+    Invariants (checked on construction): adjacency is symmetric and
+    has no self-loops.  `edges` is derived from the rows: the sorted
     list of adjacent pairs (u, v) with u < v.
     """
 
     n: int
     adj: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
+    edges: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -72,9 +82,9 @@ class Graph:
         # One linear pass: read the edges off the upper triangle, rebuild
         # every row from them, and compare; only a failed comparison pays
         # for the scan that names the first asymmetric pair.
-        derived = _upper_edges(self.adj)
+        edges = _upper_edges(self.adj)
         rebuilt = [0] * self.n
-        for u, v in derived:
+        for u, v in edges:
             rebuilt[u] |= 1 << v
             rebuilt[v] |= 1 << u
         if rebuilt != list(self.adj):
@@ -82,8 +92,7 @@ class Graph:
                 for v in _bits(row):
                     if not (self.adj[v] >> u) & 1:
                         raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        if self.edges != derived:
-            raise ValueError("edge list does not match adjacency rows")
+        object.__setattr__(self, "edges", edges)
 
     @property
     def m(self) -> int:
@@ -112,7 +121,7 @@ class Graph:
         for u, v in pairs:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(n, tuple(adj), _upper_edges(adj))
+        return cls(n, tuple(adj))
 
     def neighbors(self, u: int) -> Iterator[int]:
         return iter(_bits(self.adj[u]))
@@ -282,7 +291,7 @@ def parse_graph6(text: str) -> Graph:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
             idx += 1
-    return Graph(n, tuple(adj), _upper_edges(adj))
+    return Graph(n, tuple(adj))
 
 
 def encode_graph6(g: Graph) -> str:
@@ -326,8 +335,6 @@ def cycle_graph(n: int) -> Graph:
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("path_graph needs n >= 1")
-    if n == 1:
-        return Graph(1, (0,), ())
     return Graph.from_edges([(i, i + 1) for i in range(n - 1)], n=n)
 
 

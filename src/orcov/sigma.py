@@ -71,10 +71,7 @@ def sigma_of_graph(
     if g.m == 0:
         raise ValueError("sigma is defined only for non-empty graphs (m >= 1)")
     chi = exact_coloring(g, max_vertices=max_chi_vertices).t
-    base = sigma_complete(chi, literature_table=literature_table)
-    return SigmaResult(
-        value=base.value, chi=chi, witness_k=base.witness_k, provenance=base.provenance
-    )
+    return sigma_complete(chi, literature_table=literature_table)
 
 
 def sigma_estimate(n: int) -> EstimateResult:

@@ -22,6 +22,7 @@ from orcov import (
     construct_cover,
     cover_from_families,
     cycle_graph,
+    enumerate_mifs,
     families_from_cover,
     path_graph,
     petersen_graph,
@@ -29,7 +30,7 @@ from orcov import (
     validate_assignment,
     verify_cover,
 )
-from orcov.cover import _edge_masks
+from orcov.cover import _disjoint_members, _edge_masks
 
 
 def orient(g, *flags):
@@ -208,6 +209,16 @@ class TestValidateAssignment:
         g = complete_graph(3)
         with pytest.raises(ValueError):
             validate_assignment(g, FamilyAssignment(2, ()))
+
+
+class TestDisjointMembers:
+    def test_always_disjoint_over_catalog(self):
+        # distinct maximal intersecting families always admit disjoint
+        # members; the pair is the smallest S, then the smallest T
+        fams = enumerate_mifs(4).families
+        for f1, f2 in itertools.permutations(fams, 2):
+            want = min((s, t) for s in f1.members() for t in f2.members() if not s & t)
+            assert _disjoint_members(f1, f2) == want
 
 
 class TestCoverFromFamilies:

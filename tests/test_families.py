@@ -6,8 +6,6 @@ from orcov import (
     CapacityError,
     SetFamily,
     enumerate_mifs,
-    extend_to_maximal,
-    find_disjoint_pair,
     hosten_morris,
     is_intersecting,
     is_maximal_intersecting,
@@ -92,29 +90,6 @@ class TestClosure:
             assert upward_closure(c) == c
             for s in c.members():
                 assert any((s | m) == s for m in f.members())
-
-    def test_extend_to_maximal_examples(self):
-        assert extend_to_maximal(SetFamily.from_sets(2, [{1}])) == SetFamily.from_sets(
-            2, [{1}, {1, 2}]
-        )
-        assert extend_to_maximal(SetFamily(1, 0)) == SetFamily.from_sets(1, [{1}])
-        got = extend_to_maximal(SetFamily.from_sets(3, [{1, 2}]))
-        assert got.size == 4
-        assert SetFamily.from_sets(3, [{1, 2}]).member & got.member
-        assert is_maximal_intersecting(got)
-
-    def test_extend_rejects_non_intersecting(self):
-        with pytest.raises(ValueError, match="not intersecting"):
-            extend_to_maximal(SetFamily.from_sets(2, [{1}, {2}]))
-
-    def test_extension_contains_input_everywhere_k4(self):
-        for member in range(0, 1 << 16, 257):
-            f = SetFamily(4, member)
-            if not is_intersecting(f):
-                continue
-            g = extend_to_maximal(f)
-            assert g.member & f.member == f.member
-            assert is_maximal_intersecting(g)
 
 
 class TestEnumeration:
@@ -260,38 +235,14 @@ class TestPairChoiceOracle:
         assert self._count_by_pair_choice(k) == count == hosten_morris(k)
 
 
-class TestDisjointPair:
-    def test_example_k2(self):
-        f1 = SetFamily.from_sets(2, [{1}, {1, 2}])
-        f2 = SetFamily.from_sets(2, [{2}, {1, 2}])
-        assert find_disjoint_pair(f1, f2) == (0b01, 0b10)
-
-    def test_stars_k3(self):
-        s, t = find_disjoint_pair(star(3, 1), star(3, 2))
-        assert s & 1 and t & 2 and s & t == 0
-        assert s in star(3, 1) and t in star(3, 2)
-
-    def test_identical_rejected(self):
-        with pytest.raises(ValueError, match="identical"):
-            find_disjoint_pair(star(3, 1), star(3, 1))
-
-    def test_non_maximal_rejected(self):
-        f = SetFamily.from_sets(2, [{1, 2}])
-        with pytest.raises(ValueError, match="maximal"):
-            find_disjoint_pair(f, star(2, 1))
-
-    def test_always_disjoint_over_catalog(self):
-        fams = enumerate_mifs(4).families
-        for f1, f2 in itertools.combinations(fams, 2):
-            s, t = find_disjoint_pair(f1, f2)
-            assert s & t == 0
-            assert s in f1 and t in f2
-
-
 class TestSerialization:
     def test_format_subset(self):
         assert format_subset(0) == "{}"
         assert format_subset(0b101) == "{1,3}"
+        # every subset of [k] for k <= 6, against a shift-by-shift formatter
+        for mask in range(1 << 6):
+            elems = [str(i + 1) for i in range(6) if (mask >> i) & 1]
+            assert format_subset(mask) == "{" + ",".join(elems) + "}"
 
     def test_family_format(self):
         assert SetFamily.from_sets(2, [{1}, {1, 2}]).format() == "{1}{1,2}"

@@ -22,7 +22,7 @@ from orcov import (
     verify_cover,
     wheel_graph,
 )
-from orcov.graphs import _bits, is_proper_coloring
+from orcov.graphs import _bits, _transpose, is_proper_coloring
 
 
 class TestParseEdgeList:
@@ -161,28 +161,36 @@ class TestConstructions:
         with pytest.raises(ValueError, match="self-loop"):
             Graph.from_edges([(1, 1)])
         with pytest.raises(ValueError, match="asymmetric"):
-            Graph(2, (2, 0), ((0, 1),))
-        with pytest.raises(ValueError, match="edge list"):
-            Graph(2, (2, 1), ())
+            Graph(2, (2, 0))
+        with pytest.raises(ValueError, match="self-loop at vertex 0"):
+            Graph(2, (1, 0))
+        with pytest.raises(ValueError, match=">= n"):
+            Graph(2, (4, 0))
 
     def test_asymmetric_adjacency_names_first_pair(self):
         # 0 lists 2 and 3, but only 3 lists 0; 2 lists 1, 1 lists nobody
         with pytest.raises(ValueError, match="between 0 and 2$"):
-            Graph(4, (0b1100, 0, 0b0010, 0b0001), ((0, 2), (0, 3)))
+            Graph(4, (0b1100, 0, 0b0010, 0b0001))
         # only the lower triangle holds the stray bit: 2 lists 0 alone
         with pytest.raises(ValueError, match="between 2 and 0$"):
-            Graph(3, (0, 0, 0b001), ())
+            Graph(3, (0, 0, 0b001))
 
     def test_invariants_on_dense_and_sparse_rows(self):
         for g in (complete_graph(70), cycle_graph(300), petersen_graph()):
-            assert Graph(g.n, g.adj, g.edges) == g
+            assert Graph(g.n, g.adj) == g
             for u, v in g.edges[:: max(1, g.m // 7)]:
                 adj = list(g.adj)
                 adj[u] ^= 1 << v
                 with pytest.raises(ValueError, match=f"between {v} and {u}$"):
-                    Graph(g.n, tuple(adj), g.edges)
-                with pytest.raises(ValueError, match="edge list"):
-                    Graph(g.n, g.adj, tuple(e for e in g.edges if e != (u, v)))
+                    Graph(g.n, tuple(adj))
+        # edges are derived from the rows, in canonical order, however
+        # from_edges received them
+        for n in range(1, 6):
+            for g in all_labeled_graphs(n):
+                assert Graph(g.n, g.adj) == g
+                pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if g.has_edge(u, v)]
+                assert g.edges == tuple(pairs)
+                assert Graph.from_edges([(v, u) for u, v in reversed(pairs)], n=n).edges == g.edges
 
     def test_relabel(self):
         g = path_graph(3)  # edges (0,1), (1,2)
@@ -288,3 +296,14 @@ def test_bits_matches_shift_loop():
     for mask in masks:
         want = [b for b in range(mask.bit_length()) if mask >> b & 1]
         assert _bits(mask) == want
+
+
+def test_transpose_matches_shift_loop():
+    rng = random.Random(11)
+    shapes = [(0, 0), (0, 5), (3, 0), (1, 1), (17, 70)]
+    shapes += [(rng.randint(0, 17), rng.randint(0, 70)) for _ in range(300)]
+    for nrows, width in shapes:
+        rows = [rng.getrandbits(width) for _ in range(nrows)]
+        want = [sum((rows[r] >> j & 1) << r for r in range(nrows)) for j in range(width)]
+        assert _transpose(rows, width) == want
+        assert _transpose(want, nrows) == rows
