@@ -13,7 +13,6 @@ and handing each color class its own maximal intersecting family.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .errors import CapacityError, ParseError
@@ -22,56 +21,88 @@ from .graphs import (
     DEFAULT_CHI_VERTEX_BOUND,
     Graph,
     Orientation,
+    _Value,
     _bit_string,
     _bits,
+    _set,
     _transpose,
     exact_coloring,
 )
 from .sigma import sigma_complete
 
 
-@dataclass(frozen=True)
-class FamilyAssignment:
+class FamilyAssignment(_Value):
     """One set family over [k] per vertex."""
 
+    __slots__ = ("k", "per_vertex")
     k: int
     per_vertex: tuple[SetFamily, ...]
 
-    def __post_init__(self) -> None:
-        for f in self.per_vertex:
-            if f.k != self.k:
+    def __init__(self, k: int, per_vertex: tuple[SetFamily, ...]) -> None:
+        for f in per_vertex:
+            if f.k != k:
                 raise ValueError("family ground set does not match assignment k")
+        _set(self, "k", k)
+        _set(self, "per_vertex", per_vertex)
 
 
-@dataclass(frozen=True)
-class AssignmentViolation:
+class AssignmentViolation(_Value):
     """First failed condition of an assignment, with its witness."""
 
+    __slots__ = ("condition", "edge", "vertex")
     condition: int
-    edge: Optional[tuple[int, int]] = None
-    vertex: Optional[int] = None
+    edge: Optional[tuple[int, int]]
+    vertex: Optional[int]
+
+    def __init__(
+        self,
+        condition: int,
+        edge: Optional[tuple[int, int]] = None,
+        vertex: Optional[int] = None,
+    ) -> None:
+        _set(self, "condition", condition)
+        _set(self, "edge", edge)
+        _set(self, "vertex", vertex)
 
 
-@dataclass(frozen=True)
-class CertificateMeta:
+class CertificateMeta(_Value):
     """Construction provenance: coloring, catalog indices, direction sets."""
 
-    coloring: Optional[tuple[int, ...]] = None
-    family_indices: Optional[tuple[int, ...]] = None
-    direction_sets: Optional[dict[tuple[int, int], int]] = None
+    __slots__ = ("coloring", "family_indices", "direction_sets")
+    coloring: Optional[tuple[int, ...]]
+    family_indices: Optional[tuple[int, ...]]
+    direction_sets: Optional[dict[tuple[int, int], int]]
+
+    def __init__(
+        self,
+        coloring: Optional[tuple[int, ...]] = None,
+        family_indices: Optional[tuple[int, ...]] = None,
+        direction_sets: Optional[dict[tuple[int, int], int]] = None,
+    ) -> None:
+        _set(self, "coloring", coloring)
+        _set(self, "family_indices", family_indices)
+        _set(self, "direction_sets", direction_sets)
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
+class CoverCertificate(_Value):
     """k orientations plus optional construction metadata."""
 
+    __slots__ = ("k", "orientations", "meta")
     k: int
     orientations: tuple[Orientation, ...]
-    meta: Optional[CertificateMeta] = None
+    meta: Optional[CertificateMeta]
 
-    def __post_init__(self) -> None:
-        if self.k != len(self.orientations):
+    def __init__(
+        self,
+        k: int,
+        orientations: tuple[Orientation, ...],
+        meta: Optional[CertificateMeta] = None,
+    ) -> None:
+        if k != len(orientations):
             raise ValueError("k does not match the number of orientations")
+        _set(self, "k", k)
+        _set(self, "orientations", orientations)
+        _set(self, "meta", meta)
 
 
 def _check_shapes(g: Graph, orientations: Sequence[Orientation]) -> None:
@@ -248,8 +279,12 @@ def construct_cover(
     families = [SetFamily(k, member) for member in sorted_mif_masks(k)[: coloring.t]]
     fa = FamilyAssignment(k, tuple(families[c] for c in coloring.colors))
     cert = cover_from_families(g, fa)
-    meta = replace(cert.meta, coloring=coloring.colors, family_indices=tuple(range(coloring.t)))
-    return replace(cert, meta=meta)
+    meta = CertificateMeta(
+        coloring=coloring.colors,
+        family_indices=tuple(range(coloring.t)),
+        direction_sets=cert.meta.direction_sets,
+    )
+    return CoverCertificate(k, cert.orientations, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +359,11 @@ def _int_tuple(raw: dict, field: str) -> Optional[tuple[int, ...]]:
     return tuple(value)
 
 
-def _meta_from_json(raw: object) -> Optional[CertificateMeta]:
-    """Type-checked meta block; a missing or null field stays None."""
+def _meta_from_json(raw: object, k: int) -> Optional[CertificateMeta]:
+    """Type-checked meta block; a missing or null field stays None.
+
+    Direction-set elements must lie in [1, k], the orientation indices.
+    """
     if raw is None:
         return None
     if not isinstance(raw, dict):
@@ -342,10 +380,12 @@ def _meta_from_json(raw: object) -> Optional[CertificateMeta]:
                 raise ParseError(f"certificate direction set {key!r} must map 'x->y' to a list")
             mask = 0
             for i in elems:
-                if type(i) is not int or i < 1:
-                    raise ParseError(
-                        f"certificate direction set {key!r} lists {i!r}, not a positive integer"
-                    )
+                if type(i) is not int or not 0 < i <= k:
+                    if type(i) is int and i > k:
+                        reason = f"outside [1, {k}]"
+                    else:
+                        reason = "not a positive integer"
+                    raise ParseError(f"certificate direction set {key!r} lists {i!r}, {reason}")
                 mask |= 1 << (i - 1)
             direction_sets[(int(x), int(y))] = mask
     return CertificateMeta(
@@ -392,5 +432,5 @@ def certificate_from_json(text: str, g: Graph) -> CoverCertificate:
         ):
             raise ParseError("each orientation must list m booleans")
         orientations.append(Orientation.from_dir(g.n, flags))
-    meta = _meta_from_json(doc.get("meta"))
+    meta = _meta_from_json(doc.get("meta"), k)
     return CoverCertificate(k, tuple(orientations), meta)

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import functools
 import threading
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import CapacityError
-from .graphs import _bits
+from .graphs import _Value, _bits, _set
 
 KMAX_HARD = 7
 
@@ -55,20 +54,22 @@ def format_family(k: int, member: int) -> str:
     return "".join([subset_str[s] for s in _bits(member)])
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class SetFamily(_Value):
     """Family of subsets of [k], stored as a 2^k-bit member vector."""
 
+    __slots__ = ("k", "member")
     k: int
     member: int
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
+    def __init__(self, k: int, member: int) -> None:
+        if k < 1:
             raise ValueError("ground-set size k must be positive")
-        if self.k > FAMILY_KMAX:
+        if k > FAMILY_KMAX:
             raise CapacityError(f"set families support k <= {FAMILY_KMAX}")
-        if self.member < 0 or self.member >> (1 << self.k):
+        if member < 0 or member >> (1 << k):
             raise ValueError("member vector wider than 2^k bits")
+        _set(self, "k", k)
+        _set(self, "member", member)
 
     @classmethod
     def from_masks(cls, k: int, masks: Iterable[int]) -> "SetFamily":
@@ -114,12 +115,16 @@ class SetFamily:
         return format_family(self.k, self.member)
 
 
-@dataclass(frozen=True)
-class MifCatalog:
+class MifCatalog(_Value):
     """All maximal intersecting families over [k], canonically ordered."""
 
+    __slots__ = ("k", "families")
     k: int
     families: tuple[SetFamily, ...]
+
+    def __init__(self, k: int, families: tuple[SetFamily, ...]) -> None:
+        _set(self, "k", k)
+        _set(self, "families", families)
 
     @property
     def count(self) -> int:

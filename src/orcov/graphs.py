@@ -9,8 +9,8 @@ edge order, which makes certificates bit-exact and diffable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapacityError, ParseError
@@ -51,13 +51,59 @@ def _bits(mask: int) -> list[int]:
     return list(compress(range(low, mask.bit_length()), flags.translate(_FLAG_BYTES)))
 
 
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the immutable records: value equality, hash and repr over the fields.
+
+    A record lists its fields in __slots__ (at least two, in repr
+    order) and sets each one in __init__ with _set.  Instances compare
+    equal when they are of the same class with equal fields, hash their
+    field tuple, and refuse assignment and deletion.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields(self))
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    # copy and pickle: a slotted class has no __dict__ to restore, and
+    # the default restore would go through the refused __setattr__
+    def __getstate__(self) -> tuple:
+        return self._fields(self)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            _set(self, name, value)
+
+
 def _upper_edges(adj: Sequence[int]) -> tuple[tuple[int, int], ...]:
     """(u, v) for every bit v > u of row u: the canonical edge order."""
     return tuple((u, v) for u, row in enumerate(adj) for v in _bits(row >> (u + 1) << (u + 1)))
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Value):
     """Simple undirected graph with bitmask adjacency rows.
 
     Invariants (checked on construction): adjacency is symmetric and
@@ -65,34 +111,37 @@ class Graph:
     list of adjacent pairs (u, v) with u < v.
     """
 
+    __slots__ = ("n", "adj", "edges")
     n: int
     adj: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...] = field(init=False)
+    edges: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, adj: tuple[int, ...]) -> None:
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
-        if len(self.adj) != self.n:
+        if len(adj) != n:
             raise ValueError("adjacency row count does not match n")
-        for u, row in enumerate(self.adj):
-            if row < 0 or row >> self.n:
+        for u, row in enumerate(adj):
+            if row < 0 or row >> n:
                 raise ValueError(f"adjacency row of vertex {u} addresses vertices >= n")
             if (row >> u) & 1:
                 raise ValueError(f"self-loop at vertex {u}")
         # One linear pass: read the edges off the upper triangle, rebuild
         # every row from them, and compare; only a failed comparison pays
         # for the scan that names the first asymmetric pair.
-        edges = _upper_edges(self.adj)
-        rebuilt = [0] * self.n
+        edges = _upper_edges(adj)
+        rebuilt = [0] * n
         for u, v in edges:
             rebuilt[u] |= 1 << v
             rebuilt[v] |= 1 << u
-        if rebuilt != list(self.adj):
-            for u, row in enumerate(self.adj):
+        if rebuilt != list(adj):
+            for u, row in enumerate(adj):
                 for v in _bits(row):
-                    if not (self.adj[v] >> u) & 1:
+                    if not (adj[v] >> u) & 1:
                         raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        object.__setattr__(self, "edges", edges)
+        _set(self, "n", n)
+        _set(self, "adj", adj)
+        _set(self, "edges", edges)
 
     @property
     def m(self) -> int:
@@ -117,7 +166,10 @@ class Graph:
             n = top + 1
         elif top >= n:
             raise ValueError(f"endpoint {top} out of range for n={n}")
-        adj = [0] * n
+        try:
+            adj = [0] * n
+        except (MemoryError, OverflowError):
+            raise CapacityError(f"cannot allocate adjacency rows for n={n} vertices") from None
         for u, v in pairs:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
@@ -141,21 +193,24 @@ class Graph:
         )
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(_Value):
     """One direction per edge of a graph with the same shape (n, m).
 
     Edge e = (u, v) with u < v in the owning graph's canonical order is
     oriented u -> v iff bit e of `bits` is set.
     """
 
+    __slots__ = ("n", "m", "bits")
     n: int
     m: int
     bits: int
 
-    def __post_init__(self) -> None:
-        if self.m < 0 or self.bits < 0 or self.bits >> self.m:
+    def __init__(self, n: int, m: int, bits: int) -> None:
+        if m < 0 or bits < 0 or bits >> m:
             raise ValueError("orientation bits exceed edge count")
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "bits", bits)
 
     @classmethod
     def from_dir(cls, n: int, dir_flags: Sequence[bool]) -> "Orientation":
@@ -172,19 +227,21 @@ class Orientation:
         return self.n == g.n and self.m == g.m
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(_Value):
     """Proper vertex coloring using color indices 0..t-1, all occupied."""
 
+    __slots__ = ("colors", "t")
     colors: tuple[int, ...]
     t: int
 
-    def __post_init__(self) -> None:
-        if self.t < 1:
+    def __init__(self, colors: tuple[int, ...], t: int) -> None:
+        if t < 1:
             raise ValueError("coloring needs at least one color")
-        used = set(self.colors)
-        if used != set(range(self.t)):
+        used = set(colors)
+        if used != set(range(t)):
             raise ValueError("color indices must occupy exactly 0..t-1")
+        _set(self, "colors", colors)
+        _set(self, "t", t)
 
 
 def is_proper_coloring(g: Graph, colors: Sequence[int]) -> bool:

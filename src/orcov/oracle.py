@@ -13,26 +13,28 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 
 from .errors import BudgetError, CapacityError
 from .families import SetFamily
-from .graphs import Graph
+from .graphs import Graph, _Value, _set
 
 _TIMEOUT_STRIDE = 0x3FFF
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(_Value):
     """Limits for the exhaustive cover search."""
 
-    max_edges: int = 8
-    max_k: int = 3
-    timeout: float = 300.0
+    __slots__ = ("max_edges", "max_k", "timeout")
+    max_edges: int
+    max_k: int
+    timeout: float
 
-    def __post_init__(self) -> None:
-        if self.max_edges < 1 or self.max_k < 1 or self.timeout <= 0:
+    def __init__(self, max_edges: int = 8, max_k: int = 3, timeout: float = 300.0) -> None:
+        if max_edges < 1 or max_k < 1 or timeout <= 0:
             raise ValueError("budget fields must be positive")
+        _set(self, "max_edges", max_edges)
+        _set(self, "max_k", max_k)
+        _set(self, "timeout", timeout)
 
 
 def brute_mifs(k: int) -> tuple[SetFamily, ...]:

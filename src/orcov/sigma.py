@@ -11,7 +11,6 @@ path.  All logarithms are base 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import CapacityError
 from .families import (
@@ -20,11 +19,10 @@ from .families import (
     hosten_morris,
     lambda_provenance,
 )
-from .graphs import DEFAULT_CHI_VERTEX_BOUND, Graph, exact_coloring
+from .graphs import DEFAULT_CHI_VERTEX_BOUND, Graph, _Value, _set, exact_coloring
 
 
-@dataclass(frozen=True)
-class SigmaResult:
+class SigmaResult(_Value):
     """sigma value with the chromatic number and witness it came from.
 
     witness_k is the smallest k with lambda(k) >= chi (and equals
@@ -32,18 +30,29 @@ class SigmaResult:
     a literature-table lambda was consulted, else "computed".
     """
 
+    __slots__ = ("value", "chi", "witness_k", "provenance")
     value: int
     chi: int
     witness_k: int
     provenance: str
 
+    def __init__(self, value: int, chi: int, witness_k: int, provenance: str) -> None:
+        _set(self, "value", value)
+        _set(self, "chi", chi)
+        _set(self, "witness_k", witness_k)
+        _set(self, "provenance", provenance)
 
-@dataclass(frozen=True)
-class EstimateResult:
+
+class EstimateResult(_Value):
     """Closed-form estimate: raw formula value and its ceiling."""
 
+    __slots__ = ("raw", "rounded")
     raw: float
     rounded: int
+
+    def __init__(self, raw: float, rounded: int) -> None:
+        _set(self, "raw", raw)
+        _set(self, "rounded", rounded)
 
 
 def sigma_complete(n: int, literature_table: bool = False) -> SigmaResult:

@@ -127,6 +127,18 @@ class TestFormats:
         code, _, err = run(capsys, "chromatic", "/nonexistent/file")
         assert code == 2 and err
 
+    @pytest.mark.parametrize("text, n", [
+        ("n 1000000000000000000\n", 10**18),
+        ("n 100000000000000000000\n", 10**20),
+        ("0 100000000000000000000\n", 10**20 + 1),
+    ])
+    def test_unallocatable_vertex_count_exit_3(self, capsys, tmp_path, text, n):
+        p = tmp_path / "huge.el"
+        p.write_text(text)
+        code, out, err = run(capsys, "chromatic", str(p))
+        assert (code, out) == (3, "")
+        assert err == f"error: cannot allocate adjacency rows for n={n} vertices\n"
+
 
 class TestCover:
     def test_construct_then_verify_file(self, capsys, k3_file, tmp_path):
@@ -150,6 +162,7 @@ class TestCover:
         doc = json.loads(out)
         doc["k"] = 1
         doc["orientations"] = doc["orientations"][:1]
+        doc["meta"] = None  # its direction sets name the dropped orientation 2
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "verify-cover", k2_g6, str(bad))
@@ -250,6 +263,8 @@ MALFORMED_CERTIFICATES = {
     "direction-set-not-list": {"meta": {"direction_sets": {"0->1": 5}}},
     "direction-set-key": {"meta": {"direction_sets": {"a->b": [1]}}},
     "direction-set-element": {"meta": {"direction_sets": {"0->1": [0]}}},
+    "direction-set-element-above-k": {"meta": {"direction_sets": {"0->1": [3]}}},
+    "direction-set-element-huge": {"meta": {"direction_sets": {"0->1": [10**18]}}},
 }
 
 

@@ -1,0 +1,176 @@
+"""Value semantics of the immutable records, and what importing orcov loads."""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import orcov
+from orcov import (
+    AssignmentViolation,
+    CertificateMeta,
+    Coloring,
+    CoverCertificate,
+    EstimateResult,
+    FamilyAssignment,
+    Graph,
+    MifCatalog,
+    Orientation,
+    SearchBudget,
+    SetFamily,
+    SigmaResult,
+)
+
+F10, F12 = SetFamily(2, 0b1010), SetFamily(2, 0b1100)
+ONE_EDGE = (Orientation(2, 1, 1),)
+
+# name: (make a record, make it with one field changed, a record of another
+# class with the same field values, repr text recorded before the records
+# stopped being dataclasses)
+RECORDS = {
+    "Graph": (
+        lambda: Graph(2, (2, 1)),
+        lambda: Graph(3, (2, 1, 0)),
+        AssignmentViolation(2, (2, 1), ((0, 1),)),
+        "Graph(n=2, adj=(2, 1), edges=((0, 1),))",
+    ),
+    "Orientation": (
+        lambda: Orientation(3, 2, 1),
+        lambda: Orientation(3, 2, 3),
+        SearchBudget(3, 2, 1),
+        "Orientation(n=3, m=2, bits=1)",
+    ),
+    "Coloring": (
+        lambda: Coloring((0, 1, 0), 2),
+        lambda: Coloring((0, 1, 1), 2),
+        EstimateResult((0, 1, 0), 2),
+        "Coloring(colors=(0, 1, 0), t=2)",
+    ),
+    "SetFamily": (
+        lambda: SetFamily(2, 0b1010),
+        lambda: SetFamily(2, 0b1100),
+        EstimateResult(2, 0b1010),
+        "SetFamily(k=2, member=10)",
+    ),
+    "MifCatalog": (
+        lambda: MifCatalog(2, (F10, F12)),
+        lambda: MifCatalog(2, (F12, F10)),
+        FamilyAssignment(2, (F10, F12)),
+        "MifCatalog(k=2, families=(SetFamily(k=2, member=10), SetFamily(k=2, member=12)))",
+    ),
+    "FamilyAssignment": (
+        lambda: FamilyAssignment(2, (F10,)),
+        lambda: FamilyAssignment(2, (F12,)),
+        MifCatalog(2, (F10,)),
+        "FamilyAssignment(k=2, per_vertex=(SetFamily(k=2, member=10),))",
+    ),
+    "AssignmentViolation": (
+        lambda: AssignmentViolation(condition=1, edge=(0, 1)),
+        lambda: AssignmentViolation(condition=1, edge=(0, 2)),
+        CertificateMeta(1, (0, 1), None),
+        "AssignmentViolation(condition=1, edge=(0, 1), vertex=None)",
+    ),
+    "CertificateMeta": (
+        lambda: CertificateMeta(coloring=(0, 1)),
+        lambda: CertificateMeta(coloring=(0, 1), family_indices=(0, 1)),
+        AssignmentViolation((0, 1), None, None),
+        "CertificateMeta(coloring=(0, 1), family_indices=None, direction_sets=None)",
+    ),
+    "CoverCertificate": (
+        lambda: CoverCertificate(1, ONE_EDGE),
+        lambda: CoverCertificate(1, ONE_EDGE, CertificateMeta()),
+        AssignmentViolation(1, ONE_EDGE, None),
+        "CoverCertificate(k=1, orientations=(Orientation(n=2, m=1, bits=1),), meta=None)",
+    ),
+    "SigmaResult": (
+        lambda: SigmaResult(value=3, chi=3, witness_k=3, provenance="computed"),
+        lambda: SigmaResult(value=3, chi=3, witness_k=3, provenance="literature"),
+        (3, 3, 3, "computed"),
+        "SigmaResult(value=3, chi=3, witness_k=3, provenance='computed')",
+    ),
+    "EstimateResult": (
+        lambda: EstimateResult(raw=1.5, rounded=2),
+        lambda: EstimateResult(raw=1.25, rounded=2),
+        MifCatalog(1.5, 2),
+        "EstimateResult(raw=1.5, rounded=2)",
+    ),
+    "SearchBudget": (
+        lambda: SearchBudget(max_k=2),
+        lambda: SearchBudget(max_k=2, timeout=1.0),
+        AssignmentViolation(8, 2, 300.0),
+        "SearchBudget(max_edges=8, max_k=2, timeout=300.0)",
+    ),
+}
+
+names = pytest.mark.parametrize("name", sorted(RECORDS))
+
+
+@names
+def test_equal_fields_compare_and_hash_equal(name):
+    make, changed, _, _ = RECORDS[name]
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b)
+    assert a != changed() and not a == changed()
+
+
+@names
+def test_another_class_with_equal_values_is_unequal(name):
+    make, _, twin, _ = RECORDS[name]
+    assert make() != twin and twin != make()
+
+
+@names
+def test_repr(name):
+    make, _, _, text = RECORDS[name]
+    assert repr(make()) == text
+
+
+@names
+def test_immutable_and_without_dict(name):
+    record = RECORDS[name][0]()
+    field = record.__slots__[0]
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, before)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert getattr(record, field) is before
+    assert not hasattr(record, "__dict__")
+
+
+@names
+def test_copy_and_pickle_round_trip(name):
+    record = RECORDS[name][0]()
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert clone == record and type(clone) is type(record)
+
+
+def test_keyword_construction_with_defaults():
+    assert CertificateMeta(coloring=(0,)).family_indices is None
+    violation = AssignmentViolation(condition=1, edge=(0, 1))
+    assert (violation.condition, violation.edge, violation.vertex) == (1, (0, 1), None)
+    assert SearchBudget(max_k=2) == SearchBudget(8, 2, 300.0)
+    assert SearchBudget() == SearchBudget(max_edges=8, max_k=3, timeout=300.0)
+    assert Graph(n=1, adj=(0,)).edges == ()
+    assert CoverCertificate(k=0, orientations=()).meta is None
+
+
+def test_import_loads_no_dataclasses():
+    """import orcov.cli loads neither dataclasses nor inspect (start-up cost)."""
+    src = str(Path(orcov.__file__).resolve().parents[1])
+    script = (
+        "import sys; before = set(sys.modules); import orcov.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
