@@ -13,6 +13,7 @@ and handing each color class its own maximal intersecting family.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Optional, Sequence
 
 from .errors import CapacityError, ParseError
@@ -409,6 +410,8 @@ def certificate_from_json(text: str, g: Graph) -> CoverCertificate:
     for key in ("n", "m", "k", "edges", "orientations"):
         if key not in doc:
             raise ParseError(f"certificate is missing field {key!r}")
+    if not (_is_int(doc["n"]) and _is_int(doc["m"])):
+        raise ParseError("certificate n and m must be integers")
     if doc["n"] != g.n or doc["m"] != g.m:
         raise ParseError(
             f"certificate shape ({doc['n']}, {doc['m']}) does not match graph ({g.n}, {g.m})"
@@ -419,6 +422,9 @@ def certificate_from_json(text: str, g: Graph) -> CoverCertificate:
         raise ParseError("certificate edges must be [u, v] pairs") from None
     if edges != list(g.edges):
         raise ParseError("certificate edge list does not match the graph's canonical edges")
+    # == lets 1.0 and true stand for 1, so the endpoint types are checked too
+    if not set(map(type, chain.from_iterable(edges))) <= {int}:
+        raise ParseError("certificate edge endpoints must be integers")
     k = doc["k"]
     raw_orients = doc["orientations"]
     if not _is_int(k) or not isinstance(raw_orients, list) or len(raw_orients) != k:

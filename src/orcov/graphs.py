@@ -126,15 +126,14 @@ class Graph(_Value):
                 raise ValueError(f"adjacency row of vertex {u} addresses vertices >= n")
             if (row >> u) & 1:
                 raise ValueError(f"self-loop at vertex {u}")
-        # One linear pass: read the edges off the upper triangle, rebuild
-        # every row from them, and compare; only a failed comparison pays
-        # for the scan that names the first asymmetric pair.
+        # Symmetric iff every upper bit (u, v) has its mirror (v, u) and the
+        # rows hold no other bits.  This is linear in the rows; a transpose
+        # would cost n * n digits even for a sparse graph.  Only a failure
+        # pays for the scan that names the first asymmetric pair.
         edges = _upper_edges(adj)
-        rebuilt = [0] * n
-        for u, v in edges:
-            rebuilt[u] |= 1 << v
-            rebuilt[v] |= 1 << u
-        if rebuilt != list(adj):
+        if sum(map(int.bit_count, adj)) != 2 * len(edges) or not all(
+            adj[v] >> u & 1 for u, v in edges
+        ):
             for u, row in enumerate(adj):
                 for v in _bits(row):
                     if not (adj[v] >> u) & 1:
@@ -152,13 +151,12 @@ class Graph(_Value):
         """Build a graph from (u, v) pairs; duplicates collapse.
 
         Without an explicit n the vertex count is 1 + max endpoint.
+        Self-loops are left to the row checks of Graph.
         """
         pairs = list(edges)
-        for u, v in pairs:
-            if u < 0 or v < 0:
-                raise ValueError(f"negative endpoint in edge ({u}, {v})")
-            if u == v:
-                raise ValueError(f"self-loop ({u}, {v})")
+        if min(map(min, pairs), default=0) < 0:
+            u, v = next((u, v) for u, v in pairs if u < 0 or v < 0)
+            raise ValueError(f"negative endpoint in edge ({u}, {v})")
         top = max(map(max, pairs), default=-1)
         if n is None:
             if top < 0:
@@ -308,8 +306,10 @@ _G6_HEADER = ">>graph6<<"
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6-encoded graph (short form, n <= 62).
 
-    Payload bits fill the upper triangle column by column: (0,1),
-    (0,2), (1,2), (0,3), ...  Every byte must lie in 63..126.
+    The payload is one bit string, six bits per byte from the high bit
+    down, that fills the upper triangle column by column: (0,1), (0,2),
+    (1,2), (0,3), ...  Every byte must lie in 63..126; the padding bits
+    of the last byte are ignored.
     """
     s = text.strip()
     if s.startswith(_G6_HEADER):
@@ -335,40 +335,22 @@ def parse_graph6(text: str) -> Graph:
         raise ParseError(f"truncated graph6 payload: need {nbytes} bytes, got {len(payload)}")
     if len(payload) > nbytes:
         raise ParseError("trailing data after graph6 payload")
-    adj = [0] * n
-    idx = 0
-    pairs = [(u, v) for v in range(1, n) for u in range(v)]
-    for b in payload:
-        val = b - 63
-        for shift in range(5, -1, -1):
-            if idx >= nbits:
-                break
-            if (val >> shift) & 1:
-                u, v = pairs[idx]
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            idx += 1
-    return Graph(n, tuple(adj))
+    digits = "".join(format(b - 63, "06b") for b in payload)
+    # column v is the digits of (0, v) .. (v-1, v), so low[v] holds the
+    # neighbours u < v of v and its transpose those above
+    low = [int(digits[v * (v - 1) // 2:v * (v + 1) // 2][::-1] or "0", 2) for v in range(n)]
+    return Graph(n, tuple(lo | hi for lo, hi in zip(low, _transpose(low, n))))
 
 
 def encode_graph6(g: Graph) -> str:
     """Encode a graph in graph6 short form (n <= 62)."""
     if g.n > 62:
         raise CapacityError("graph6 short form supports at most 62 vertices")
-    out = [chr(63 + g.n)]
-    val = 0
-    nfilled = 0
-    for v in range(1, g.n):
-        for u in range(v):
-            val = (val << 1) | ((g.adj[u] >> v) & 1)
-            nfilled += 1
-            if nfilled == 6:
-                out.append(chr(63 + val))
-                val = 0
-                nfilled = 0
-    if nfilled:
-        out.append(chr(63 + (val << (6 - nfilled))))
-    return "".join(out)
+    digits = "".join(_bit_string(row & ((1 << v) - 1), v) for v, row in enumerate(g.adj))
+    digits += "0" * (-len(digits) % 6)
+    return chr(63 + g.n) + "".join(
+        chr(63 + int(digits[i:i + 6], 2)) for i in range(0, len(digits), 6)
+    )
 
 
 # ---------------------------------------------------------------------------

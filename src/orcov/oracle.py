@@ -30,7 +30,7 @@ class SearchBudget(_Value):
     timeout: float
 
     def __init__(self, max_edges: int = 8, max_k: int = 3, timeout: float = 300.0) -> None:
-        if max_edges < 1 or max_k < 1 or timeout <= 0:
+        if max_edges < 1 or max_k < 1 or not timeout > 0:  # rejects nan
             raise ValueError("budget fields must be positive")
         _set(self, "max_edges", max_edges)
         _set(self, "max_k", max_k)

@@ -265,6 +265,10 @@ MALFORMED_CERTIFICATES = {
     "direction-set-element": {"meta": {"direction_sets": {"0->1": [0]}}},
     "direction-set-element-above-k": {"meta": {"direction_sets": {"0->1": [3]}}},
     "direction-set-element-huge": {"meta": {"direction_sets": {"0->1": [10**18]}}},
+    "n-float": {"n": 2.0},
+    "m-bool": {"m": True},
+    "edge-endpoint-bool": {"edges": [[False, True]]},
+    "edge-endpoint-float": {"edges": [[0, 1.0]]},
 }
 
 
@@ -305,6 +309,11 @@ class TestBruteSigmaCli:
     def test_exhausted_prints_threshold(self, capsys, k3_file):
         code, out, _ = run(capsys, "brute-sigma", k3_file, "--max-k", "2")
         assert (code, out) == (0, "> 2\n")
+
+    def test_nan_timeout_is_a_usage_error(self, capsys, k2_g6):
+        code, out, err = run(capsys, "brute-sigma", k2_g6, "--timeout", "nan")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_budget_exit_3(self, capsys, tmp_path):
         p = tmp_path / "big.el"

@@ -104,8 +104,14 @@ class TestGraph6:
             assert_equal_graphs(parse_graph6(encode_graph6(g)), g)
 
     def test_reference_bit_layout(self):
-        # independent decode: bits fill the upper triangle column-major
-        for g in all_labeled_graphs(4):
+        # independent codec: bits fill the upper triangle column-major,
+        # six to a byte from the high bit, the last byte padded with zeros
+        rng = random.Random(62)
+        graphs = list(all_labeled_graphs(4))
+        for n in (1, 2, 6, 7, 12, 13, 33, 61, 62):
+            for _ in range(4):
+                graphs.append(graph_from_mask(n, rng.getrandbits(n * (n - 1) // 2)))
+        for g in graphs:
             s = encode_graph6(g)
             n = ord(s[0]) - 63
             bits = "".join(format(ord(ch) - 63, "06b") for ch in s[1:])
@@ -117,6 +123,20 @@ class TestGraph6:
                         edges.append((u, v))
                     i += 1
             assert tuple(sorted(edges)) == g.edges
+
+            want = "".join(
+                "1" if g.has_edge(u, v) else "0" for v in range(1, g.n) for u in range(v)
+            )
+            pad = -len(want) % 6
+            ref = chr(63 + g.n) + "".join(
+                chr(63 + int((want + "0" * pad)[i:i + 6], 2)) for i in range(0, len(want), 6)
+            )
+            assert s == ref
+            assert parse_graph6(ref) == g
+            if pad:
+                # nonzero padding bits in the last byte are ignored
+                noisy = ref[:-1] + chr(63 + ((ord(ref[-1]) - 63) | (1 << pad) - 1))
+                assert noisy != ref and parse_graph6(noisy) == g
 
     def test_matches_networkx(self):
         nx = pytest.importorskip("networkx")

@@ -91,6 +91,8 @@ class TestBruteSigma:
             SearchBudget(max_k=0)
         with pytest.raises(ValueError):
             SearchBudget(timeout=0)
+        with pytest.raises(ValueError):
+            SearchBudget(timeout=float("nan"))
 
 
 class TestVerifierAgreement:
