@@ -16,8 +16,8 @@ import json
 from itertools import chain
 from typing import Optional, Sequence
 
-from .errors import CapacityError, ParseError
-from .families import FAMILY_KMAX, SetFamily, is_intersecting, sorted_mif_masks
+from .errors import ParseError
+from .families import SetFamily, _disjoint_members, is_intersecting, sorted_mif_masks
 from .graphs import (
     DEFAULT_CHI_VERTEX_BOUND,
     Graph,
@@ -178,14 +178,9 @@ def families_from_cover(
     validate_assignment, not as an error here.
     """
     _check_shapes(g, orientations)
-    k = len(orientations)
-    if k < 1:
-        raise ValueError("need at least one orientation")
-    if k > FAMILY_KMAX:
-        raise CapacityError(f"direction-set families support at most k = {FAMILY_KMAX}")
+    k = len(orientations)  # SetFamily refuses k < 1 and k > FAMILY_KMAX
     return FamilyAssignment(k, tuple(
-        SetFamily(k, sum(1 << s for s in first))  # the sets in `first` are distinct
-        for first in _direction_sets_by_vertex(g, orientations)
+        SetFamily.from_masks(k, first) for first in _direction_sets_by_vertex(g, orientations)
     ))
 
 
@@ -205,24 +200,6 @@ def validate_assignment(
     for v in range(g.n):
         if not is_intersecting(fa.per_vertex[v]):
             return AssignmentViolation(condition=2, vertex=v)
-    return None
-
-
-def _disjoint_members(fu: SetFamily, fv: SetFamily) -> Optional[tuple[int, int]]:
-    """Smallest-mask S in fu admitting a disjoint T in fv, then smallest T."""
-    full = (1 << fu.k) - 1
-    for s in fu.members():
-        # member vector of every subset of [k] \ S: each element b of the
-        # complement doubles it by a shift of 2^b positions
-        disjoint = 1
-        rest = full ^ s
-        while rest:
-            low = rest & -rest
-            disjoint |= disjoint << low
-            rest ^= low
-        hits = fv.member & disjoint
-        if hits:
-            return (s, (hits & -hits).bit_length() - 1)
     return None
 
 

@@ -2,20 +2,24 @@
 
 A subset S of [k] = {1, ..., k} is a k-bit mask (bit i-1 set means
 i in S).  A family of subsets is a 2^k-bit member vector (bit s set
-means the subset with mask s belongs to the family).  Maximal
-intersecting families are listed by one pure-Python walk (_mif_walk);
-their counts lambda(k), the Hosten-Morris numbers, come from an
-independent up-set decomposition (_mif_count).
+means the subset with mask s belongs to the family).  The member
+vector of every subset of a mask comes from one doubling helper
+(_subsets); the subset and superset tables, upward closure, the
+disjoint members of two families and the intersecting test are all
+built on it.  Maximal intersecting families are listed by one
+pure-Python walk (_mif_walk); their counts lambda(k), the
+Hosten-Morris numbers, come from an independent up-set decomposition
+(_mif_count).
 """
 
 from __future__ import annotations
 
 import functools
 import threading
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from .errors import CapacityError
-from .graphs import _Value, _bits, _set
+from .graphs import _Value, _bit_string, _bits, _set
 
 KMAX_HARD = 7
 
@@ -73,6 +77,7 @@ class SetFamily(_Value):
 
     @classmethod
     def from_masks(cls, k: int, masks: Iterable[int]) -> "SetFamily":
+        cls(k, 0)  # refuses a bad k before a 2^k-bit vector is built
         member = 0
         for s in masks:
             if s < 0 or s >> k:
@@ -131,14 +136,33 @@ class MifCatalog(_Value):
         return len(self.families)
 
 
+def _subsets(mask: int) -> int:
+    """Member vector of the family of all subsets of mask.
+
+    Starts from {empty set}; each element b of mask doubles the vector
+    by a copy shifted 2^b positions, the same subsets with b added.
+    """
+    vec = 1
+    while mask:
+        low = mask & -mask
+        vec |= vec << low
+        mask ^= low
+    return vec
+
+
+def _disjoint_members(fu: SetFamily, fv: SetFamily) -> Optional[tuple[int, int]]:
+    """Smallest-mask S in fu admitting a disjoint T in fv, then smallest T."""
+    full = (1 << fu.k) - 1
+    for s in fu.members():
+        hits = fv.member & _subsets(full ^ s)
+        if hits:
+            return (s, (hits & -hits).bit_length() - 1)
+    return None
+
+
 def is_intersecting(f: SetFamily) -> bool:
     """True iff every pair of members (a set with itself included) meets."""
-    ms = list(f.members())
-    for i, a in enumerate(ms):
-        for b in ms[i:]:
-            if a & b == 0:
-                return False
-    return True
+    return _disjoint_members(f, f) is None
 
 
 def is_maximal_intersecting(f: SetFamily) -> bool:
@@ -146,23 +170,14 @@ def is_maximal_intersecting(f: SetFamily) -> bool:
     return f.size == 1 << (f.k - 1) and is_intersecting(f)
 
 
-def _zero_bit_pattern(k: int, i: int) -> int:
-    """2^k-bit mask of the positions s with bit i of s clear."""
-    size = 1 << k
-    step = 1 << i
-    block = (1 << step) - 1
-    period = (1 << (2 * step)) - 1
-    return block * (((1 << size) - 1) // period)
-
-
 def upward_closure(f: SetFamily) -> SetFamily:
     """Smallest superset-closed family containing f."""
     vec = f.member
-    size = 1 << f.k
+    full = (1 << f.k) - 1
     for i in range(f.k):
-        step = 1 << i
-        vec |= (vec & _zero_bit_pattern(f.k, i)) << step
-    return SetFamily(f.k, vec & ((1 << size) - 1))
+        # the members without element i, each shifted onto its union with {i}
+        vec |= (vec & _subsets(full ^ 1 << i)) << (1 << i)
+    return SetFamily(f.k, vec)
 
 
 def _pair_reps(k: int) -> list[int]:
@@ -179,27 +194,10 @@ def _pair_reps(k: int) -> list[int]:
 
 def _closure_tables(k: int) -> tuple[list[int], list[int]]:
     """sup[s] / sub[s]: 2^k-bit masks of the supersets / subsets of s."""
-    size = 1 << k
-    full = size - 1
-    sup = [0] * size
-    sub = [0] * size
-    for s in range(size):
-        m = 0
-        t = s
-        while True:
-            m |= 1 << t
-            if t == full:
-                break
-            t = (t + 1) | s
-        sup[s] = m
-        m = 0
-        t = s
-        while True:
-            m |= 1 << t
-            if t == 0:
-                break
-            t = (t - 1) & s
-        sub[s] = m
+    full = (1 << k) - 1
+    sub = [_subsets(s) for s in range(full + 1)]
+    # the supersets of s are s + T for the subsets T of [k] \ s
+    sup = [sub[full ^ s] << s for s in range(full + 1)]
     return sup, sub
 
 
@@ -286,7 +284,7 @@ def _mif_count(k: int) -> int:
     for u1 in upsets:
         # S meets every member of the up-set U1 iff [m] \ S is not in U1;
         # reversing the 2^m bits maps position S to [m] \ S.
-        blocker = width ^ int(f"{u1:0{size}b}"[::-1], 2)
+        blocker = width ^ int(_bit_string(u1, size), 2)
         total += antichains(u1 & blocker)
     return total
 

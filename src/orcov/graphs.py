@@ -252,14 +252,23 @@ def is_proper_coloring(g: Graph, colors: Sequence[int]) -> bool:
 # parsing
 # ---------------------------------------------------------------------------
 
+def _is_decimal(tok: str) -> bool:
+    """tok is ASCII decimal digits with an optional leading '-'."""
+    digits = tok[1:] if tok[:1] == "-" else tok
+    return digits.isascii() and digits.isdigit()
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse whitespace-separated "u v" lines into a graph.
 
     An optional first line "n <count>" pins the vertex count (needed
     for trailing isolated vertices); otherwise n = 1 + max endpoint.
     Duplicate edges collapse; self-loops are rejected with their line
-    number.
+    number.  Integers are ASCII decimal digits with an optional '-'.
     """
+    # int() also reads '+', '_' and non-ASCII digits; in a text without
+    # them, a token int() accepts is already ASCII decimal
+    plain = text.isascii() and "_" not in text and "+" not in text
     pinned: Optional[int] = None
     edges: list[tuple[int, int]] = []
     saw_content = False
@@ -271,6 +280,8 @@ def parse_edge_list(text: str) -> Graph:
             if len(toks) != 2:
                 raise ParseError(f"line {lineno}: header must be 'n <count>'")
             try:
+                if not (plain or _is_decimal(toks[1])):
+                    raise ValueError
                 pinned = int(toks[1])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer vertex count {toks[1]!r}") from None
@@ -282,9 +293,11 @@ def parse_edge_list(text: str) -> Graph:
         if len(toks) != 2:
             raise ParseError(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
         try:
+            if not (plain or _is_decimal(toks[0]) and _is_decimal(toks[1])):
+                raise ValueError
             u, v = int(toks[0]), int(toks[1])
         except ValueError:
-            bad = toks[0] if not toks[0].lstrip("-").isdigit() else toks[1]
+            bad = toks[0] if not _is_decimal(toks[0]) else toks[1]
             raise ParseError(f"line {lineno}: non-integer token {bad!r}") from None
         if u < 0 or v < 0:
             raise ParseError(f"line {lineno}: negative endpoint")

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -122,6 +123,19 @@ class TestFormats:
         p.write_text("0 0\n")
         code, _, err = run(capsys, "chromatic", str(p))
         assert code == 2 and "self-loop" in err
+
+    @pytest.mark.parametrize("text", ["0 1_0\n", "n 1_2\n0 1\n", "0 \u0663\n"])
+    def test_non_decimal_token_exit_2_from_stdin_and_file(
+        self, capsys, monkeypatch, tmp_path, text
+    ):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run(capsys, "chromatic", "-")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 1: non-integer ") and err.count("\n") == 1
+        p = tmp_path / "bad.el"
+        p.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "chromatic", str(p))
+        assert (code, out) == (2, "") and err.count("\n") == 1
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "chromatic", "/nonexistent/file")

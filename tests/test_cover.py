@@ -8,6 +8,7 @@ from conftest import all_labeled_graphs, random_graph, reference_counterexample
 
 import orcov.graphs
 from orcov import (
+    CapacityError,
     CertificateMeta,
     CoverCertificate,
     FamilyAssignment,
@@ -30,7 +31,8 @@ from orcov import (
     validate_assignment,
     verify_cover,
 )
-from orcov.cover import _disjoint_members, _edge_masks
+from orcov.cover import _edge_masks
+from orcov.families import _disjoint_members
 
 
 def orient(g, *flags):
@@ -179,6 +181,15 @@ class TestFamiliesFromCover:
         g, cover = transitive_rotation_covers_k3()
         fa = families_from_cover(g, cover)
         assert validate_assignment(g, fa) is None
+
+    def test_orientation_count_bounds(self):
+        # SetFamily holds the bounds 1 <= k <= FAMILY_KMAX (16)
+        g = complete_graph(2)
+        with pytest.raises(ValueError, match="k must be positive"):
+            families_from_cover(g, [])
+        assert families_from_cover(g, [orient(g, True)] * 16).k == 16
+        with pytest.raises(CapacityError, match="k <= 16"):
+            families_from_cover(g, [orient(g, True)] * 17)
 
     def test_missing_direction_shows_empty_set(self):
         g = complete_graph(2)

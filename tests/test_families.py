@@ -1,4 +1,6 @@
 import itertools
+import random
+import tracemalloc
 
 import pytest
 
@@ -15,8 +17,10 @@ from orcov import (
 import orcov
 from orcov.families import (
     LITERATURE_LAMBDA,
+    _closure_tables,
     _mif_count,
     _mif_walk,
+    _subsets,
     format_subset,
     lambda_provenance,
 )
@@ -42,6 +46,40 @@ def apply_perm(k: int, member: int, perm: dict[int, int]) -> int:
     return out
 
 
+def pairwise_intersecting(f: SetFamily) -> bool:
+    members = list(f.members())
+    return all(a & b for a in members for b in members)
+
+
+def seeded_families(seed: int, kmax: int, per_k: int) -> list[SetFamily]:
+    """Families over [k], k = 1..kmax: members kept at random densities,
+    half of them drawn from the sets holding one element (mostly
+    intersecting), half from all sets (mostly not)."""
+    rng = random.Random(seed)
+    families = []
+    for k in range(1, kmax + 1):
+        for i in range(per_k):
+            p = rng.choice([0.02, 0.1, 0.3, 0.6])
+            e = rng.randrange(k)
+            pool = [s for s in range(1 << k) if i % 2 or (s >> e) & 1]
+            masks = [s for s in pool if rng.random() < p]
+            if i % 4 == 0 and k > 1:
+                masks.append(rng.randrange(1 << k))  # one stray set
+            families.append(SetFamily.from_masks(k, masks))
+    return families
+
+
+class TestSubsetVectors:
+    @pytest.mark.parametrize("k", range(9))
+    def test_closure_tables_match_definitions(self, k):
+        size = 1 << k
+        sup, sub = _closure_tables(k)
+        assert len(sup) == len(sub) == size
+        for s in range(size):
+            assert sub[s] == _subsets(s) == sum(1 << t for t in range(size) if t & s == t)
+            assert sup[s] == sum(1 << t for t in range(size) if t & s == s)
+
+
 class TestPredicates:
     def test_empty_set_breaks_intersecting(self):
         assert not is_intersecting(SetFamily.from_sets(2, [()]))
@@ -51,6 +89,15 @@ class TestPredicates:
 
     def test_disjoint_pair_breaks_intersecting(self):
         assert not is_intersecting(SetFamily.from_sets(2, [{1}, {2}]))
+
+    def test_intersecting_matches_pairwise_definition(self):
+        families = [SetFamily(3, member) for member in range(1 << 8)]
+        families += seeded_families(seed=9, kmax=8, per_k=40)
+        answers = set()
+        for f in families:
+            answers.add(is_intersecting(f))
+            assert is_intersecting(f) == pairwise_intersecting(f)
+        assert answers == {True, False}
 
     def test_maximal_examples(self):
         assert is_maximal_intersecting(SetFamily.from_sets(2, [{1}, {1, 2}]))
@@ -83,13 +130,17 @@ class TestClosure:
         )
 
     def test_upward_closure_is_least_fixed_point(self):
-        for member in range(1 << 8):
-            f = SetFamily(3, member)
+        families = [SetFamily(3, member) for member in range(1 << 8)]
+        families += seeded_families(seed=6, kmax=6, per_k=12)
+        rng = random.Random(16)
+        families.append(SetFamily.from_masks(16, [rng.getrandbits(16) | 0xF0F for _ in range(5)]))
+        for f in families:
             c = upward_closure(f)
-            assert c.member & member == member
+            assert c.member & f.member == f.member
             assert upward_closure(c) == c
-            for s in c.members():
-                assert any((s | m) == s for m in f.members())
+            # a set is in the closure iff it contains a member of f
+            for s in range(1 << f.k):
+                assert (s in c) == any((s | m) == s for m in f.members())
 
 
 class TestEnumeration:
@@ -247,6 +298,17 @@ class TestSerialization:
     def test_family_format(self):
         assert SetFamily.from_sets(2, [{1}, {1, 2}]).format() == "{1}{1,2}"
         assert SetFamily.from_sets(2, [{2}, {1, 2}]).format() == "{2}{1,2}"
+
+    def test_from_masks_checks_k_before_building_the_vector(self):
+        # the member vector of a set over [26] would take 2^25 bits (4 MB)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                SetFamily.from_masks(26, [1 << 25])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_from_sets_validates(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from conftest import all_labeled_graphs, assert_equal_graphs, graph_from_mask
@@ -48,8 +49,21 @@ class TestParseEdgeList:
             parse_edge_list("0 1\n1 2\n2 2")
 
     def test_non_integer_token(self):
-        with pytest.raises(ParseError, match="line 2.*non-integer"):
-            parse_edge_list("0 1\n1 x")
+        # int() alone would read 1_0 as 10, +0 as 0 and non-ASCII digits
+        for text, message in [
+            ("0 1\n1 x", "line 2: non-integer token 'x'"),
+            ("0 1\n0 1_0", "line 2: non-integer token '1_0'"),
+            ("0 1\n+0 1", "line 2: non-integer token '+0'"),
+            ("0 1\n0 +1", "line 2: non-integer token '+1'"),
+            ("0 1\n0 \u0663", "line 2: non-integer token '\u0663'"),  # ARABIC-INDIC THREE
+            ("0 1\n--1 2", "line 2: non-integer token '--1'"),
+            ("n x\n0 1", "line 1: non-integer vertex count 'x'"),
+            ("n 1_2\n0 1", "line 1: non-integer vertex count '1_2'"),
+            ("n +12\n0 1", "line 1: non-integer vertex count '+12'"),
+            ("n \u0661\u0662\n0 1", "line 1: non-integer vertex count '\u0661\u0662'"),
+        ]:
+            with pytest.raises(ParseError, match=re.escape(message)):
+                parse_edge_list(text)
 
     def test_negative_endpoint(self):
         with pytest.raises(ParseError, match="negative"):
