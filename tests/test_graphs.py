@@ -65,6 +65,14 @@ class TestParseEdgeList:
             with pytest.raises(ParseError, match=re.escape(message)):
                 parse_edge_list(text)
 
+    def test_non_ascii_whitespace_takes_the_token_check(self):
+        # str.split() separates on U+00A0 and U+2003; such a text is not
+        # plain ASCII, so its tokens go through the per-token check
+        text = "n 4\n0 1\n1 2\n2 3"
+        assert_equal_graphs(parse_edge_list(text.replace(" ", "\u00a0")), parse_edge_list(text))
+        with pytest.raises(ParseError, match="line 2: negative endpoint"):
+            parse_edge_list("0\u20031\n-1 2")
+
     def test_negative_endpoint(self):
         with pytest.raises(ParseError, match="negative"):
             parse_edge_list("0 -1")
