@@ -44,9 +44,24 @@ EXIT_CAPACITY = 3
 
 
 def _read_source(path: str) -> str:
+    """The text of a file, or of stdin for "-": both read as bytes and decoded as ASCII.
+
+    A non-ASCII byte is a ParseError naming its line, on either path.
+    A text stream put in place of stdin in-process has no bytes to
+    decode, so its text is taken as it is.
+    """
     if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="ascii")
+        data = getattr(sys.stdin, "buffer", sys.stdin).read()
+        if isinstance(data, str):
+            return data
+    else:
+        data = Path(path).read_bytes()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        name = "stdin" if path == "-" else path
+        raise ParseError(f"{name}: line {line}: non-ASCII byte 0x{data[exc.start]:02x}") from None
 
 
 def sniff_format(text: str) -> str:

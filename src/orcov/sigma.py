@@ -19,7 +19,7 @@ from .families import (
     hosten_morris,
     lambda_provenance,
 )
-from .graphs import DEFAULT_CHI_VERTEX_BOUND, Graph, _Value, _set, exact_coloring
+from .graphs import DEFAULT_CHI_VERTEX_BOUND, Graph, _Value, _set, chromatic_number
 
 
 class SigmaResult(_Value):
@@ -79,7 +79,7 @@ def sigma_of_graph(
     """sigma(G) = sigma(K_chi(G)) for any graph with at least one edge."""
     if g.m == 0:
         raise ValueError("sigma is defined only for non-empty graphs (m >= 1)")
-    chi = exact_coloring(g, max_vertices=max_chi_vertices).t
+    chi = chromatic_number(g, max_vertices=max_chi_vertices)
     return sigma_complete(chi, literature_table=literature_table)
 
 

@@ -137,6 +137,21 @@ class TestFormats:
         code, out, err = run(capsys, "chromatic", str(p))
         assert (code, out) == (2, "") and err.count("\n") == 1
 
+    def test_non_ascii_byte_exit_2_from_stdin_and_file(self, capsys, monkeypatch, tmp_path):
+        """Stdin and a file decode the same bytes the same way.
+
+        The no-break space on line 2 is whitespace to str.split, so a
+        locale-decoded stdin would read the edge 0 2.
+        """
+        data = b"0 1\n0\xc2\xa02\n"
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert run(capsys, "chromatic", "-") == (
+            2, "", "error: stdin: line 2: non-ASCII byte 0xc2\n")
+        p = tmp_path / "nbsp.el"
+        p.write_bytes(data)
+        assert run(capsys, "chromatic", str(p)) == (
+            2, "", f"error: {p}: line 2: non-ASCII byte 0xc2\n")
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "chromatic", "/nonexistent/file")
         assert code == 2 and err
@@ -189,6 +204,22 @@ class TestCover:
         run(capsys, "construct-cover", k3_file, "--out", str(cert))
         code, _, err = run(capsys, "verify-cover", k2_g6, str(cert))
         assert code == 2 and "does not match" in err
+
+    def test_non_ascii_certificate_exit_2_from_stdin_and_file(
+        self, capsys, monkeypatch, k3_file, tmp_path
+    ):
+        code, out, _ = run(capsys, "construct-cover", k3_file, "--json")
+        assert code == 0
+        lines = out.encode("ascii").split(b"\n")
+        lines[3] += b" \xe2\x80\x83"  # an em space after the edges
+        data = b"\n".join(lines)
+        cert = tmp_path / "cert.json"
+        cert.write_bytes(data)
+        assert run(capsys, "verify-cover", k3_file, str(cert)) == (
+            2, "", f"error: {cert}: line 4: non-ASCII byte 0xe2\n")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert run(capsys, "verify-cover", k3_file, "-") == (
+            2, "", "error: stdin: line 4: non-ASCII byte 0xe2\n")
 
     def test_deterministic_output(self, capsys, k3_file):
         first = run(capsys, "construct-cover", k3_file, "--json")

@@ -334,21 +334,57 @@ class TestConstructCover:
         assert a == b
 
     def test_colors_once(self, monkeypatch):
-        """construct_cover runs the exact search once: one DSATUR pass per t."""
-        calls = []
-        dsatur = orcov.graphs._dsatur
+        """Proofs that t < chi run in degree order; the certificate is one canonical pass.
 
-        def counting(nbrs, t):
-            calls.append(t)
-            return dsatur(nbrs, t)
-
-        monkeypatch.setattr(orcov.graphs, "_dsatur", counting)
-        g = petersen_graph()  # greedy clique 2, chi 3: t = 2 fails, t = 3 colors
+        On Petersen the greedy clique has 2 vertices and chi is 3.  The
+        graph is regular, so its degree order ranks vertices as the
+        canonical order does; test_proofs_in_degree_order tells them apart.
+        """
+        g = petersen_graph()
+        calls = _record_dsatur(monkeypatch)
+        deg, canon = _orders(g)
         chromatic_number(g)
-        assert calls == [2, 3]
+        assert calls == [(2, deg), (3, deg)]
         calls.clear()
         construct_cover(g)
-        assert calls == [2, 3]
+        assert calls == [(2, canon), (3, deg), (3, canon)]
+
+    def test_proofs_in_degree_order(self, monkeypatch):
+        g = _gnp_half(30, seed=23)  # greedy clique 4, chi 7
+        calls = _record_dsatur(monkeypatch)
+        deg, canon = _orders(g)
+        assert deg != canon
+        chromatic_number(g)
+        assert calls == [(4, deg), (5, deg), (6, deg), (7, deg)]
+        calls.clear()
+        construct_cover(g)
+        assert calls == [(4, canon), (5, deg), (6, deg), (7, deg), (7, canon)]
+
+    @pytest.mark.parametrize("parts, size", [(12, 1), (6, 3)], ids=["K12", "K6x3"])
+    def test_clique_bound_colors_in_one_pass(self, monkeypatch, parts, size):
+        """K_12 and a complete 6-partite graph: the clique bound is chi, no proof runs."""
+        g = _shuffled_multipartite(parts, size, seed=7)
+        calls = _record_dsatur(monkeypatch)
+        construct_cover(g)
+        assert calls == [(parts, _orders(g)[1])]
+
+
+def _record_dsatur(monkeypatch) -> list:
+    """Patch graphs._dsatur to log (t, priorities) of every pass; returns the log."""
+    calls = []
+    dsatur = orcov.graphs._dsatur
+
+    def counting(nbrs, t, prio):
+        calls.append((t, list(prio)))
+        return dsatur(nbrs, t, prio)
+
+    monkeypatch.setattr(orcov.graphs, "_dsatur", counting)
+    return calls
+
+
+def _orders(g: Graph) -> tuple[list[int], list[int]]:
+    """The degree and canonical DSATUR priorities of g."""
+    return orcov.graphs._degree_order(g), orcov.graphs._canonical_order(g.n)
 
 
 def _shuffled_multipartite(parts: int, size: int, seed: int) -> Graph:
@@ -377,10 +413,16 @@ GOLDEN_CERTIFICATES = [
      "aff6107b865851e871c7c56c15afecc9df027055de79f1b732221e73651f8d6d"),
     (petersen_graph(), "249a7e27e4f488c18c5bac4ac6f62a499c98bd087dc74a4fb5327d7079e55608"),
     (_gnp_half(20, seed=2020), "76ae21f8d15f16f1a42c88bd1af84bba92f13891ab05cec4b85e4440755d2e71"),
+    # greedy clique 4, chi 7: construct_cover runs degree-order passes at
+    # t = 5, 6 and 7 between its canonical passes at 4 and 7 (recorded
+    # with the index-order proofs they replaced)
+    (_gnp_half(30, seed=23), "5ed7929f70331e4b709c9853f9bd135a4afaf488e668e9f6645d718e7fd6626a"),
 ]
 
 
-@pytest.mark.parametrize("g, digest", GOLDEN_CERTIFICATES, ids=["K12", "K6x3", "petersen", "gnp20"])
+@pytest.mark.parametrize(
+    "g, digest", GOLDEN_CERTIFICATES, ids=["K12", "K6x3", "petersen", "gnp20", "gnp30"]
+)
 def test_golden_certificate(g, digest):
     text = certificate_to_json(g, construct_cover(g))
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest

@@ -1,4 +1,4 @@
-"""Property tests of graph construction and graph6, judged by naive loops."""
+"""Property tests of graph construction, graph6 and colouring, judged by naive loops."""
 
 import pytest
 
@@ -6,7 +6,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from orcov import Graph, encode_graph6, parse_graph6  # noqa: E402
+from orcov import (  # noqa: E402
+    Graph,
+    brute_chromatic,
+    chromatic_number,
+    encode_graph6,
+    exact_coloring,
+    parse_graph6,
+    proper_coloring,
+)
 
 # derandomized: the suite draws the same examples on every run
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -77,3 +85,34 @@ def test_graph6_round_trip(case):
     n, adj = case
     g = Graph(n, tuple(adj))
     assert parse_graph6(encode_graph6(g)) == g
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on at most 8 vertices, in reach of the exhaustive oracle."""
+    n, adj = draw(symmetric_rows(8))
+    return Graph(n, tuple(adj))
+
+
+@PROPERTY
+@given(small_graphs())
+def test_chromatic_number_matches_oracle(g):
+    assert chromatic_number(g) == brute_chromatic(g)
+
+
+@PROPERTY
+@given(small_graphs(), st.randoms(use_true_random=False))
+def test_chromatic_number_is_label_free(g, rnd):
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    assert chromatic_number(g.relabel(perm)) == chromatic_number(g)
+
+
+@PROPERTY
+@given(small_graphs())
+def test_exact_coloring_is_the_first_chi_coloring(g):
+    """The degree-order proofs never change the certificate coloring."""
+    chi = chromatic_number(g)
+    assert exact_coloring(g) == proper_coloring(g, chi)
+    if chi > 1:
+        assert proper_coloring(g, chi - 1) is None
