@@ -11,8 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .cover import (
     certificate_from_json,
@@ -55,7 +54,8 @@ def _read_source(path: str) -> str:
         if isinstance(data, str):
             return data
     else:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            data = f.read()
     try:
         return data.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -186,7 +186,8 @@ def _run_command(args: argparse.Namespace) -> int:
         cert = construct_cover(g, max_chi_vertices=args.max_chi_vertices)
         text = certificate_to_json(g, cert)
         if args.out:
-            Path(args.out).write_text(text + "\n", encoding="ascii")
+            with open(args.out, "w", encoding="ascii") as f:
+                f.write(text + "\n")
         if args.json:
             print(text)
         else:
@@ -220,7 +221,7 @@ def _run_command(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled command {cmd}")
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

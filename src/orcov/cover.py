@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .errors import ParseError
 from .families import SetFamily, _disjoint_members, is_intersecting, sorted_mif_masks
@@ -52,14 +52,14 @@ class AssignmentViolation(_Value):
 
     __slots__ = ("condition", "edge", "vertex")
     condition: int
-    edge: Optional[tuple[int, int]]
-    vertex: Optional[int]
+    edge: tuple[int, int] | None
+    vertex: int | None
 
     def __init__(
         self,
         condition: int,
-        edge: Optional[tuple[int, int]] = None,
-        vertex: Optional[int] = None,
+        edge: tuple[int, int] | None = None,
+        vertex: int | None = None,
     ) -> None:
         _set(self, "condition", condition)
         _set(self, "edge", edge)
@@ -70,15 +70,15 @@ class CertificateMeta(_Value):
     """Construction provenance: coloring, catalog indices, direction sets."""
 
     __slots__ = ("coloring", "family_indices", "direction_sets")
-    coloring: Optional[tuple[int, ...]]
-    family_indices: Optional[tuple[int, ...]]
-    direction_sets: Optional[dict[tuple[int, int], int]]
+    coloring: tuple[int, ...] | None
+    family_indices: tuple[int, ...] | None
+    direction_sets: dict[tuple[int, int], int] | None
 
     def __init__(
         self,
-        coloring: Optional[tuple[int, ...]] = None,
-        family_indices: Optional[tuple[int, ...]] = None,
-        direction_sets: Optional[dict[tuple[int, int], int]] = None,
+        coloring: tuple[int, ...] | None = None,
+        family_indices: tuple[int, ...] | None = None,
+        direction_sets: dict[tuple[int, int], int] | None = None,
     ) -> None:
         _set(self, "coloring", coloring)
         _set(self, "family_indices", family_indices)
@@ -91,13 +91,13 @@ class CoverCertificate(_Value):
     __slots__ = ("k", "orientations", "meta")
     k: int
     orientations: tuple[Orientation, ...]
-    meta: Optional[CertificateMeta]
+    meta: CertificateMeta | None
 
     def __init__(
         self,
         k: int,
         orientations: tuple[Orientation, ...],
-        meta: Optional[CertificateMeta] = None,
+        meta: CertificateMeta | None = None,
     ) -> None:
         if k != len(orientations):
             raise ValueError("k does not match the number of orientations")
@@ -143,7 +143,7 @@ def _direction_sets_by_vertex(
 
 def verify_cover(
     g: Graph, orientations: Sequence[Orientation]
-) -> Optional[tuple[int, int, int]]:
+) -> tuple[int, int, int] | None:
     """None iff the orientations cover g; else the smallest bad triple.
 
     A triple (x, y, z) with xy, xz edges is bad when no orientation
@@ -186,7 +186,7 @@ def families_from_cover(
 
 def validate_assignment(
     g: Graph, fa: FamilyAssignment
-) -> Optional[AssignmentViolation]:
+) -> AssignmentViolation | None:
     """None iff both cover conditions hold; else the first violation.
 
     Condition 1: every edge uv admits disjoint S in A_u, T in A_v.
@@ -215,7 +215,7 @@ def cover_from_families(g: Graph, fa: FamilyAssignment) -> CoverCertificate:
         raise ValueError("assignment size does not match vertex count")
     k = fa.k
     direction_sets: dict[tuple[int, int], int] = {}
-    chosen: dict[tuple[int, int], Optional[tuple[int, int]]] = {}
+    chosen: dict[tuple[int, int], tuple[int, int] | None] = {}
     # Orientation i directs uv as u -> v unless i is in T = S_(v,u)
     # (S and T are disjoint); forward[e] is that mask of [k] for edge e.
     forward: list[int] = []
@@ -269,10 +269,6 @@ def construct_cover(
 # certificate serialization
 # ---------------------------------------------------------------------------
 
-def _subset_elements(mask: int) -> list[int]:
-    return [b + 1 for b in _bits(mask)]
-
-
 def _orientation_json(o: Orientation) -> str:
     # bit e of o.bits is the e-th flag; "1" is replaced first because
     # "true, " holds no "0"
@@ -280,11 +276,11 @@ def _orientation_json(o: Orientation) -> str:
     return f"[{flags[:-2]}]"
 
 
-def _direction_sets_json(direction_sets: Optional[dict[tuple[int, int], int]]) -> str:
+def _direction_sets_json(direction_sets: dict[tuple[int, int], int] | None) -> str:
     if direction_sets is None:
         return "null"
     # each distinct set is formatted once
-    elements = {s: json.dumps(_subset_elements(s)) for s in set(direction_sets.values())}
+    elements = {s: json.dumps([b + 1 for b in _bits(s)]) for s in set(direction_sets.values())}
     return "{" + ", ".join(
         f'"{x}->{y}": {elements[s]}' for (x, y), s in sorted(direction_sets.items())
     ) + "}"
@@ -328,7 +324,7 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _int_tuple(raw: dict, field: str) -> Optional[tuple[int, ...]]:
+def _int_tuple(raw: dict, field: str) -> tuple[int, ...] | None:
     value = raw.get(field)
     if value is None:
         return None
@@ -337,7 +333,7 @@ def _int_tuple(raw: dict, field: str) -> Optional[tuple[int, ...]]:
     return tuple(value)
 
 
-def _meta_from_json(raw: object, k: int) -> Optional[CertificateMeta]:
+def _meta_from_json(raw: object, k: int) -> CertificateMeta | None:
     """Type-checked meta block; a missing or null field stays None.
 
     Direction-set elements must lie in [1, k], the orientation indices.
@@ -354,8 +350,13 @@ def _meta_from_json(raw: object, k: int) -> Optional[CertificateMeta]:
         direction_sets = {}
         for key, elems in raw_ds.items():
             x, arrow, y = key.partition("->")
-            if not (arrow and x.isdecimal() and y.isdecimal() and type(elems) is list):
-                raise ParseError(f"certificate direction set {key!r} must map 'x->y' to a list")
+            # the writer's form only: int() also reads non-ASCII digits and
+            # leading zeros, so that two keys could name one edge
+            if not (arrow and key.isascii() and x.isdecimal() and y.isdecimal()
+                    and (x[0] != "0" or x == "0") and (y[0] != "0" or y == "0")
+                    and type(elems) is list):
+                raise ParseError(f"certificate direction set {key!a} must map 'x->y' to a list"
+                                 " (ASCII decimal, no leading zeros)")
             mask = 0
             for i in elems:
                 if type(i) is not int or not 0 < i <= k:

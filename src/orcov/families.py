@@ -15,8 +15,7 @@ Hosten-Morris numbers, come from an independent up-set decomposition
 from __future__ import annotations
 
 import functools
-import threading
-from typing import Iterable, Iterator, Optional
+from collections.abc import Iterable, Iterator
 
 from .errors import CapacityError
 from .graphs import _Value, _bit_string, _bits, _set
@@ -36,10 +35,6 @@ LITERATURE_LAMBDA = {
     8: 229809982112,
     9: 423295099074735261880,
 }
-
-_lambda_cache: dict[int, int] = {}
-_lambda_lock = threading.Lock()
-
 
 def format_subset(mask: int) -> str:
     """Render a subset mask as a brace list, e.g. 0b101 -> "{1,3}"."""
@@ -150,7 +145,7 @@ def _subsets(mask: int) -> int:
     return vec
 
 
-def _disjoint_members(fu: SetFamily, fv: SetFamily) -> Optional[tuple[int, int]]:
+def _disjoint_members(fu: SetFamily, fv: SetFamily) -> tuple[int, int] | None:
     """Smallest-mask S in fu admitting a disjoint T in fv, then smallest T."""
     full = (1 << fu.k) - 1
     for s in fu.members():
@@ -289,6 +284,10 @@ def _mif_count(k: int) -> int:
     return total
 
 
+# an alias, not a decorator: _mif_count stays uncached, so timing it times a count
+_lambda = functools.cache(_mif_count)
+
+
 def sorted_mif_masks(k: int) -> list[int]:
     """Member vectors of all maximal intersecting families, ascending."""
     if k < 1:
@@ -314,18 +313,13 @@ def hosten_morris(k: int, literature_table: bool = False) -> int:
     """lambda(k): the number of maximal intersecting families over [k].
 
     Values within the enumeration capacity are computed (and memoized
-    per process, initialize-once under the GIL); k = 8, 9 are served
-    from LITERATURE_LAMBDA only when literature_table is set.
+    per process); k = 8, 9 are served from LITERATURE_LAMBDA only when
+    literature_table is set.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if k <= KMAX_HARD:
-        value = _lambda_cache.get(k)
-        if value is None:
-            value = _mif_count(k)
-            with _lambda_lock:
-                _lambda_cache.setdefault(k, value)
-        return value
+        return _lambda(k)
     if k in LITERATURE_LAMBDA:
         if literature_table:
             return LITERATURE_LAMBDA[k]

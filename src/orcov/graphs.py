@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import compress
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, ParseError
 
@@ -147,7 +147,7 @@ class Graph(_Value):
         return len(self.edges)
 
     @classmethod
-    def from_edges(cls, edges: Iterable[tuple[int, int]], n: Optional[int] = None) -> "Graph":
+    def from_edges(cls, edges: Iterable[tuple[int, int]], n: int | None = None) -> "Graph":
         """Build a graph from (u, v) pairs; duplicates collapse.
 
         Without an explicit n the vertex count is 1 + max endpoint.
@@ -253,9 +253,8 @@ def is_proper_coloring(g: Graph, colors: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 def _is_decimal(tok: str) -> bool:
-    """tok is ASCII decimal digits with an optional leading '-'."""
-    digits = tok[1:] if tok[:1] == "-" else tok
-    return digits.isascii() and digits.isdigit()
+    """tok (ASCII) is decimal digits with an optional leading '-'."""
+    return tok.removeprefix("-").isdigit()
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -264,13 +263,18 @@ def parse_edge_list(text: str) -> Graph:
     An optional first line "n <count>" pins the vertex count (needed
     for trailing isolated vertices); otherwise n = 1 + max endpoint.
     Duplicate edges collapse; self-loops are rejected with their line
-    number.  Integers are ASCII decimal digits with an optional '-'.
+    number.  ASCII text only; integers are decimal digits with an optional '-'.
     """
-    # int() also reads '+', '_' and non-ASCII digits; in a text without
-    # them, a token int() accepts is already ASCII decimal, and skipping
-    # the per-token check there saves about a fifth of the parse
-    plain = text.isascii() and "_" not in text and "+" not in text
-    pinned: Optional[int] = None
+    if not text.isascii():
+        # str.split would take U+00A0 and the like for whitespace
+        i = next(i for i, ch in enumerate(text) if not ch.isascii())
+        lineno = len(text[: i + 1].splitlines())
+        raise ParseError(f"line {lineno}: non-ASCII character {text[i]!a}")
+    # int() also reads '+' and '_'; in a text without them, a token int()
+    # accepts is already decimal, and skipping the per-token check there
+    # saves about a fifth of the parse
+    plain = "_" not in text and "+" not in text
+    pinned: int | None = None
     edges: list[tuple[int, int]] = []
     saw_content = False
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -426,7 +430,7 @@ def _greedy_clique(g: Graph) -> list[int]:
     return clique
 
 
-def _dsatur(nbrs: list[list[int]], t: int, prio: Sequence[int]) -> Optional[list[int]]:
+def _dsatur(nbrs: list[list[int]], t: int, prio: Sequence[int]) -> list[int] | None:
     """Per-vertex colors of the first proper coloring with at most t colors, or None.
 
     Iterative DSATUR branch and bound over precomputed neighbor lists.
@@ -516,7 +520,7 @@ def _neighbor_lists(g: Graph) -> list[list[int]]:
     return [_bits(row) for row in g.adj]
 
 
-def proper_coloring(g: Graph, t: int) -> Optional[Coloring]:
+def proper_coloring(g: Graph, t: int) -> Coloring | None:
     """First proper coloring with at most t colors, or None.
 
     Branch and bound in saturation order, ties to the lowest index (see

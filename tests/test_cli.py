@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from conftest import reference_counterexample
+from test_cover import GOLDEN_CERTIFICATES
 
 import orcov
 from orcov.cli import main
@@ -124,7 +126,7 @@ class TestFormats:
         code, _, err = run(capsys, "chromatic", str(p))
         assert code == 2 and "self-loop" in err
 
-    @pytest.mark.parametrize("text", ["0 1_0\n", "n 1_2\n0 1\n", "0 \u0663\n"])
+    @pytest.mark.parametrize("text", ["0 1_0\n", "n 1_2\n0 1\n"])
     def test_non_decimal_token_exit_2_from_stdin_and_file(
         self, capsys, monkeypatch, tmp_path, text
     ):
@@ -136,6 +138,18 @@ class TestFormats:
         p.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, "chromatic", str(p))
         assert (code, out) == (2, "") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["0\u00a01\n", "0 \u0663\n"])
+    def test_non_ascii_text_exit_2_from_stdin_and_file(self, capsys, monkeypatch, tmp_path, text):
+        """A text stream in place of stdin has no bytes to decode: the parser rejects it."""
+        bad = next(c for c in text if not c.isascii())
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert run(capsys, "chromatic", "-") == (
+            2, "", f"error: line 1: non-ASCII character {bad!a}\n")
+        p = tmp_path / "bad.el"
+        p.write_text(text, encoding="utf-8")
+        assert run(capsys, "chromatic", str(p)) == (
+            2, "", f"error: {p}: line 1: non-ASCII byte 0x{bad.encode()[0]:02x}\n")
 
     def test_non_ascii_byte_exit_2_from_stdin_and_file(self, capsys, monkeypatch, tmp_path):
         """Stdin and a file decode the same bytes the same way.
@@ -220,6 +234,25 @@ class TestCover:
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
         assert run(capsys, "verify-cover", k3_file, "-") == (
             2, "", "error: stdin: line 4: non-ASCII byte 0xe2\n")
+
+    def test_out_file_holds_the_golden_certificate(self, capsys, tmp_path):
+        g, digest = GOLDEN_CERTIFICATES[0]
+        graph = tmp_path / "g.el"
+        graph.write_text(f"n {g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges))
+        cert = tmp_path / "cert.json"
+        assert run(capsys, "construct-cover", str(graph), "--out", str(cert))[0] == 0
+        data = cert.read_bytes()
+        assert data.endswith(b"}\n") and hashlib.sha256(data[:-1]).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv", [
+        ("construct-cover", "{graph}", "--out", "{tmp}/missing/cert.json"),
+        ("chromatic", "{tmp}"),
+        ("verify-cover", "{graph}", "{tmp}"),
+    ], ids=["out-in-missing-directory", "graph-is-directory", "certificate-is-directory"])
+    def test_file_errors_exit_2_in_a_process(self, k3_file, tmp_path, argv):
+        proc = run_process(*(a.format(graph=k3_file, tmp=tmp_path) for a in argv))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     def test_deterministic_output(self, capsys, k3_file):
         first = run(capsys, "construct-cover", k3_file, "--json")
@@ -307,6 +340,10 @@ MALFORMED_CERTIFICATES = {
     "direction-sets-not-object": {"meta": {"direction_sets": [1]}},
     "direction-set-not-list": {"meta": {"direction_sets": {"0->1": 5}}},
     "direction-set-key": {"meta": {"direction_sets": {"a->b": [1]}}},
+    # json.dumps writes these keys as ASCII escapes, so the file is ASCII
+    "direction-set-key-arabic-indic-digit": {"meta": {"direction_sets": {"\u0661->0": [1]}}},
+    "direction-set-key-fullwidth-digit": {"meta": {"direction_sets": {"\uff10->1": [1]}}},
+    "direction-set-key-leading-zero": {"meta": {"direction_sets": {"01->0": [1]}}},
     "direction-set-element": {"meta": {"direction_sets": {"0->1": [0]}}},
     "direction-set-element-above-k": {"meta": {"direction_sets": {"0->1": [3]}}},
     "direction-set-element-huge": {"meta": {"direction_sets": {"0->1": [10**18]}}},

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import pytest
 from conftest import all_labeled_graphs, random_graph, reference_counterexample
@@ -477,6 +478,21 @@ class TestCertificateJson:
         doc["meta"]["direction_sets"] = {"0->1": [2, 1], "1->0": [2, 1]}
         meta = certificate_from_json(json.dumps(doc), g).meta
         assert meta.direction_sets == {(0, 1): 0b11, (1, 0): 0b11}
+
+    @pytest.mark.parametrize("bad, key", [
+        ("\u0661->1", "0->1"),  # ARABIC-INDIC DIGIT ONE: int() reads the self-loop (1, 1)
+        ("\uff10->1", "0->1"),  # FULLWIDTH DIGIT ZERO
+        ("01->2", "1->2"),  # int() reads (1, 2), the key it replaces
+    ])
+    def test_direction_set_key_only_in_writer_form(self, bad, key):
+        g = complete_graph(3)
+        doc = json.loads(certificate_to_json(g, construct_cover(g)))
+        sets = doc["meta"]["direction_sets"]
+        sets[bad] = sets.pop(key)
+        text = json.dumps(doc)
+        assert text.isascii()
+        with pytest.raises(ParseError, match=re.escape(f"set {bad!a} must map 'x->y' to a list")):
+            certificate_from_json(text, g)
 
     def test_orientations_with_leading_zeros_round_trip(self):
         g = path_graph(40)

@@ -49,29 +49,35 @@ class TestParseEdgeList:
             parse_edge_list("0 1\n1 2\n2 2")
 
     def test_non_integer_token(self):
-        # int() alone would read 1_0 as 10, +0 as 0 and non-ASCII digits
+        # int() alone would read 1_0 as 10 and +0 as 0
         for text, message in [
             ("0 1\n1 x", "line 2: non-integer token 'x'"),
             ("0 1\n0 1_0", "line 2: non-integer token '1_0'"),
             ("0 1\n+0 1", "line 2: non-integer token '+0'"),
             ("0 1\n0 +1", "line 2: non-integer token '+1'"),
-            ("0 1\n0 \u0663", "line 2: non-integer token '\u0663'"),  # ARABIC-INDIC THREE
             ("0 1\n--1 2", "line 2: non-integer token '--1'"),
             ("n x\n0 1", "line 1: non-integer vertex count 'x'"),
             ("n 1_2\n0 1", "line 1: non-integer vertex count '1_2'"),
             ("n +12\n0 1", "line 1: non-integer vertex count '+12'"),
-            ("n \u0661\u0662\n0 1", "line 1: non-integer vertex count '\u0661\u0662'"),
         ]:
             with pytest.raises(ParseError, match=re.escape(message)):
                 parse_edge_list(text)
 
-    def test_non_ascii_whitespace_takes_the_token_check(self):
-        # str.split() separates on U+00A0 and U+2003; such a text is not
-        # plain ASCII, so its tokens go through the per-token check
-        text = "n 4\n0 1\n1 2\n2 3"
-        assert_equal_graphs(parse_edge_list(text.replace(" ", "\u00a0")), parse_edge_list(text))
-        with pytest.raises(ParseError, match="line 2: negative endpoint"):
-            parse_edge_list("0\u20031\n-1 2")
+    def test_non_ascii_text_rejected_on_its_line(self):
+        # str.split() separates on U+00A0 and U+2003, and int() reads
+        # non-ASCII digits; lines are numbered as str.splitlines numbers
+        # them, so U+001C and U+2028 end a line
+        for text, message in [
+            ("0\u00a01\n", "line 1: non-ASCII character '\\xa0'"),
+            ("n 4\n0 1\n1\u00a02\n2 3", "line 3: non-ASCII character '\\xa0'"),
+            ("0\u20031\n-1 2", "line 1: non-ASCII character '\\u2003'"),
+            ("0 1\n0 \u0663", "line 2: non-ASCII character '\\u0663'"),  # ARABIC-INDIC THREE
+            ("n \u0661\u0662\n0 1", "line 1: non-ASCII character '\\u0661'"),
+            ("0 1\r\n1 2\x1c2 3\n3 \u00e9", "line 4: non-ASCII character '\\xe9'"),
+            ("0 1\n1 2\u20282 3", "line 2: non-ASCII character '\\u2028'"),
+        ]:
+            with pytest.raises(ParseError, match=re.escape(message)):
+                parse_edge_list(text)
 
     def test_negative_endpoint(self):
         with pytest.raises(ParseError, match="negative"):

@@ -162,15 +162,26 @@ def test_keyword_construction_with_defaults():
     assert CoverCertificate(k=0, orientations=()).meta is None
 
 
-def test_import_loads_no_dataclasses():
-    """import orcov.cli loads neither dataclasses nor inspect (start-up cost)."""
+def _loaded_by_import(names, *flags):
+    """Which of names `import orcov.cli` loads in a fresh interpreter run with flags."""
     src = str(Path(orcov.__file__).resolve().parents[1])
     script = (
         "import sys; before = set(sys.modules); import orcov.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        f"print(sorted(set({sorted(names)!r}) & (set(sys.modules) - before)))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, *flags, "-c", script],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_import_loads_no_dataclasses():
+    """import orcov.cli loads neither dataclasses nor inspect (start-up cost)."""
+    assert _loaded_by_import({"dataclasses", "inspect"}) == (0, "[]\n", "")
+
+
+def test_import_without_site_loads_only_what_runs():
+    """Under python -S, where site preloads nothing, import orcov.cli loads none of these."""
+    names = {"typing", "pathlib", "threading", "dataclasses", "inspect"}
+    assert _loaded_by_import(names, "-S") == (0, "[]\n", "")
