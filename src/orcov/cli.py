@@ -9,6 +9,7 @@ capacity or budget error.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from collections.abc import Sequence
@@ -29,6 +30,8 @@ from .families import (
 from .graphs import (
     DEFAULT_CHI_VERTEX_BOUND,
     Graph,
+    _check_vertex_bound,
+    _edge_list_pairs,
     chromatic_number,
     parse_edge_list,
     parse_graph6,
@@ -79,13 +82,44 @@ def sniff_format(text: str) -> str:
     return "edgelist"
 
 
-def load_graph(path: str, fmt: str = "auto") -> Graph:
+def _read_graph(path: str, fmt: str) -> tuple[str, str]:
+    """The text of a graph source and its format, sniffed for "auto"."""
     text = _read_source(path)
-    if fmt == "auto":
-        fmt = sniff_format(text)
+    return text, sniff_format(text) if fmt == "auto" else fmt
+
+
+def load_graph(path: str, fmt: str = "auto") -> Graph:
+    text, fmt = _read_graph(path, fmt)
     if fmt == "graph6":
         return parse_graph6(text)
     return parse_edge_list(text)
+
+
+# n rows are n 8-byte pointers: above 2**53 rows that is more than the
+# 2**56-byte user address space of any 64-bit platform, so building such
+# a graph always fails with the allocation error
+_ALLOCATABLE_ROWS = 1 << 53
+
+
+def _load_bounded(args: argparse.Namespace, edgeless_first: bool) -> Graph:
+    """load_graph for a command that refuses graphs above args.max_chi_vertices.
+
+    An edge list is held to the bound after its parse and before any
+    n-long row list exists, so a header like "n 2000000" costs nothing.
+    The errors come in the order building the graph gives them: parse
+    errors, rows no machine can allocate, then the command's own
+    refusal of an edgeless graph where it makes one (edgeless_first),
+    then the bound.  graph6 holds at most 62 vertices and is built first.
+    """
+    text, fmt = _read_graph(args.graph, args.format)
+    if fmt == "graph6":
+        return parse_graph6(text)
+    edges, n = _edge_list_pairs(text)
+    if n is None:
+        n = 1 + max(map(max, edges))
+    if n <= _ALLOCATABLE_ROWS and (edges or not edgeless_first):
+        _check_vertex_bound(n, args.max_chi_vertices)
+    return Graph.from_edges(edges, n)
 
 
 def _add_graph_arg(sub: argparse.ArgumentParser) -> None:
@@ -169,7 +203,7 @@ def _run_command(args: argparse.Namespace) -> int:
         print(res.value)
         return EXIT_OK
     if cmd == "sigma":
-        g = load_graph(args.graph, args.format)
+        g = _load_bounded(args, edgeless_first=True)
         res = sigma_of_graph(
             g,
             literature_table=args.literature_table,
@@ -182,7 +216,7 @@ def _run_command(args: argparse.Namespace) -> int:
         print(f"{est.raw:.6f} {est.rounded}")
         return EXIT_OK
     if cmd == "construct-cover":
-        g = load_graph(args.graph, args.format)
+        g = _load_bounded(args, edgeless_first=True)
         cert = construct_cover(g, max_chi_vertices=args.max_chi_vertices)
         text = certificate_to_json(g, cert)
         if args.out:
@@ -215,7 +249,7 @@ def _run_command(args: argparse.Namespace) -> int:
         print(f"> {args.max_k}" if result is None else result)
         return EXIT_OK
     if cmd == "chromatic":
-        g = load_graph(args.graph, args.format)
+        g = _load_bounded(args, edgeless_first=False)
         print(chromatic_number(g, max_vertices=args.max_chi_vertices))
         return EXIT_OK
     raise AssertionError(f"unhandled command {cmd}")
@@ -249,6 +283,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
+    """Process entry: one command, then exit.
+
+    orcov's hot paths build no reference cycles, so the cyclic collector
+    would only scan the certificate and graph objects; the process runs
+    without it.  main() leaves the collector as it finds it, for callers
+    in-process.
+    """
+    gc.disable()
     sys.exit(main())
 
 

@@ -13,7 +13,7 @@ and handing each color class its own maximal intersecting family.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, compress
 from collections.abc import Sequence
 
 from .errors import ParseError
@@ -279,10 +279,11 @@ def _orientation_json(o: Orientation) -> str:
 def _direction_sets_json(direction_sets: dict[tuple[int, int], int] | None) -> str:
     if direction_sets is None:
         return "null"
-    # each distinct set is formatted once
+    # each distinct set is formatted once; the keys are sorted alone, as
+    # sorting the (key, set) items falls back to generic tuple compares
     elements = {s: json.dumps([b + 1 for b in _bits(s)]) for s in set(direction_sets.values())}
     return "{" + ", ".join(
-        f'"{x}->{y}": {elements[s]}' for (x, y), s in sorted(direction_sets.items())
+        f'"{x}->{y}": {elements[direction_sets[x, y]]}' for x, y in sorted(direction_sets)
     ) + "}"
 
 
@@ -333,10 +334,11 @@ def _int_tuple(raw: dict, field: str) -> tuple[int, ...] | None:
     return tuple(value)
 
 
-def _meta_from_json(raw: object, k: int) -> CertificateMeta | None:
+def _meta_from_json(raw: object, k: int, g: Graph) -> CertificateMeta | None:
     """Type-checked meta block; a missing or null field stays None.
 
-    Direction-set elements must lie in [1, k], the orientation indices.
+    Direction-set keys name directed edges of g in the writer's form,
+    and their elements lie in [1, k], the orientation indices.
     """
     if raw is None:
         return None
@@ -347,16 +349,24 @@ def _meta_from_json(raw: object, k: int) -> CertificateMeta | None:
     if raw_ds is not None:
         if not isinstance(raw_ds, dict):
             raise ParseError("certificate meta.direction_sets must be an object")
+        # the writer's name of every vertex with an edge: two lookups and a
+        # bit test accept a key, and only a miss pays for the form test
+        names = {str(v): v for v in compress(range(g.n), g.adj)}
+        adj = g.adj
         direction_sets = {}
         for key, elems in raw_ds.items():
             x, arrow, y = key.partition("->")
-            # the writer's form only: int() also reads non-ASCII digits and
-            # leading zeros, so that two keys could name one edge
-            if not (arrow and key.isascii() and x.isdecimal() and y.isdecimal()
-                    and (x[0] != "0" or x == "0") and (y[0] != "0" or y == "0")
-                    and type(elems) is list):
-                raise ParseError(f"certificate direction set {key!a} must map 'x->y' to a list"
-                                 " (ASCII decimal, no leading zeros)")
+            u = names.get(x)
+            v = names.get(y)
+            if u is None or v is None or not adj[u] >> v & 1 or type(elems) is not list:
+                # int() also reads non-ASCII digits and leading zeros, so
+                # that two keys could name one edge
+                if not (arrow and key.isascii() and x.isdecimal() and y.isdecimal()
+                        and (x[0] != "0" or x == "0") and (y[0] != "0" or y == "0")
+                        and type(elems) is list):
+                    raise ParseError(f"certificate direction set {key!a} must map 'x->y' to a"
+                                     " list (ASCII decimal, no leading zeros)")
+                raise ParseError(f"certificate direction set {key!a} names no edge of the graph")
             mask = 0
             for i in elems:
                 if type(i) is not int or not 0 < i <= k:
@@ -366,7 +376,7 @@ def _meta_from_json(raw: object, k: int) -> CertificateMeta | None:
                         reason = "not a positive integer"
                     raise ParseError(f"certificate direction set {key!r} lists {i!r}, {reason}")
                 mask |= 1 << (i - 1)
-            direction_sets[(int(x), int(y))] = mask
+            direction_sets[u, v] = mask
     return CertificateMeta(
         coloring=_int_tuple(raw, "coloring"),
         family_indices=_int_tuple(raw, "family_indices"),
@@ -416,5 +426,5 @@ def certificate_from_json(text: str, g: Graph) -> CoverCertificate:
         ):
             raise ParseError("each orientation must list m booleans")
         orientations.append(Orientation.from_dir(g.n, flags))
-    meta = _meta_from_json(doc.get("meta"), k)
+    meta = _meta_from_json(doc.get("meta"), k, g)
     return CoverCertificate(k, tuple(orientations), meta)

@@ -265,6 +265,16 @@ def parse_edge_list(text: str) -> Graph:
     Duplicate edges collapse; self-loops are rejected with their line
     number.  ASCII text only; integers are decimal digits with an optional '-'.
     """
+    edges, pinned = _edge_list_pairs(text)
+    return Graph.from_edges(edges, n=pinned)
+
+
+def _edge_list_pairs(text: str) -> tuple[list[tuple[int, int]], int | None]:
+    """The checked (u, v) pairs of an edge list and its pinned vertex count, or None.
+
+    Every error of parse_edge_list except the row allocation comes from
+    here, so a caller can bound the vertex count before any row exists.
+    """
     if not text.isascii():
         # str.split would take U+00A0 and the like for whitespace
         i = next(i for i, ch in enumerate(text) if not ch.isascii())
@@ -315,7 +325,7 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError("empty edge-list input")
     if not edges and pinned is None:
         raise ParseError("no edges and no 'n <count>' header")
-    return Graph.from_edges(edges, n=pinned)
+    return edges, pinned
 
 
 _G6_HEADER = ">>graph6<<"
@@ -535,10 +545,10 @@ def proper_coloring(g: Graph, t: int) -> Coloring | None:
     return Coloring(tuple(colors), max(colors) + 1)
 
 
-def _check_vertex_bound(g: Graph, max_vertices: int) -> None:
-    if g.n > max_vertices:
+def _check_vertex_bound(n: int, max_vertices: int) -> None:
+    if n > max_vertices:
         raise CapacityError(
-            f"exact chromatic number limited to {max_vertices} vertices (graph has {g.n}); "
+            f"exact chromatic number limited to {max_vertices} vertices (graph has {n}); "
             "raise max_vertices to override"
         )
 
@@ -561,7 +571,7 @@ def exact_coloring(g: Graph, max_vertices: int = DEFAULT_CHI_VERTEX_BOUND) -> Co
     one canonical pass at chi gives the coloring.  Refuses graphs above
     the vertex bound.
     """
-    _check_vertex_bound(g, max_vertices)
+    _check_vertex_bound(g.n, max_vertices)
     if g.m == 0:
         return Coloring((0,) * g.n, 1)
     nbrs = _neighbor_lists(g)
@@ -580,7 +590,7 @@ def chromatic_number(g: Graph, max_vertices: int = DEFAULT_CHI_VERTEX_BOUND) -> 
     the first t that colors is chi.  No coloring is kept, so the search
     never needs the canonical order.
     """
-    _check_vertex_bound(g, max_vertices)
+    _check_vertex_bound(g.n, max_vertices)
     if g.m == 0:
         return 1
     return _least_colorable(g, _neighbor_lists(g), len(_greedy_clique(g)))

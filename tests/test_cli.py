@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -5,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from conftest import reference_counterexample
 from test_cover import GOLDEN_CERTIFICATES
 
 import orcov
+from orcov import cli
 from orcov.cli import main
 
 
@@ -183,6 +186,42 @@ class TestFormats:
         assert err == f"error: cannot allocate adjacency rows for n={n} vertices\n"
 
 
+    @pytest.mark.parametrize("command", ["chromatic", "sigma", "construct-cover"])
+    @pytest.mark.parametrize(
+        "text", ["n 2000000\n0 1\n", "0 1\n1999999 0\n"], ids=["header", "endpoint"])
+    def test_vertex_bound_before_rows(self, capsys, tmp_path, command, text):
+        """The bound is held to the header or the largest endpoint, before any rows exist."""
+        p = tmp_path / "wide.el"
+        p.write_text(text)
+        tracemalloc.start()
+        try:
+            result = run(capsys, command, str(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (3, "", "error: exact chromatic number limited to 32 vertices "
+                                 "(graph has 2000000); raise max_vertices to override\n")
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("command, code, message", [
+        ("chromatic", 3, "exact chromatic number limited to 32 vertices (graph has 40); "
+                         "raise max_vertices to override"),
+        ("sigma", 2, "sigma is defined only for non-empty graphs (m >= 1)"),
+        ("construct-cover", 2, "cover construction requires a non-empty graph"),
+    ])
+    def test_edgeless_graph_above_the_bound(self, capsys, tmp_path, command, code, message):
+        """sigma and construct-cover refuse an edgeless graph before they apply the bound."""
+        p = tmp_path / "edgeless.el"
+        p.write_text("n 40\n")
+        assert run(capsys, command, str(p)) == (code, "", f"error: {message}\n")
+
+    def test_bound_is_the_option(self, capsys, tmp_path):
+        p = tmp_path / "wide.el"
+        p.write_text("n 40\n0 39\n")
+        assert run(capsys, "chromatic", str(p), "--max-chi-vertices", "40") == (0, "2\n", "")
+        assert run(capsys, "chromatic", str(p), "--max-chi-vertices", "39")[0] == 3
+
+
 class TestCover:
     def test_construct_then_verify_file(self, capsys, k3_file, tmp_path):
         cert = tmp_path / "cert.json"
@@ -344,6 +383,8 @@ MALFORMED_CERTIFICATES = {
     "direction-set-key-arabic-indic-digit": {"meta": {"direction_sets": {"\u0661->0": [1]}}},
     "direction-set-key-fullwidth-digit": {"meta": {"direction_sets": {"\uff10->1": [1]}}},
     "direction-set-key-leading-zero": {"meta": {"direction_sets": {"01->0": [1]}}},
+    "direction-set-key-vertex-above-n": {"meta": {"direction_sets": {"0->2": [1]}}},
+    "direction-set-key-not-an-edge": {"meta": {"direction_sets": {"1->1": [1]}}},
     "direction-set-element": {"meta": {"direction_sets": {"0->1": [0]}}},
     "direction-set-element-above-k": {"meta": {"direction_sets": {"0->1": [3]}}},
     "direction-set-element-huge": {"meta": {"direction_sets": {"0->1": [10**18]}}},
@@ -375,6 +416,20 @@ class TestMalformedCertificate:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("key", ["0->3", "2->0", "0->2"])
+    def test_direction_set_key_names_an_edge(self, capsys, tmp_path, key):
+        """A vertex >= n, a vertex without edges and a pair that is not an edge."""
+        graph = tmp_path / "g.el"
+        graph.write_text("n 3\n0 1\n")
+        code, out, _ = run(capsys, "construct-cover", str(graph), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        doc["meta"]["direction_sets"][key] = [1]
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc))
+        assert run(capsys, "verify-cover", str(graph), str(cert)) == (
+            2, "", f"error: certificate direction set '{key}' names no edge of the graph\n")
+
     @pytest.mark.parametrize("case", ["orientation-not-list", "coloring-not-list"])
     def test_no_traceback_in_a_process(self, k2_g6, k2_cert, tmp_path, case):
         bad = self.write(tmp_path, k2_cert, case)
@@ -382,6 +437,31 @@ class TestMalformedCertificate:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+
+
+class TestCollector:
+    """The process entry runs without the cyclic GC; main() leaves it alone."""
+
+    def test_main_leaves_the_collector_as_it_finds_it(self, capsys, k3_file):
+        was = gc.isenabled()
+        try:
+            for switch, enabled in ((gc.enable, True), (gc.disable, False)):
+                switch()
+                assert run(capsys, "sigma", k3_file)[0] == 0
+                assert gc.isenabled() is enabled
+        finally:
+            if was:
+                gc.enable()
+
+    def test_run_calls_main_with_the_collector_off(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "main", lambda: seen.append(gc.isenabled()) or 0)
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.run()
+        finally:
+            gc.enable()
+        assert seen == [False] and exc.value.code == 0
 
 
 class TestBruteSigmaCli:

@@ -494,6 +494,19 @@ class TestCertificateJson:
         with pytest.raises(ParseError, match=re.escape(f"set {bad!a} must map 'x->y' to a list")):
             certificate_from_json(text, g)
 
+    @pytest.mark.parametrize("bad", [
+        "0->4",  # vertex 4 >= n
+        "3->0",  # vertex 3 has no edges
+        "0->2",  # both vertices have edges, but 0 2 is not one
+        "1->1",
+    ])
+    def test_direction_set_key_names_an_edge(self, bad):
+        g = Graph.from_edges([(0, 1), (1, 2)], n=4)
+        doc = json.loads(certificate_to_json(g, construct_cover(g)))
+        doc["meta"]["direction_sets"][bad] = [1]
+        with pytest.raises(ParseError, match=re.escape(f"set {bad!a} names no edge of the graph")):
+            certificate_from_json(json.dumps(doc), g)
+
     def test_orientations_with_leading_zeros_round_trip(self):
         g = path_graph(40)
         rng = random.Random(3)
@@ -528,10 +541,10 @@ CERTIFICATE_TEXT = [
      '    [false, false],\n    [true, false],\n    [false, false]\n  ],\n'
      '  "meta": {"coloring": null, "family_indices": null, "direction_sets": '
      '{"0->1": [1, 3], "1->0": [], "1->2": [1, 2, 3], "2->1": []}}\n}'),
-    (path_graph(3), CoverCertificate(
-        1, (_path3_orientation(0b10),),
+    (Graph.from_edges([(1, 9), (2, 10)], n=11), CoverCertificate(
+        1, (Orientation(11, 2, 0b10),),
         CertificateMeta(coloring=(), direction_sets={(10, 2): 1, (2, 10): 0, (9, 1): 1})),
-     '{\n  "n": 3,\n  "m": 2,\n  "k": 1,\n  "edges": [[0, 1], [1, 2]],\n  "orientations": [\n'
+     '{\n  "n": 11,\n  "m": 2,\n  "k": 1,\n  "edges": [[1, 9], [2, 10]],\n  "orientations": [\n'
      '    [false, true]\n  ],\n  "meta": {"coloring": [], "family_indices": null, '
      '"direction_sets": {"2->10": [], "9->1": [1], "10->2": [1]}}\n}'),
     (path_graph(3), CoverCertificate(0, ()),
