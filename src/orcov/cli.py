@@ -30,10 +30,10 @@ from .families import (
 from .graphs import (
     DEFAULT_CHI_VERTEX_BOUND,
     Graph,
+    Orientation,
     _check_vertex_bound,
     _edge_list_pairs,
     chromatic_number,
-    parse_edge_list,
     parse_graph6,
 )
 from .oracle import SearchBudget, brute_sigma
@@ -82,44 +82,42 @@ def sniff_format(text: str) -> str:
     return "edgelist"
 
 
-def _read_graph(path: str, fmt: str) -> tuple[str, str]:
-    """The text of a graph source and its format, sniffed for "auto"."""
-    text = _read_source(path)
-    return text, sniff_format(text) if fmt == "auto" else fmt
-
-
-def load_graph(path: str, fmt: str = "auto") -> Graph:
-    text, fmt = _read_graph(path, fmt)
-    if fmt == "graph6":
-        return parse_graph6(text)
-    return parse_edge_list(text)
-
-
 # n rows are n 8-byte pointers: above 2**53 rows that is more than the
 # 2**56-byte user address space of any 64-bit platform, so building such
 # a graph always fails with the allocation error
 _ALLOCATABLE_ROWS = 1 << 53
 
 
-def _load_bounded(args: argparse.Namespace, edgeless_first: bool) -> Graph:
-    """load_graph for a command that refuses graphs above args.max_chi_vertices.
+def _load_graph(args: argparse.Namespace, edgeless_first: bool = False) -> Graph:
+    """The graph of args.graph in args.format (sniffed for "auto"), for every graph command.
 
-    An edge list is held to the bound after its parse and before any
-    n-long row list exists, so a header like "n 2000000" costs nothing.
+    A command with --max-chi-vertices holds an edge list to that bound
+    after its parse and before any n-long row list exists, so a header
+    like "n 2000000" costs nothing; the other commands have no bound.
     The errors come in the order building the graph gives them: parse
     errors, rows no machine can allocate, then the command's own
     refusal of an edgeless graph where it makes one (edgeless_first),
     then the bound.  graph6 holds at most 62 vertices and is built first.
     """
-    text, fmt = _read_graph(args.graph, args.format)
+    text = _read_source(args.graph)
+    fmt = sniff_format(text) if args.format == "auto" else args.format
     if fmt == "graph6":
         return parse_graph6(text)
     edges, n = _edge_list_pairs(text)
-    if n is None:
-        n = 1 + max(map(max, edges))
-    if n <= _ALLOCATABLE_ROWS and (edges or not edgeless_first):
-        _check_vertex_bound(n, args.max_chi_vertices)
+    bound = getattr(args, "max_chi_vertices", None)
+    if bound is not None and n <= _ALLOCATABLE_ROWS and (edges or not edgeless_first):
+        _check_vertex_bound(n, bound)
     return Graph.from_edges(edges, n)
+
+
+def _print_verdict(g: Graph, orientations: Sequence[Orientation], accept: str) -> int:
+    """Print the accept line or the counterexample verify_cover finds; return the exit code."""
+    verdict = verify_cover(g, orientations)
+    if verdict is None:
+        print(accept)
+        return EXIT_OK
+    print(f"counterexample {verdict[0]} {verdict[1]} {verdict[2]}")
+    return EXIT_REJECTED
 
 
 def _add_graph_arg(sub: argparse.ArgumentParser) -> None:
@@ -203,7 +201,7 @@ def _run_command(args: argparse.Namespace) -> int:
         print(res.value)
         return EXIT_OK
     if cmd == "sigma":
-        g = _load_bounded(args, edgeless_first=True)
+        g = _load_graph(args, edgeless_first=True)
         res = sigma_of_graph(
             g,
             literature_table=args.literature_table,
@@ -216,7 +214,7 @@ def _run_command(args: argparse.Namespace) -> int:
         print(f"{est.raw:.6f} {est.rounded}")
         return EXIT_OK
     if cmd == "construct-cover":
-        g = _load_bounded(args, edgeless_first=True)
+        g = _load_graph(args, edgeless_first=True)
         cert = construct_cover(g, max_chi_vertices=args.max_chi_vertices)
         text = certificate_to_json(g, cert)
         if args.out:
@@ -224,24 +222,14 @@ def _run_command(args: argparse.Namespace) -> int:
                 f.write(text + "\n")
         if args.json:
             print(text)
-        else:
-            verdict = verify_cover(g, cert.orientations)
-            if verdict is not None:
-                print(f"counterexample {verdict[0]} {verdict[1]} {verdict[2]}")
-                return EXIT_REJECTED
-            print(f"{cert.k} accept")
-        return EXIT_OK
-    if cmd == "verify-cover":
-        g = load_graph(args.graph, args.format)
-        cert = certificate_from_json(_read_source(args.certificate), g)
-        verdict = verify_cover(g, cert.orientations)
-        if verdict is None:
-            print("accept")
             return EXIT_OK
-        print(f"counterexample {verdict[0]} {verdict[1]} {verdict[2]}")
-        return EXIT_REJECTED
+        return _print_verdict(g, cert.orientations, f"{cert.k} accept")
+    if cmd == "verify-cover":
+        g = _load_graph(args)
+        cert = certificate_from_json(_read_source(args.certificate), g)
+        return _print_verdict(g, cert.orientations, "accept")
     if cmd == "brute-sigma":
-        g = load_graph(args.graph, args.format)
+        g = _load_graph(args)
         budget = SearchBudget(
             max_edges=args.max_edges, max_k=args.max_k, timeout=args.timeout
         )
@@ -249,7 +237,7 @@ def _run_command(args: argparse.Namespace) -> int:
         print(f"> {args.max_k}" if result is None else result)
         return EXIT_OK
     if cmd == "chromatic":
-        g = _load_bounded(args, edgeless_first=False)
+        g = _load_graph(args)
         print(chromatic_number(g, max_vertices=args.max_chi_vertices))
         return EXIT_OK
     raise AssertionError(f"unhandled command {cmd}")

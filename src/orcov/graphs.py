@@ -99,8 +99,10 @@ class _Value:
 
 
 def _upper_edges(adj: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """(u, v) for every bit v > u of row u: the canonical edge order."""
-    return tuple((u, v) for u, row in enumerate(adj) for v in _bits(row >> (u + 1) << (u + 1)))
+    """(u, v) for every bit v > u of row u: the canonical edge order (empty rows skipped)."""
+    return tuple(
+        (u, v) for u in compress(range(len(adj)), adj) for v in _bits(adj[u] >> (u + 1) << (u + 1))
+    )
 
 
 class Graph(_Value):
@@ -121,19 +123,22 @@ class Graph(_Value):
             raise ValueError("graph needs at least one vertex")
         if len(adj) != n:
             raise ValueError("adjacency row count does not match n")
-        for u, row in enumerate(adj):
-            if row < 0 or row >> n:
-                raise ValueError(f"adjacency row of vertex {u} addresses vertices >= n")
-            if (row >> u) & 1:
-                raise ValueError(f"self-loop at vertex {u}")
-        # Symmetric iff every upper bit (u, v) has its mirror (v, u) and the
-        # rows hold no other bits.  This is linear in the rows; a transpose
-        # would cost n * n digits even for a sparse graph.  Only a failure
-        # pays for the scan that names the first asymmetric pair.
-        edges = _upper_edges(adj)
-        if sum(map(int.bit_count, adj)) != 2 * len(edges) or not all(
+        # Rows in range are symmetric and loop-free iff every upper bit
+        # (u, v) has its mirror (v, u) and the rows hold 2 * len(edges) bits:
+        # the mirrors fill that count, leaving no diagonal or stray bit.  This
+        # is linear in the bits; a transpose would cost n * n digits even for
+        # a sparse graph.  Only a failure pays for the row-by-row scan that
+        # names the first offending row or pair.
+        in_range = min(adj) >= 0 and not max(adj) >> n
+        edges = _upper_edges(adj) if in_range else ()
+        if not in_range or sum(map(int.bit_count, adj)) != 2 * len(edges) or not all(
             adj[v] >> u & 1 for u, v in edges
         ):
+            for u, row in enumerate(adj):
+                if row < 0 or row >> n:
+                    raise ValueError(f"adjacency row of vertex {u} addresses vertices >= n")
+                if (row >> u) & 1:
+                    raise ValueError(f"self-loop at vertex {u}")
             for u, row in enumerate(adj):
                 for v in _bits(row):
                     if not (adj[v] >> u) & 1:
@@ -265,15 +270,15 @@ def parse_edge_list(text: str) -> Graph:
     Duplicate edges collapse; self-loops are rejected with their line
     number.  ASCII text only; integers are decimal digits with an optional '-'.
     """
-    edges, pinned = _edge_list_pairs(text)
-    return Graph.from_edges(edges, n=pinned)
+    return Graph.from_edges(*_edge_list_pairs(text))
 
 
-def _edge_list_pairs(text: str) -> tuple[list[tuple[int, int]], int | None]:
-    """The checked (u, v) pairs of an edge list and its pinned vertex count, or None.
+def _edge_list_pairs(text: str) -> tuple[list[tuple[int, int]], int]:
+    """The checked (u, v) pairs of an edge list and its vertex count.
 
-    Every error of parse_edge_list except the row allocation comes from
-    here, so a caller can bound the vertex count before any row exists.
+    The count is the header's, or 1 + the largest endpoint.  Every error
+    of parse_edge_list except the row allocation comes from here, so a
+    caller can bound the vertex count before any row exists.
     """
     if not text.isascii():
         # str.split would take U+00A0 and the like for whitespace
@@ -286,12 +291,11 @@ def _edge_list_pairs(text: str) -> tuple[list[tuple[int, int]], int | None]:
     plain = "_" not in text and "+" not in text
     pinned: int | None = None
     edges: list[tuple[int, int]] = []
-    saw_content = False
     for lineno, raw in enumerate(text.splitlines(), 1):
         toks = raw.split()
         if not toks:
             continue
-        if not saw_content and toks[0] == "n":
+        if toks[0] == "n" and pinned is None and not edges:
             if len(toks) != 2:
                 raise ParseError(f"line {lineno}: header must be 'n <count>'")
             try:
@@ -302,9 +306,7 @@ def _edge_list_pairs(text: str) -> tuple[list[tuple[int, int]], int | None]:
                 raise ParseError(f"line {lineno}: non-integer vertex count {toks[1]!r}") from None
             if pinned < 1:
                 raise ParseError(f"line {lineno}: vertex count must be positive")
-            saw_content = True
             continue
-        saw_content = True
         if len(toks) != 2:
             raise ParseError(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
         try:
@@ -321,11 +323,11 @@ def _edge_list_pairs(text: str) -> tuple[list[tuple[int, int]], int | None]:
         if pinned is not None and max(u, v) >= pinned:
             raise ParseError(f"line {lineno}: endpoint {max(u, v)} out of range for n={pinned}")
         edges.append((u, v))
-    if not saw_content:
+    if pinned is not None:
+        return edges, pinned
+    if not edges:
         raise ParseError("empty edge-list input")
-    if not edges and pinned is None:
-        raise ParseError("no edges and no 'n <count>' header")
-    return edges, pinned
+    return edges, 1 + max(map(max, edges))
 
 
 _G6_HEADER = ">>graph6<<"

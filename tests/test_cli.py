@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 from conftest import reference_counterexample
-from test_cover import GOLDEN_CERTIFICATES
+from test_cover import GOLDEN_CERTIFICATES, MISSHAPEN_CERTIFICATES
 
 import orcov
 from orcov import cli
@@ -122,6 +122,29 @@ class TestFormats:
         p.write_text("0 1\n")
         code, out, _ = run(capsys, "sigma", str(p), "--format", "edgelist")
         assert (code, out) == (0, "2 2 2\n")
+
+    @pytest.mark.parametrize("text, fmt", [
+        ("A_", "graph6"), ("0 1", "edgelist"), ("\n>>graph6<<A_\n", "graph6"),
+        ("0", "edgelist"),  # first byte below 63
+    ])
+    def test_sniff_format(self, text, fmt):
+        assert cli.sniff_format(text) == fmt
+
+    @pytest.mark.parametrize("command", ["chromatic", "sigma"])
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty graph input"),
+        (" \n\n", "empty graph input"),
+        ("n 3 4\n0 1\n", "line 1: header must be 'n <count>'"),
+        ("n 0\n", "line 1: vertex count must be positive"),
+        ("0 1 2\n", "line 1: expected 'u v', got '0 1 2'"),
+        ("0\n", "line 1: expected 'u v', got '0'"),
+        (">>graph6<<\n", "empty graph6 input"),
+        ("?\n", "graph6 encodes an empty vertex set"),
+    ])
+    def test_input_error_exit_2(self, capsys, tmp_path, command, text, message):
+        p = tmp_path / "bad"
+        p.write_text(text)
+        assert run(capsys, command, str(p)) == (2, "", f"error: {message}\n")
 
     def test_parse_error_exit_2(self, capsys, tmp_path):
         p = tmp_path / "bad.el"
@@ -415,6 +438,13 @@ class TestMalformedCertificate:
         code, out, err = run(capsys, "verify-cover", k2_g6, bad)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", sorted(MISSHAPEN_CERTIFICATES))
+    def test_document_shape_exit_2(self, capsys, k2_g6, k2_cert, tmp_path, case):
+        edit, message = MISSHAPEN_CERTIFICATES[case]
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(edit(k2_cert)))
+        assert run(capsys, "verify-cover", k2_g6, str(p)) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("key", ["0->3", "2->0", "0->2"])
     def test_direction_set_key_names_an_edge(self, capsys, tmp_path, key):

@@ -444,6 +444,30 @@ class TestRoundTrip:
             assert verify_cover(g, rebuilt.orientations) is None
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: FamilyAssignment(3, (SetFamily.from_sets(2, [{1}]),)),
+                 "family ground set does not match assignment k", id="assignment-k"),
+    pytest.param(lambda: CoverCertificate(2, (Orientation(2, 1, 0),)),
+                 "k does not match the number of orientations", id="certificate-k"),
+    pytest.param(lambda: cover_from_families(
+                     complete_graph(3), FamilyAssignment(2, (SetFamily.from_sets(2, [{1}]),) * 2)),
+                 "assignment size does not match vertex count", id="assignment-size"),
+])
+def test_record_error_message(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+# Edits of a K_2 certificate document, and the message each one gives.
+MISSHAPEN_CERTIFICATES = {
+    "root-not-object": (lambda doc: [doc], "certificate must be a JSON object"),
+    "edges-not-pairs": (lambda doc: {**doc, "edges": [5]}, "certificate edges must be [u, v] pairs"),
+    "edge-order": (lambda doc: {**doc, "edges": [[1, 0]]},
+                   "certificate edge list does not match the graph's canonical edges"),
+}
+
+
 class TestCertificateJson:
     def test_round_trip(self):
         g = petersen_graph()
@@ -468,6 +492,15 @@ class TestCertificateJson:
             certificate_from_json("{", complete_graph(2))
         with pytest.raises(ParseError, match="missing"):
             certificate_from_json("{}", complete_graph(2))
+
+    @pytest.mark.parametrize("case", sorted(MISSHAPEN_CERTIFICATES))
+    def test_document_shape(self, case):
+        edit, message = MISSHAPEN_CERTIFICATES[case]
+        g = complete_graph(2)
+        doc = json.loads(certificate_to_json(g, construct_cover(g)))
+        with pytest.raises(ParseError) as exc:
+            certificate_from_json(json.dumps(edit(doc)), g)
+        assert str(exc.value) == message
 
     def test_direction_set_elements(self):
         g = complete_graph(2)

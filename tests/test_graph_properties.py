@@ -52,25 +52,38 @@ def rows_with_stray_bits(draw):
     return n, tuple(adj)
 
 
-def naive_valid(n, adj):
-    if any(row < 0 or row >= 1 << n for row in adj):
-        return False
+def reference_row_error(n, adj):
+    """The message Graph(n, adj) gives, from a literal row-by-row check, or None."""
     for u in range(n):
+        if adj[u] < 0 or adj[u] >= 1 << n:
+            return f"adjacency row of vertex {u} addresses vertices >= n"
         if adj[u] >> u & 1:
-            return False
+            return f"self-loop at vertex {u}"
+    for u in range(n):
         for v in range(n):
-            if (adj[u] >> v & 1) != (adj[v] >> u & 1):
-                return False
-    return True
+            if adj[u] >> v & 1 and not adj[v] >> u & 1:
+                return f"asymmetric adjacency between {u} and {v}"
+    return None
+
+
+@st.composite
+def any_rows(draw):
+    """n <= 6 and n arbitrary rows: negative, over-wide, looped or asymmetric ones included."""
+    n = draw(st.integers(1, 6))
+    row = st.integers(-(1 << n + 1), (1 << n + 1) - 1)
+    return n, tuple(draw(st.lists(row, min_size=n, max_size=n)))
 
 
 @PROPERTY
-@given(rows_with_stray_bits())
+@given(st.one_of(any_rows(), rows_with_stray_bits()))
 def test_graph_accepts_exactly_the_valid_rows(case):
+    """Graph accepts exactly what the row-by-row check accepts, and rejects with its message."""
     n, adj = case
-    if not naive_valid(n, adj):
-        with pytest.raises(ValueError):
+    message = reference_row_error(n, adj)
+    if message is not None:
+        with pytest.raises(ValueError) as exc:
             Graph(n, adj)
+        assert str(exc.value) == message
         return
     g = Graph(n, adj)
     assert g.adj == adj

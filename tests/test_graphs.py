@@ -337,6 +337,51 @@ class TestOrientation:
             verify_cover(complete_graph(3), [Orientation(3, 2, 0)])
 
 
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: parse_edge_list("n 3 4\n0 1"), ParseError,
+                 "line 1: header must be 'n <count>'", id="header-length"),
+    pytest.param(lambda: parse_edge_list("\nn 0\n"), ParseError,
+                 "line 2: vertex count must be positive", id="header-zero"),
+    pytest.param(lambda: parse_edge_list("0 1\n1 2 3"), ParseError,
+                 "line 2: expected 'u v', got '1 2 3'", id="three-tokens"),
+    pytest.param(lambda: parse_graph6(" \n"), ParseError, "empty graph6 input", id="g6-empty"),
+    pytest.param(lambda: parse_graph6(">>graph6<<\n"), ParseError, "empty graph6 input",
+                 id="g6-header-only"),
+    pytest.param(lambda: parse_graph6("?"), ParseError, "graph6 encodes an empty vertex set",
+                 id="g6-no-vertices"),
+    pytest.param(lambda: Graph.from_edges([(0, 1), (2, -1)]), ValueError,
+                 "negative endpoint in edge (2, -1)", id="from-edges-negative"),
+    pytest.param(lambda: Graph.from_edges([]), ValueError,
+                 "cannot infer vertex count from an empty edge list", id="from-edges-empty"),
+    pytest.param(lambda: Graph.from_edges([(0, 3)], n=3), ValueError,
+                 "endpoint 3 out of range for n=3", id="from-edges-above-n"),
+    pytest.param(lambda: Graph(0, ()), ValueError, "graph needs at least one vertex",
+                 id="no-vertices"),
+    pytest.param(lambda: Graph(2, (0,)), ValueError, "adjacency row count does not match n",
+                 id="row-count"),
+    pytest.param(lambda: path_graph(3).relabel([0, 0, 1]), ValueError,
+                 "perm must be a permutation of 0..n-1", id="relabel"),
+    pytest.param(lambda: proper_coloring(path_graph(2), 0), ValueError, "t must be positive",
+                 id="no-colors"),
+    pytest.param(lambda: encode_graph6(Graph.from_edges([], n=63)), CapacityError,
+                 "graph6 short form supports at most 62 vertices", id="g6-encode-63"),
+    pytest.param(lambda: cycle_graph(2), ValueError, "cycle_graph needs n >= 3", id="cycle"),
+    pytest.param(lambda: path_graph(0), ValueError, "path_graph needs n >= 1", id="path"),
+    pytest.param(lambda: wheel_graph(3), ValueError, "wheel_graph needs n >= 4", id="wheel"),
+])
+def test_input_error_message(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_coloring_of_the_wrong_length_is_not_proper():
+    g = path_graph(3)
+    assert is_proper_coloring(g, [0, 1, 0])
+    assert not is_proper_coloring(g, [0, 1])
+    assert not is_proper_coloring(g, [0, 1, 0, 1])
+
+
 def test_bits_matches_shift_loop():
     rng = random.Random(6)
     masks = [0, 1, 2, 1 << 200, (1 << 1200) - 1, (1 << 1200) - 2]
