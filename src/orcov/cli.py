@@ -72,41 +72,26 @@ def sniff_format(text: str) -> str:
     stripped = text.strip()
     if not stripped:
         raise ParseError("empty graph input")
-    first = stripped.splitlines()[0]
-    if first.startswith(">>graph6<<"):
-        return "graph6"
-    if any(ch.isspace() for ch in first.strip()):
-        return "edgelist"
-    if ord(first[0]) >= 63:
+    first = stripped.splitlines()[0].rstrip()
+    if first.startswith(">>graph6<<") or ord(first[0]) >= 63 and not any(map(str.isspace, first)):
         return "graph6"
     return "edgelist"
 
 
-# n rows are n 8-byte pointers: above 2**53 rows that is more than the
-# 2**56-byte user address space of any 64-bit platform, so building such
-# a graph always fails with the allocation error
-_ALLOCATABLE_ROWS = 1 << 53
-
-
-def _load_graph(args: argparse.Namespace, edgeless_first: bool = False) -> Graph:
+def _load_graph(args: argparse.Namespace) -> Graph:
     """The graph of args.graph in args.format (sniffed for "auto"), for every graph command.
 
     A command with --max-chi-vertices holds an edge list to that bound
-    after its parse and before any n-long row list exists, so a header
-    like "n 2000000" costs nothing; the other commands have no bound.
-    The errors come in the order building the graph gives them: parse
-    errors, rows no machine can allocate, then the command's own
-    refusal of an edgeless graph where it makes one (edgeless_first),
-    then the bound.  graph6 holds at most 62 vertices and is built first.
+    after the parse and before any rows exist; graph6 (n <= 62) is built
+    first and meets the bound in the library, before any other refusal.
     """
     text = _read_source(args.graph)
     fmt = sniff_format(text) if args.format == "auto" else args.format
     if fmt == "graph6":
         return parse_graph6(text)
     edges, n = _edge_list_pairs(text)
-    bound = getattr(args, "max_chi_vertices", None)
-    if bound is not None and n <= _ALLOCATABLE_ROWS and (edges or not edgeless_first):
-        _check_vertex_bound(n, bound)
+    if hasattr(args, "max_chi_vertices"):
+        _check_vertex_bound(n, args.max_chi_vertices)
     return Graph.from_edges(edges, n)
 
 
@@ -201,7 +186,7 @@ def _run_command(args: argparse.Namespace) -> int:
         print(res.value)
         return EXIT_OK
     if cmd == "sigma":
-        g = _load_graph(args, edgeless_first=True)
+        g = _load_graph(args)
         res = sigma_of_graph(
             g,
             literature_table=args.literature_table,
@@ -214,7 +199,7 @@ def _run_command(args: argparse.Namespace) -> int:
         print(f"{est.raw:.6f} {est.rounded}")
         return EXIT_OK
     if cmd == "construct-cover":
-        g = _load_graph(args, edgeless_first=True)
+        g = _load_graph(args)
         cert = construct_cover(g, max_chi_vertices=args.max_chi_vertices)
         text = certificate_to_json(g, cert)
         if args.out:
@@ -255,7 +240,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # is reported below instead of at shutdown
         sys.stdout.flush()
         return code
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (CapacityError, BudgetError) as exc:

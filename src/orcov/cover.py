@@ -248,11 +248,11 @@ def construct_cover(
     c the c-th maximal intersecting family over [sigma(K_chi)] in
     canonical order, and converts the assignment to orientations.  The
     certificate has exactly sigma(g) orientations and passes
-    verify_cover.
+    verify_cover.  The vertex bound comes before the edgeless refusal.
     """
+    coloring = exact_coloring(g, max_vertices=max_chi_vertices)
     if g.m == 0:
         raise ValueError("cover construction requires a non-empty graph")
-    coloring = exact_coloring(g, max_vertices=max_chi_vertices)
     k = sigma_complete(coloring.t).value
     families = [SetFamily(k, member) for member in sorted_mif_masks(k)[: coloring.t]]
     fa = FamilyAssignment(k, tuple(families[c] for c in coloring.colors))

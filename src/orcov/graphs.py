@@ -171,12 +171,12 @@ class Graph(_Value):
             raise ValueError(f"endpoint {top} out of range for n={n}")
         try:
             adj = [0] * n
+            for u, v in pairs:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            return cls(n, tuple(adj))
         except (MemoryError, OverflowError):
             raise CapacityError(f"cannot allocate adjacency rows for n={n} vertices") from None
-        for u, v in pairs:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return cls(n, tuple(adj))
 
     def neighbors(self, u: int) -> Iterator[int]:
         return iter(_bits(self.adj[u]))
@@ -262,6 +262,19 @@ def _is_decimal(tok: str) -> bool:
     return tok.removeprefix("-").isdigit()
 
 
+def _int_error(lineno: int, toks: list[str], what: str) -> ParseError:
+    """The error for the first of toks that is not decimal or that int() refuses."""
+    for tok in toks:
+        if not _is_decimal(tok):
+            return ParseError(f"line {lineno}: non-integer {what} {tok!r}")
+        try:
+            int(tok)
+        except ValueError:  # above int()'s digit limit: too long to echo in full
+            head, digits = tok[:8] + "...", len(tok.removeprefix("-"))
+            return ParseError(f"line {lineno}: {what} {head!r} is too long ({digits} digits)")
+    raise AssertionError("int() read every token")
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse whitespace-separated "u v" lines into a graph.
 
@@ -303,7 +316,7 @@ def _edge_list_pairs(text: str) -> tuple[list[tuple[int, int]], int]:
                     raise ValueError
                 pinned = int(toks[1])
             except ValueError:
-                raise ParseError(f"line {lineno}: non-integer vertex count {toks[1]!r}") from None
+                raise _int_error(lineno, toks[1:], "vertex count") from None
             if pinned < 1:
                 raise ParseError(f"line {lineno}: vertex count must be positive")
             continue
@@ -314,8 +327,7 @@ def _edge_list_pairs(text: str) -> tuple[list[tuple[int, int]], int]:
                 raise ValueError
             u, v = int(toks[0]), int(toks[1])
         except ValueError:
-            bad = toks[0] if not _is_decimal(toks[0]) else toks[1]
-            raise ParseError(f"line {lineno}: non-integer token {bad!r}") from None
+            raise _int_error(lineno, toks, "token") from None
         if u < 0 or v < 0:
             raise ParseError(f"line {lineno}: negative endpoint")
         if u == v:

@@ -115,6 +115,8 @@ def brute_sigma(g: Graph, budget: SearchBudget | None = None) -> int | None:
     norient = 1 << g.m
     all_rows = []
     for o in range(norient):
+        if o & _TIMEOUT_STRIDE == 0 and time.monotonic() > deadline:
+            raise BudgetError(f"search budget of {budget.timeout}s exhausted at orientation {o}")
         rows = [0] * n
         for e, (u, v) in enumerate(g.edges):
             if (o >> e) & 1:

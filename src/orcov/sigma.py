@@ -76,10 +76,10 @@ def sigma_of_graph(
     literature_table: bool = False,
     max_chi_vertices: int = DEFAULT_CHI_VERTEX_BOUND,
 ) -> SigmaResult:
-    """sigma(G) = sigma(K_chi(G)) for any graph with at least one edge."""
+    """sigma(G) = sigma(K_chi(G)) for any graph with at least one edge; the bound comes first."""
+    chi = chromatic_number(g, max_vertices=max_chi_vertices)
     if g.m == 0:
         raise ValueError("sigma is defined only for non-empty graphs (m >= 1)")
-    chi = chromatic_number(g, max_vertices=max_chi_vertices)
     return sigma_complete(chi, literature_table=literature_table)
 
 

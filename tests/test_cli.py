@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 from conftest import reference_counterexample
 from test_cover import GOLDEN_CERTIFICATES, MISSHAPEN_CERTIFICATES
+from test_graphs import INT_DIGIT_LIMIT, LONG_TOKENS
 
 import orcov
-from orcov import cli
+from orcov import Graph, cli, encode_graph6
 from orcov.cli import main
 
 
@@ -192,6 +193,14 @@ class TestFormats:
         assert run(capsys, "chromatic", str(p)) == (
             2, "", f"error: {p}: line 2: non-ASCII byte 0xc2\n")
 
+    @INT_DIGIT_LIMIT
+    @pytest.mark.parametrize("case", sorted(LONG_TOKENS))
+    def test_long_token_exit_2(self, capsys, tmp_path, case):
+        text, message = LONG_TOKENS[case]
+        p = tmp_path / "long.el"
+        p.write_text(text)
+        assert run(capsys, "chromatic", str(p)) == (2, "", f"error: {message}\n")
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "chromatic", "/nonexistent/file")
         assert code == 2 and err
@@ -202,17 +211,19 @@ class TestFormats:
         ("0 100000000000000000000\n", 10**20 + 1),
     ])
     def test_unallocatable_vertex_count_exit_3(self, capsys, tmp_path, text, n):
+        """brute-sigma has no vertex bound, so it tries to build the rows."""
         p = tmp_path / "huge.el"
         p.write_text(text)
-        code, out, err = run(capsys, "chromatic", str(p))
+        code, out, err = run(capsys, "brute-sigma", str(p))
         assert (code, out) == (3, "")
         assert err == f"error: cannot allocate adjacency rows for n={n} vertices\n"
 
-
     @pytest.mark.parametrize("command", ["chromatic", "sigma", "construct-cover"])
-    @pytest.mark.parametrize(
-        "text", ["n 2000000\n0 1\n", "0 1\n1999999 0\n"], ids=["header", "endpoint"])
-    def test_vertex_bound_before_rows(self, capsys, tmp_path, command, text):
+    @pytest.mark.parametrize("text, n", [
+        ("n 2000000\n0 1\n", 2000000), ("0 1\n1999999 0\n", 2000000), ("n 2000000\n", 2000000),
+        ("n 100000000000000000000\n", 10**20),
+    ], ids=["header", "endpoint", "edgeless", "unallocatable"])
+    def test_vertex_bound_before_rows(self, capsys, tmp_path, command, text, n):
         """The bound is held to the header or the largest endpoint, before any rows exist."""
         p = tmp_path / "wide.el"
         p.write_text(text)
@@ -223,20 +234,30 @@ class TestFormats:
         finally:
             tracemalloc.stop()
         assert result == (3, "", "error: exact chromatic number limited to 32 vertices "
-                                 "(graph has 2000000); raise max_vertices to override\n")
+                                 f"(graph has {n}); raise max_vertices to override\n")
         assert peak < 4 * 2**20
 
-    @pytest.mark.parametrize("command, code, message", [
-        ("chromatic", 3, "exact chromatic number limited to 32 vertices (graph has 40); "
-                         "raise max_vertices to override"),
-        ("sigma", 2, "sigma is defined only for non-empty graphs (m >= 1)"),
-        ("construct-cover", 2, "cover construction requires a non-empty graph"),
+    @pytest.mark.parametrize("command", ["chromatic", "sigma", "construct-cover"])
+    @pytest.mark.parametrize("text", ["n 40\n", encode_graph6(Graph.from_edges([], n=40))],
+                             ids=["edgelist", "graph6"])
+    def test_edgeless_graph_above_the_bound(self, capsys, tmp_path, command, text):
+        """The bound comes before sigma's and construct-cover's refusal of an edgeless graph."""
+        p = tmp_path / "edgeless"
+        p.write_text(text)
+        assert run(capsys, command, str(p)) == (
+            3, "", "error: exact chromatic number limited to 32 vertices (graph has 40); "
+                   "raise max_vertices to override\n")
+
+    @pytest.mark.parametrize("command, message", [
+        ("sigma", "sigma is defined only for non-empty graphs (m >= 1)"),
+        ("construct-cover", "cover construction requires a non-empty graph"),
     ])
-    def test_edgeless_graph_above_the_bound(self, capsys, tmp_path, command, code, message):
-        """sigma and construct-cover refuse an edgeless graph before they apply the bound."""
-        p = tmp_path / "edgeless.el"
-        p.write_text("n 40\n")
-        assert run(capsys, command, str(p)) == (code, "", f"error: {message}\n")
+    @pytest.mark.parametrize("text", ["n 32\n", encode_graph6(Graph.from_edges([], n=32))],
+                             ids=["edgelist", "graph6"])
+    def test_edgeless_graph_within_the_bound(self, capsys, tmp_path, command, message, text):
+        p = tmp_path / "edgeless"
+        p.write_text(text)
+        assert run(capsys, command, str(p)) == (2, "", f"error: {message}\n")
 
     def test_bound_is_the_option(self, capsys, tmp_path):
         p = tmp_path / "wide.el"
@@ -322,13 +343,36 @@ class TestCover:
         assert first == second
 
 
-def run_process(*argv):
+def run_process(*argv, entry=("-m", "orcov")):
     src = str(Path(orcov.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     return subprocess.run(
-        [sys.executable, "-m", "orcov", *argv],
+        [sys.executable, *entry, *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+# main() with an address-space limit 64 MB above what the process maps
+# after its imports
+_MAIN_UNDER_RLIMIT = """
+import resource, sys
+from orcov.cli import main
+with open("/proc/self/statm") as f:
+    mapped = int(f.read().split()[0]) * resource.getpagesize()
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (mapped + 64 * 2**20, hard))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/statm")
+def test_row_build_out_of_memory_exit_3(tmp_path):
+    """The 40 MB row list of n = 5,000,000 fits under the limit; its 40 MB tuple does not."""
+    p = tmp_path / "wide.el"
+    p.write_text("n 5000000\n")
+    proc = run_process("brute-sigma", str(p), entry=("-c", _MAIN_UNDER_RLIMIT))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: cannot allocate adjacency rows for n=5000000 vertices\n"
 
 
 class TestClosedStdout:

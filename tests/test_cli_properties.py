@@ -1,7 +1,9 @@
-"""Property test of the CLI input boundary: mutated graph files end in exit 0, 2 or 3."""
+"""Property tests of the CLI input boundary: mutated graph files and certificates."""
 
 import contextlib
+import functools
 import io
+import json
 import re
 
 import pytest
@@ -10,7 +12,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from orcov import Graph, encode_graph6  # noqa: E402
+from conftest import reference_counterexample  # noqa: E402
+
+from orcov import Graph, certificate_to_json, construct_cover, encode_graph6  # noqa: E402
 from orcov.cli import main  # noqa: E402
 
 # derandomized: the suite draws the same examples on every run
@@ -91,3 +95,113 @@ def test_mutated_graph_file_ends_in_one_line(graph_file, data, command, fmt):
         assert code in (2, 3)
         assert out == ""
         assert err.startswith("error: ") and err.endswith("\n") and len(err.splitlines()) == 1
+
+
+@functools.cache
+def _certificate(g):
+    return certificate_to_json(g, construct_cover(g))
+
+
+def _scalar_slots(node):
+    """(container, key) for every int and bool leaf of a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _scalar_slots(value)
+        elif isinstance(value, int):
+            yield node, key
+
+
+_META_KEYS = ["coloring", "family_indices", "direction_sets", "0->1", "1->0", "01->1",
+              "0->1->2", " 0->1", "0->9", "x", "\xe9"]
+_NOT_INTS = [1.0, True, False, "1", 1, 0, -1, None, [], 2**64, 10**30]
+
+
+@st.composite
+def certificates(draw):
+    """A graph with an edge, its construct-cover certificate after flag flips and other
+    edits, and whether the edits keep it well formed (flips and duplicates counted in k)."""
+    n = draw(st.integers(2, 6))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                          min_size=1, max_size=12))
+    g = Graph.from_edges(pairs, n=n)
+    doc = json.loads(_certificate(g))
+    orientations, meta = doc["orientations"], doc["meta"]
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(orientations))
+        e = draw(st.integers(0, g.m - 1))
+        row[e] = not row[e]
+    well_formed = True
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        kind = draw(st.sampled_from(["drop", "duplicate", "shape", "type", "meta"]))
+        if kind in ("drop", "duplicate"):
+            i = draw(st.integers(0, len(orientations) - 1))
+            recount = draw(st.booleans())
+            if kind == "drop":
+                del orientations[i]
+                well_formed = False
+            else:
+                orientations.insert(i, list(orientations[i]))
+                well_formed &= recount
+            if recount:
+                doc["k"] = len(orientations)
+        elif kind == "shape":
+            key = draw(st.sampled_from(["n", "m", "k"]))
+            doc[key] = draw(st.one_of(st.integers(-2, 13), st.integers(2**53 - 2, 10**30)))
+            well_formed = False
+        elif kind == "type":
+            container, key = draw(st.sampled_from(list(_scalar_slots(doc))))
+            container[key] = draw(st.sampled_from(_NOT_INTS))
+            well_formed = False
+        elif kind == "meta":
+            tables = [meta, meta.get("direction_sets")]
+            table = draw(st.sampled_from([t for t in tables if isinstance(t, dict)]))
+            if table:
+                key = draw(st.sampled_from(sorted(table)))
+                value = table.pop(key)
+                if draw(st.booleans()):
+                    table[draw(st.sampled_from(_META_KEYS))] = value
+                well_formed = False
+    text = json.dumps(doc)
+    if draw(st.integers(0, 9)) == 0:
+        numbers = [m.span() for m in re.finditer(r"\d+", text)]
+        if numbers:
+            start, end = draw(st.sampled_from(numbers))
+            text = text[:start] + draw(_HUGE) + text[end:]
+            well_formed = False
+    data = text.encode("ascii")
+    if draw(st.integers(0, 9)) == 0:
+        data = data[: draw(st.integers(0, len(data)))]
+        well_formed = False
+    if draw(st.integers(0, 9)) == 0:
+        i = draw(st.integers(0, len(data)))
+        data = data[:i] + bytes([draw(st.integers(128, 255))]) + data[i:]
+        well_formed = False
+    return g, data, well_formed
+
+
+@PROPERTY
+@given(certificates())
+def test_mutated_certificate_verdict_matches_the_reference(graph_file, case):
+    """verify-cover ends in exit 0, 1 or 2 with one line; a read certificate gets the
+    reference's verdict, and exit 1 prints the reference's smallest bad triple."""
+    g, data, well_formed = case
+    graph_file.write_text(f"n {g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges))
+    cert_file = graph_file.with_suffix(".json")
+    cert_file.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify-cover", str(graph_file), str(cert_file)])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2:
+        assert not well_formed
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith("\n") and len(err.splitlines()) == 1
+        return
+    assert code in (0, 1) and err == ""
+    want = reference_counterexample(g.n, g.edges, json.loads(data)["orientations"])
+    if want is None:
+        assert (code, out) == (0, "accept\n")
+    else:
+        assert (code, out) == (1, "counterexample {} {} {}\n".format(*want))

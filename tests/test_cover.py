@@ -285,6 +285,10 @@ class TestConstructCover:
         with pytest.raises(ValueError, match="non-empty"):
             construct_cover(path_graph(1))
 
+    def test_bound_before_the_edgeless_refusal(self):
+        with pytest.raises(CapacityError, match="limited to 32 vertices"):
+            construct_cover(Graph.from_edges([], n=40))
+
     def test_meta_records_construction(self):
         g = cycle_graph(5)
         cert = construct_cover(g)

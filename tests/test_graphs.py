@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 
 import pytest
 from conftest import all_labeled_graphs, assert_equal_graphs, graph_from_mask
@@ -337,7 +338,22 @@ class TestOrientation:
             verify_cover(complete_graph(3), [Orientation(3, 2, 0)])
 
 
+# int() refuses more digits than sys.get_int_max_str_digits() (4300 by default)
+INT_DIGIT_LIMIT = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", int)() < 4400, reason="int() reads 4400 digits")
+LONG_TOKENS = {
+    "long-first-token": ("9" * 4400 + " 1\n",
+                         "line 1: token '99999999...' is too long (4400 digits)"),
+    "long-second-token": ("1 " + "9" * 4400 + "\n",
+                          "line 1: token '99999999...' is too long (4400 digits)"),
+    "long-vertex-count": ("n " + "9" * 4400 + "\n",
+                          "line 1: vertex count '99999999...' is too long (4400 digits)"),
+}
+
+
 @pytest.mark.parametrize("call, error, message", [
+    *[pytest.param(lambda text=text: parse_edge_list(text), ParseError, message, id=case,
+                   marks=INT_DIGIT_LIMIT) for case, (text, message) in LONG_TOKENS.items()],
     pytest.param(lambda: parse_edge_list("n 3 4\n0 1"), ParseError,
                  "line 1: header must be 'n <count>'", id="header-length"),
     pytest.param(lambda: parse_edge_list("\nn 0\n"), ParseError,

@@ -1,4 +1,6 @@
+import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from conftest import (
@@ -24,6 +26,7 @@ from orcov import (
     sigma_of_graph,
     wheel_graph,
 )
+from orcov import oracle
 
 
 class TestBruteMifs:
@@ -72,6 +75,19 @@ class TestBruteSigma:
     def test_timeout_is_typed(self):
         with pytest.raises(BudgetError, match="budget"):
             brute_sigma(wheel_graph(5), SearchBudget(timeout=1e-9))
+
+    def test_timeout_while_listing_orientations(self, monkeypatch):
+        """The deadline holds while the 2^m orientations are listed, before any cover is tried.
+
+        A clock that gains a second per reading: the deadline is read at
+        0 + 1.5, orientation 0 reads 1 and orientation 0x4000 reads 2, half
+        way through the 2^15 orientations of the 15-edge path.
+        """
+        clock = itertools.count()
+        monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+        with pytest.raises(BudgetError, match="exhausted at orientation 16384"):
+            brute_sigma(path_graph(16), SearchBudget(max_edges=15, timeout=1.5))
+        assert next(clock) == 3
 
     def test_edgeless_rejected(self):
         with pytest.raises(ValueError):

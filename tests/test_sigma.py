@@ -6,6 +6,7 @@ from conftest import k4_minus_edge, random_graph
 
 from orcov import (
     CapacityError,
+    Graph,
     complete_graph,
     cycle_graph,
     hosten_morris,
@@ -87,6 +88,10 @@ class TestSigmaOfGraph:
     def test_edgeless_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             sigma_of_graph(path_graph(1))
+
+    def test_bound_before_the_edgeless_refusal(self):
+        with pytest.raises(CapacityError, match="limited to 32 vertices"):
+            sigma_of_graph(Graph.from_edges([], n=40))
 
     def test_relabeling_invariance(self):
         rng = random.Random(5)
