@@ -393,6 +393,8 @@ def certificate_from_json(text: str, g: Graph) -> CoverCertificate:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"certificate is not valid JSON: {exc}") from None
+    except ValueError:  # int() refuses a JSON integer above its digit limit
+        raise ParseError("certificate holds an integer too long to read") from None
     if not isinstance(doc, dict):
         raise ParseError("certificate must be a JSON object")
     for key in ("n", "m", "k", "edges", "orientations"):

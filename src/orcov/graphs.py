@@ -28,12 +28,33 @@ def _bit_string(mask: int, width: int) -> str:
     return bin(mask | 1 << width)[:2:-1]
 
 
+def _flags(mask: int, width: int) -> bytes:
+    """Bits 0..width-1 of mask as 0/1 byte values, bit 0 first (mask < 2**width)."""
+    return _bit_string(mask, width).encode("ascii").translate(_FLAG_BYTES)
+
+
 def _transpose(rows: Sequence[int], width: int) -> list[int]:
     """Bit matrix transpose: bit r of out[j] is bit j of rows[r] (rows < 2**width).
 
-    All rows are read as one base-2 string, last row first, so column j
-    is every width-th digit from offset j and costs one slice.
+    Three shapes, one per caller that has it:
+    - at most 8 rows (k orientations x m edges): each row spread to one
+      byte per bit and added in shifted r places, so byte j of the sum
+      is out[j];
+    - at most 8 columns (m forward masks x k): the rows as bytes, last
+      row first, and per column one translate to its '0'/'1' digits;
+    - otherwise all rows as one base-2 string, last row first, so column
+      j is every width-th digit from offset j and costs one slice.
     """
+    if len(rows) <= 8:
+        acc = 0
+        for r, row in enumerate(rows):
+            acc += int.from_bytes(_flags(row, width), "little") << r
+        return list(acc.to_bytes(width, "little"))
+    if width <= 8:
+        data = bytes(reversed(rows))
+        # byte b -> b"1" iff bit j of b is set: runs of 2**j digits
+        return [int(data.translate((b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j)), 2)
+                for j in range(width)]
     digits = "".join(_bit_string(r, width) for r in reversed(rows))
     return [int(digits[j::width] or "0", 2) for j in range(width)]
 
@@ -47,8 +68,8 @@ def _bits(mask: int) -> list[int]:
     if not mask:
         return []
     low = (mask & -mask).bit_length() - 1
-    flags = _bit_string(mask >> low, mask.bit_length() - low).encode("ascii")
-    return list(compress(range(low, mask.bit_length()), flags.translate(_FLAG_BYTES)))
+    top = mask.bit_length()
+    return list(compress(range(low, top), _flags(mask >> low, top - low)))
 
 
 _set = object.__setattr__
@@ -96,6 +117,21 @@ class _Value:
     def __setstate__(self, state: tuple) -> None:
         for name, value in zip(self.__slots__, state):
             _set(self, name, value)
+
+
+def _rows(pairs: list[tuple[int, int]], n: int) -> tuple[int, ...]:
+    """Adjacency rows of n vertices from (u, v) pairs; raises on any endpoint outside 0..n-1.
+
+    Both rows of a pair are read before either shift, so an endpoint >= n
+    fails as a row index before it can size a shift, and a negative one
+    in -n..-1 fails as a shift count.
+    """
+    adj = [0] * n
+    for u, v in pairs:
+        row = adj[v]
+        adj[u] |= 1 << v
+        adj[v] = row | 1 << u
+    return tuple(adj)
 
 
 def _upper_edges(adj: Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -157,8 +193,18 @@ class Graph(_Value):
 
         Without an explicit n the vertex count is 1 + max endpoint.
         Self-loops are left to the row checks of Graph.
+
+        With n given the rows are built first (_rows fails on every endpoint
+        outside 0..n-1); only a failed build pays for the endpoint scans
+        that name the fault, and the scanned build below then raises what
+        it raises for any input the scans pass.
         """
         pairs = list(edges)
+        if n is not None:
+            try:
+                return cls(n, _rows(pairs, n))
+            except (IndexError, ValueError, TypeError, MemoryError, OverflowError):
+                pass
         if min(map(min, pairs), default=0) < 0:
             u, v = next((u, v) for u, v in pairs if u < 0 or v < 0)
             raise ValueError(f"negative endpoint in edge ({u}, {v})")
@@ -223,8 +269,7 @@ class Orientation(_Value):
 
     @property
     def dir(self) -> tuple[bool, ...]:
-        flags = _bit_string(self.bits, self.m).encode("ascii").translate(_FLAG_BYTES)
-        return tuple(map(bool, flags))
+        return tuple(map(bool, _flags(self.bits, self.m)))
 
     def matches_shape(self, g: Graph) -> bool:
         return self.n == g.n and self.m == g.m
@@ -265,12 +310,15 @@ def _is_decimal(tok: str) -> bool:
 def _int_error(lineno: int, toks: list[str], what: str) -> ParseError:
     """The error for the first of toks that is not decimal or that int() refuses."""
     for tok in toks:
+        # a token too long to echo in full is named by its head and its length
+        head = tok[:8] + "..."
         if not _is_decimal(tok):
-            return ParseError(f"line {lineno}: non-integer {what} {tok!r}")
+            shown = f"{head!r} ({len(tok)} characters)" if len(tok) > 20 else repr(tok)
+            return ParseError(f"line {lineno}: non-integer {what} {shown}")
         try:
             int(tok)
-        except ValueError:  # above int()'s digit limit: too long to echo in full
-            head, digits = tok[:8] + "...", len(tok.removeprefix("-"))
+        except ValueError:  # above int()'s digit limit
+            digits = len(tok.removeprefix("-"))
             return ParseError(f"line {lineno}: {what} {head!r} is too long ({digits} digits)")
     raise AssertionError("int() read every token")
 
@@ -332,7 +380,7 @@ def _edge_list_pairs(text: str) -> tuple[list[tuple[int, int]], int]:
             raise ParseError(f"line {lineno}: negative endpoint")
         if u == v:
             raise ParseError(f"line {lineno}: self-loop {u} {v}")
-        if pinned is not None and max(u, v) >= pinned:
+        if pinned is not None and (u >= pinned or v >= pinned):
             raise ParseError(f"line {lineno}: endpoint {max(u, v)} out of range for n={pinned}")
         edges.append((u, v))
     if pinned is not None:

@@ -201,6 +201,13 @@ class TestFormats:
         p.write_text(text)
         assert run(capsys, "chromatic", str(p)) == (2, "", f"error: {message}\n")
 
+    def test_long_non_decimal_token_exit_2(self, capsys, tmp_path):
+        """A token int() cannot read is named by its head and length, whatever its size."""
+        p = tmp_path / "long.el"
+        p.write_text("0 +" + "9" * 4400 + "\n")
+        assert run(capsys, "chromatic", str(p)) == (
+            2, "", "error: line 1: non-integer token '+9999999...' (4401 characters)\n")
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "chromatic", "/nonexistent/file")
         assert code == 2 and err
@@ -434,6 +441,33 @@ class TestCoverInAProcess:
         assert proc.returncode == 1 and proc.stderr == ""
         assert proc.stdout == "counterexample {} {} {}\n".format(*want)
 
+    def test_nine_orientations(self, capsys, tmp_path):
+        """k > 8: duplicated orientations still cover; emptying one direction set does not."""
+        n = 24
+        part = [v % 6 for v in range(n)]
+        random.Random(9).shuffle(part)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]]
+        graph = tmp_path / "k6x4.el"
+        graph.write_text(f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        code, out, _ = run(capsys, "construct-cover", str(graph), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        rows = doc["orientations"]
+        rows += (rows * 9)[:9 - len(rows)]
+        doc["k"] = len(rows)
+        assert doc["k"] == 9
+        cert = tmp_path / "cert.json"
+        for tamper in (False, True):
+            if tamper:  # no orientation sends edge 0 forward
+                for row in rows:
+                    row[0] = False
+            cert.write_text(json.dumps(doc))
+            want = reference_counterexample(n, edges, rows)
+            verdict = "accept\n" if want is None else "counterexample {} {} {}\n".format(*want)
+            assert (want is None) is not tamper
+            assert run(capsys, "verify-cover", str(graph), str(cert)) == (
+                int(tamper), verdict, "")
+
 
 # Field overrides that make a construct-cover certificate of K_2 malformed.
 MALFORMED_CERTIFICATES = {
@@ -503,6 +537,20 @@ class TestMalformedCertificate:
         cert.write_text(json.dumps(doc))
         assert run(capsys, "verify-cover", str(graph), str(cert)) == (
             2, "", f"error: certificate direction set '{key}' names no edge of the graph\n")
+
+    @INT_DIGIT_LIMIT
+    @pytest.mark.parametrize("text, long", [
+        pytest.param('"k": 2', '"k": ' + "9" * 4400, id="k"),
+        pytest.param('"edges": [[0, 1]]', '"edges": [[0, ' + "9" * 4400 + "]]", id="edge-endpoint"),
+        pytest.param('"0->1": [1]', '"0->1": [' + "9" * 4400 + "]", id="direction-set-element"),
+    ])
+    def test_long_integer_exit_2(self, capsys, k2_g6, tmp_path, text, long):
+        code, out, _ = run(capsys, "construct-cover", k2_g6, "--json")
+        assert code == 0 and out.count(text) == 1
+        p = tmp_path / "long.json"
+        p.write_text(out.replace(text, long))
+        assert run(capsys, "verify-cover", k2_g6, str(p)) == (
+            2, "", "error: certificate holds an integer too long to read\n")
 
     @pytest.mark.parametrize("case", ["orientation-not-list", "coloring-not-list"])
     def test_no_traceback_in_a_process(self, k2_g6, k2_cert, tmp_path, case):

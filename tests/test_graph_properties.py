@@ -7,6 +7,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from orcov import (  # noqa: E402
+    CapacityError,
     Graph,
     brute_chromatic,
     chromatic_number,
@@ -90,6 +91,55 @@ def test_graph_accepts_exactly_the_valid_rows(case):
     assert g.edges == tuple(
         (u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1
     )
+
+
+def reference_from_edges(edges, n=None):
+    """Graph.from_edges with its checks first: both endpoint scans, then the build."""
+    pairs = list(edges)
+    if min(map(min, pairs), default=0) < 0:
+        u, v = next((u, v) for u, v in pairs if u < 0 or v < 0)
+        raise ValueError(f"negative endpoint in edge ({u}, {v})")
+    top = max(map(max, pairs), default=-1)
+    if n is None:
+        if top < 0:
+            raise ValueError("cannot infer vertex count from an empty edge list")
+        n = top + 1
+    elif top >= n:
+        raise ValueError(f"endpoint {top} out of range for n={n}")
+    try:
+        adj = [0] * n
+        for u, v in pairs:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return Graph(n, tuple(adj))
+    except (MemoryError, OverflowError):
+        raise CapacityError(f"cannot allocate adjacency rows for n={n} vertices") from None
+
+
+def outcome(build):
+    try:
+        return build()
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+
+
+# 10**20 is past every index and shift size, so it fails without allocating
+ENDPOINTS = st.one_of(
+    st.integers(-3, 8), st.sampled_from([10**20, -10**20]), st.booleans(),
+    st.sampled_from([0.0, 1.0, 2.5, -1.0]),
+)
+PAIRS = st.one_of(
+    st.tuples(ENDPOINTS, ENDPOINTS), st.tuples(ENDPOINTS, ENDPOINTS, ENDPOINTS),
+    st.tuples(ENDPOINTS), st.just(()),
+)
+
+
+@settings(PROPERTY, max_examples=600)
+@given(st.lists(PAIRS, max_size=6), st.one_of(st.none(), st.integers(-1, 8), st.just(10**20)))
+def test_from_edges_matches_the_checks_first_order(pairs, n):
+    """The same graph, or the same exception type and message, as the checks-first build."""
+    assert outcome(lambda: Graph.from_edges(pairs, n)) == outcome(
+        lambda: reference_from_edges(pairs, n))
 
 
 @PROPERTY

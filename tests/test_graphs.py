@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+import tracemalloc
 
 import pytest
 from conftest import all_labeled_graphs, assert_equal_graphs, graph_from_mask
@@ -354,6 +355,9 @@ LONG_TOKENS = {
 @pytest.mark.parametrize("call, error, message", [
     *[pytest.param(lambda text=text: parse_edge_list(text), ParseError, message, id=case,
                    marks=INT_DIGIT_LIMIT) for case, (text, message) in LONG_TOKENS.items()],
+    pytest.param(lambda: parse_edge_list("0 +" + "9" * 4400), ParseError,
+                 "line 1: non-integer token '+9999999...' (4401 characters)",
+                 id="long-non-decimal-token"),
     pytest.param(lambda: parse_edge_list("n 3 4\n0 1"), ParseError,
                  "line 1: header must be 'n <count>'", id="header-length"),
     pytest.param(lambda: parse_edge_list("\nn 0\n"), ParseError,
@@ -391,6 +395,20 @@ def test_input_error_message(call, error, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("pair", [(0, 1 << 27), (1 << 27, 0)])
+def test_endpoint_above_n_sizes_no_shift(pair):
+    """A far endpoint fails as a row index: no 16 MB shift 1 << 2**27 is built first."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            Graph.from_edges([pair], n=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"endpoint {1 << 27} out of range for n=3"
+    assert peak < 2**20
+
+
 def test_coloring_of_the_wrong_length_is_not_proper():
     g = path_graph(3)
     assert is_proper_coloring(g, [0, 1, 0])
@@ -410,6 +428,8 @@ def test_bits_matches_shift_loop():
 def test_transpose_matches_shift_loop():
     rng = random.Random(11)
     shapes = [(0, 0), (0, 5), (3, 0), (1, 1), (17, 70)]
+    # every shape branch (<= 8 rows, <= 8 columns, the rest) and its edges
+    shapes += [(r, w) for r in (0, 1, 7, 8, 9, 17) for w in (0, 1, 7, 8, 9, 70)]
     shapes += [(rng.randint(0, 17), rng.randint(0, 70)) for _ in range(300)]
     for nrows, width in shapes:
         rows = [rng.getrandbits(width) for _ in range(nrows)]
