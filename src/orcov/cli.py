@@ -12,7 +12,7 @@ import argparse
 import gc
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .cover import (
     certificate_from_json,
@@ -22,7 +22,7 @@ from .cover import (
 )
 from .errors import BudgetError, CapacityError, ParseError
 from .families import (
-    format_family,
+    family_lines,
     hosten_morris,
     lambda_provenance,
     sorted_mif_masks,
@@ -65,6 +65,27 @@ def _read_source(path: str) -> str:
         line = data.count(b"\n", 0, exc.start) + 1
         name = "stdin" if path == "-" else path
         raise ParseError(f"{name}: line {line}: non-ASCII byte 0x{data[exc.start]:02x}") from None
+
+
+def _write_ascii(chunks: Iterable[bytes]) -> None:
+    """Write ASCII chunks to stdout's bytes, or as text where stdout has none.
+
+    A text stream put in place of stdout in-process has no buffer, so
+    it gets the decoded text, as _read_source does for stdin.
+    """
+    out = sys.stdout
+    buffer = getattr(out, "buffer", None)
+    if buffer is None:
+        for chunk in chunks:
+            out.write(chunk.decode("ascii"))
+        return
+    out.flush()  # text already written goes first
+    for chunk in chunks:
+        view = memoryview(chunk)
+        # an unbuffered stdout is raw: a full non-blocking pipe takes
+        # part of a write, or none of it (None)
+        while view:
+            view = view[buffer.write(view):]
 
 
 def sniff_format(text: str) -> str:
@@ -177,9 +198,7 @@ def _run_command(args: argparse.Namespace) -> int:
         print(f"{value} {lambda_provenance(args.k)}")
         return EXIT_OK
     if cmd == "enumerate-mifs":
-        write = sys.stdout.write
-        for mask in sorted_mif_masks(args.k):
-            write(format_family(args.k, mask) + "\n")
+        _write_ascii(family_lines(args.k, sorted_mif_masks(args.k)))
         return EXIT_OK
     if cmd == "sigma-complete":
         res = sigma_complete(args.n, literature_table=args.literature_table)

@@ -12,7 +12,6 @@ and handing each color class its own maximal intersecting family.
 
 from __future__ import annotations
 
-import json
 from itertools import chain, compress
 from collections.abc import Sequence
 
@@ -279,6 +278,8 @@ def _orientation_json(o: Orientation) -> str:
 def _direction_sets_json(direction_sets: dict[tuple[int, int], int] | None) -> str:
     if direction_sets is None:
         return "null"
+    import json
+
     # each distinct set is formatted once; the keys are sorted alone, as
     # sorting the (key, set) items falls back to generic tuple compares
     elements = {s: json.dumps([b + 1 for b in _bits(s)]) for s in set(direction_sets.values())}
@@ -296,6 +297,8 @@ def certificate_to_json(g: Graph, cert: CoverCertificate) -> str:
     built directly: each orientation row in one string pass and each
     distinct direction set formatted once.
     """
+    import json  # here and in certificate_from_json: no other command starts with it
+
     _check_shapes(g, cert.orientations)
     meta = cert.meta
     if meta is None:
@@ -389,6 +392,8 @@ def certificate_from_json(text: str, g: Graph) -> CoverCertificate:
 
     Every malformed field raises ParseError with a one-line reason.
     """
+    import json
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

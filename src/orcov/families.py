@@ -15,7 +15,8 @@ Hosten-Morris numbers, come from an independent up-set decomposition
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import repeat
 
 from .errors import CapacityError
 from .graphs import _Value, _bit_string, _bits, _set
@@ -42,15 +43,60 @@ def format_subset(mask: int) -> str:
 
 
 @functools.cache
-def _subset_strings(k: int) -> tuple[str, ...]:
-    """format_subset of every subset mask over [k], indexed by mask."""
-    return tuple(format_subset(s) for s in range(1 << k))
+def _family_table(k: int) -> tuple[list[bytes], ...]:
+    """Row p: the 256 ASCII brace lists of the values of byte p of a member vector.
+
+    Byte p of the little-endian member vector holds masks 8p..8p+7, so
+    entry b of row p concatenates format_subset of 8p + j for every bit
+    j of b, ascending.  Each mask doubles the row: the entries so far,
+    then the same entries with its brace list appended.  Below k = 3 a
+    vector has 2^k < 8 bits, one row of 2^(2^k) entries.  Built only up
+    to KMAX_HARD: at k = 16 the rows would hold 2M entries.
+    """
+    if k > KMAX_HARD:
+        raise CapacityError(f"family tables are built for k <= {KMAX_HARD}")
+    table = []
+    for p in range(max(1, (1 << k) >> 3)):
+        row = [b""]
+        for s in range(8 * p, min(8 * p + 8, 1 << k)):
+            brace = format_subset(s).encode("ascii")
+            row += [r + brace for r in row]
+        table.append(row)
+    return tuple(table)
+
+
+def family_lines(k: int, members: Sequence[int]) -> Iterator[bytes]:
+    """format_family of each member vector as ASCII lines, joined in batches of about 64 KB.
+
+    For k <= KMAX_HARD, where families are enumerated.  A batch is the
+    bytes of its vectors, each one byte wider than the table, mapped
+    through the rows of the table once: the byte above a vector is 0,
+    and its row maps 0 to the newline.  A line holds 2^(k-1) brace
+    lists of about 9 bytes at k = 6, 7, so 2^(14-k) lines are about
+    64 KB; a bounded batch keeps a long listing's memory flat.
+    """
+    table = _family_table(k)
+    batch = 1 << (14 - k)
+    rows = (*table, [b"\n"]) * batch
+    width = repeat(len(table) + 1)
+    order = repeat("little")
+    getitem = list.__getitem__
+    join = b"".join
+    for i in range(0, len(members), batch):
+        yield join(map(getitem, rows, join(map(int.to_bytes, members[i:i + batch], width, order))))
 
 
 def format_family(k: int, member: int) -> str:
-    """A 2^k-bit member vector as concatenated brace lists, ascending."""
-    subset_str = _subset_strings(k)
-    return "".join([subset_str[s] for s in _bits(member)])
+    """A 2^k-bit member vector as concatenated brace lists, ascending.
+
+    Up to KMAX_HARD through the byte table of k.  Above it, where no
+    table is built, one member at a time.
+    """
+    if k > KMAX_HARD:
+        return "".join([format_subset(s) for s in _bits(member)])
+    table = _family_table(k)
+    line = b"".join(map(list.__getitem__, table, member.to_bytes(len(table), "little")))
+    return line.decode("ascii")
 
 
 class SetFamily(_Value):

@@ -6,12 +6,14 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 from conftest import reference_counterexample
 from test_cover import GOLDEN_CERTIFICATES, MISSHAPEN_CERTIFICATES
+from test_families import brace_lists
 from test_graphs import INT_DIGIT_LIMIT, LONG_TOKENS
 
 import orcov
@@ -65,16 +67,52 @@ class TestEnumerate:
         _, plain, _ = run(capsys, "enumerate-mifs", str(k))
         _, streamed, _ = run(capsys, "enumerate-mifs", str(k), "--stream")
         assert plain == streamed
-
-        def brace_list(s):
-            return "{" + ",".join(str(i + 1) for i in range(k) if s >> i & 1) + "}"
-
-        want = "".join(
-            "".join(brace_list(s) for s in range(1 << k) if f.member >> s & 1) + "\n"
-            for f in orcov.enumerate_mifs(k).families
-        )
-        assert plain == want
+        assert plain == self.listing(k)
         assert len(plain.splitlines()) == orcov.hosten_morris(k)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_text_stdout(self, monkeypatch, k):
+        """A text stream in place of stdout, with no bytes below it, gets the same text."""
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["enumerate-mifs", str(k)]) == 0
+        assert out.getvalue() == self.listing(k)
+
+    K6_SHA256 = "355cd14007830ebfa45fb9abcfe73db3d80d067c8c7ef0c971b893f878e2f1c5"
+
+    def test_k6_bytes_in_a_process(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "orcov", "enumerate-mifs", "6"], capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(Path(orcov.__file__).resolve().parents[1])},
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert hashlib.sha256(proc.stdout).hexdigest() == self.K6_SHA256
+
+    def test_k6_through_a_nonblocking_pipe(self):
+        """Unbuffered stdout is raw: a full non-blocking pipe takes part of a write, or none."""
+        read_end, write_end = os.pipe()
+        os.set_blocking(write_end, False)
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-u", "-m", "orcov", "enumerate-mifs", "6"],
+                stdout=write_end, stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": str(Path(orcov.__file__).resolve().parents[1])},
+            )
+        finally:
+            os.close(write_end)
+        digest = hashlib.sha256()
+        with open(read_end, "rb", buffering=0) as reader:
+            while chunk := reader.read(1 << 14):
+                digest.update(chunk)
+                time.sleep(0.001)  # a slow reader, so that the pipe fills
+        with proc.stderr:
+            assert (proc.wait(timeout=60), proc.stderr.read()) == (0, b"")
+        assert digest.hexdigest() == self.K6_SHA256
+
+    @staticmethod
+    def listing(k):
+        return "".join(brace_lists(k, f.member) + "\n" for f in orcov.enumerate_mifs(k).families)
 
 
 class TestSigma:
@@ -386,7 +424,8 @@ class TestClosedStdout:
     """A reader that closed stdout is an output error (exit 2), not a rejection."""
 
     @pytest.mark.parametrize("unbuffered", [False, True])
-    @pytest.mark.parametrize("argv", [("lambda", "3"), ("enumerate-mifs", "6")])
+    @pytest.mark.parametrize(
+        "argv", [("lambda", "3"), ("enumerate-mifs", "6"), ("enumerate-mifs", "2")])
     def test_exit_2_with_one_line(self, argv, unbuffered):
         src = str(Path(orcov.__file__).resolve().parents[1])
         env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}

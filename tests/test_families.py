@@ -21,6 +21,8 @@ from orcov.families import (
     _mif_count,
     _mif_walk,
     _subsets,
+    family_lines,
+    format_family,
     format_subset,
     lambda_provenance,
 )
@@ -44,6 +46,14 @@ def apply_perm(k: int, member: int, perm: dict[int, int]) -> int:
                     image |= 1 << (perm[i] - 1)
             out |= 1 << image
     return out
+
+
+def brace_lists(k: int, member: int) -> str:
+    """The members of a family as brace lists, one shift per bit: the formatter's reference."""
+    return "".join(
+        "{" + ",".join(str(i + 1) for i in range(k) if s >> i & 1) + "}"
+        for s in range(1 << k) if member >> s & 1
+    )
 
 
 def pairwise_intersecting(f: SetFamily) -> bool:
@@ -298,6 +308,30 @@ class TestSerialization:
     def test_family_format(self):
         assert SetFamily.from_sets(2, [{1}, {1, 2}]).format() == "{1}{1,2}"
         assert SetFamily.from_sets(2, [{2}, {1, 2}]).format() == "{2}{1,2}"
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_format_any_family(self, k):
+        """Empty, full and random member vectors, not only maximal intersecting ones."""
+        rng = random.Random(k)
+        members = [0, (1 << (1 << k)) - 1] + [rng.getrandbits(1 << k) for _ in range(300)]
+        want = [brace_lists(k, m) for m in members]
+        assert [format_family(k, m) for m in members] == want
+        # 302 lines cross the batch boundary from k = 6 on
+        lines = b"".join(family_lines(k, members)).decode("ascii")
+        assert lines == "".join(w + "\n" for w in want)
+
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_format_above_the_enumeration_bound(self, k):
+        """No table of 2^(k-3) rows of 256 entries is built: 2M entries at k = 16."""
+        masks = [0, 1, 0b101, (1 << k) - 1]
+        tracemalloc.start()
+        try:
+            text = SetFamily.from_masks(k, masks).format()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == brace_lists(k, sum(1 << s for s in masks))
+        assert peak < 1 << 20
 
     def test_from_masks_checks_k_before_building_the_vector(self):
         # the member vector of a set over [26] would take 2^25 bits (4 MB)

@@ -177,11 +177,11 @@ def _loaded_by_import(names, *flags):
 
 
 def test_import_loads_no_dataclasses():
-    """import orcov.cli loads neither dataclasses nor inspect (start-up cost)."""
-    assert _loaded_by_import({"dataclasses", "inspect"}) == (0, "[]\n", "")
+    """import orcov.cli loads neither dataclasses nor inspect nor json (start-up cost)."""
+    assert _loaded_by_import({"dataclasses", "inspect", "json"}) == (0, "[]\n", "")
 
 
 def test_import_without_site_loads_only_what_runs():
     """Under python -S, where site preloads nothing, import orcov.cli loads none of these."""
-    names = {"typing", "pathlib", "threading", "dataclasses", "inspect"}
+    names = {"typing", "pathlib", "threading", "dataclasses", "inspect", "json"}
     assert _loaded_by_import(names, "-S") == (0, "[]\n", "")
