@@ -70,8 +70,9 @@ def _read_source(path: str) -> str:
 def _write_ascii(chunks: Iterable[bytes]) -> None:
     """Write ASCII chunks to stdout's bytes, or as text where stdout has none.
 
-    A text stream put in place of stdout in-process has no buffer, so
-    it gets the decoded text, as _read_source does for stdin.
+    Every write to stdout goes through here.  A text stream put in place
+    of stdout in-process has no buffer, so it gets the decoded text, as
+    _read_source does for stdin.
     """
     out = sys.stdout
     buffer = getattr(out, "buffer", None)
@@ -80,12 +81,20 @@ def _write_ascii(chunks: Iterable[bytes]) -> None:
             out.write(chunk.decode("ascii"))
         return
     out.flush()  # text already written goes first
+    # Into a full non-blocking pipe a buffered writer raises after keeping
+    # part of a write in its buffer; the raw file below it takes part of
+    # the bytes, or none of them (None), and says so.  An unbuffered
+    # stdout is raw already.
+    raw = getattr(buffer, "raw", buffer)
     for chunk in chunks:
         view = memoryview(chunk)
-        # an unbuffered stdout is raw: a full non-blocking pipe takes
-        # part of a write, or none of it (None)
         while view:
-            view = view[buffer.write(view):]
+            view = view[raw.write(view):]
+
+
+def _write_line(line: str) -> None:
+    """One line of ASCII text to stdout."""
+    _write_ascii([line.encode("ascii"), b"\n"])
 
 
 def sniff_format(text: str) -> str:
@@ -120,9 +129,9 @@ def _print_verdict(g: Graph, orientations: Sequence[Orientation], accept: str) -
     """Print the accept line or the counterexample verify_cover finds; return the exit code."""
     verdict = verify_cover(g, orientations)
     if verdict is None:
-        print(accept)
+        _write_line(accept)
         return EXIT_OK
-    print(f"counterexample {verdict[0]} {verdict[1]} {verdict[2]}")
+    _write_line(f"counterexample {verdict[0]} {verdict[1]} {verdict[2]}")
     return EXIT_REJECTED
 
 
@@ -195,14 +204,14 @@ def _run_command(args: argparse.Namespace) -> int:
     cmd = args.command
     if cmd == "lambda":
         value = hosten_morris(args.k, literature_table=args.literature_table)
-        print(f"{value} {lambda_provenance(args.k)}")
+        _write_line(f"{value} {lambda_provenance(args.k)}")
         return EXIT_OK
     if cmd == "enumerate-mifs":
         _write_ascii(family_lines(args.k, sorted_mif_masks(args.k)))
         return EXIT_OK
     if cmd == "sigma-complete":
         res = sigma_complete(args.n, literature_table=args.literature_table)
-        print(res.value)
+        _write_line(str(res.value))
         return EXIT_OK
     if cmd == "sigma":
         g = _load_graph(args)
@@ -211,11 +220,11 @@ def _run_command(args: argparse.Namespace) -> int:
             literature_table=args.literature_table,
             max_chi_vertices=args.max_chi_vertices,
         )
-        print(f"{res.value} {res.chi} {res.witness_k}")
+        _write_line(f"{res.value} {res.chi} {res.witness_k}")
         return EXIT_OK
     if cmd == "estimate":
         est = sigma_estimate(args.n)
-        print(f"{est.raw:.6f} {est.rounded}")
+        _write_line(f"{est.raw:.6f} {est.rounded}")
         return EXIT_OK
     if cmd == "construct-cover":
         g = _load_graph(args)
@@ -225,7 +234,7 @@ def _run_command(args: argparse.Namespace) -> int:
             with open(args.out, "w", encoding="ascii") as f:
                 f.write(text + "\n")
         if args.json:
-            print(text)
+            _write_line(text)
             return EXIT_OK
         return _print_verdict(g, cert.orientations, f"{cert.k} accept")
     if cmd == "verify-cover":
@@ -238,11 +247,11 @@ def _run_command(args: argparse.Namespace) -> int:
             max_edges=args.max_edges, max_k=args.max_k, timeout=args.timeout
         )
         result = brute_sigma(g, budget)
-        print(f"> {args.max_k}" if result is None else result)
+        _write_line(f"> {args.max_k}" if result is None else str(result))
         return EXIT_OK
     if cmd == "chromatic":
         g = _load_graph(args)
-        print(chromatic_number(g, max_vertices=args.max_chi_vertices))
+        _write_line(str(chromatic_number(g, max_vertices=args.max_chi_vertices)))
         return EXIT_OK
     raise AssertionError(f"unhandled command {cmd}")
 

@@ -188,41 +188,27 @@ class Graph(_Value):
         return len(self.edges)
 
     @classmethod
-    def from_edges(cls, edges: Iterable[tuple[int, int]], n: int | None = None) -> "Graph":
-        """Build a graph from (u, v) pairs; duplicates collapse.
+    def from_edges(cls, edges: Iterable[tuple[int, int]], n: int) -> "Graph":
+        """Build a graph on n vertices from (u, v) pairs; duplicates collapse.
 
-        Without an explicit n the vertex count is 1 + max endpoint.
-        Self-loops are left to the row checks of Graph.
-
-        With n given the rows are built first (_rows fails on every endpoint
-        outside 0..n-1); only a failed build pays for the endpoint scans
-        that name the fault, and the scanned build below then raises what
-        it raises for any input the scans pass.
+        Self-loops are left to the row checks of Graph.  The rows are built
+        once, by _rows, which fails on every endpoint outside 0..n-1; only
+        a failed build pays for the endpoint scans that name the fault.
         """
         pairs = list(edges)
-        if n is not None:
-            try:
-                return cls(n, _rows(pairs, n))
-            except (IndexError, ValueError, TypeError, MemoryError, OverflowError):
-                pass
-        if min(map(min, pairs), default=0) < 0:
-            u, v = next((u, v) for u, v in pairs if u < 0 or v < 0)
-            raise ValueError(f"negative endpoint in edge ({u}, {v})")
-        top = max(map(max, pairs), default=-1)
-        if n is None:
-            if top < 0:
-                raise ValueError("cannot infer vertex count from an empty edge list")
-            n = top + 1
-        elif top >= n:
-            raise ValueError(f"endpoint {top} out of range for n={n}")
         try:
-            adj = [0] * n
-            for u, v in pairs:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            return cls(n, tuple(adj))
-        except (MemoryError, OverflowError):
-            raise CapacityError(f"cannot allocate adjacency rows for n={n} vertices") from None
+            adj = _rows(pairs, n)
+        except (IndexError, ValueError, TypeError, MemoryError, OverflowError) as exc:
+            if min(map(min, pairs), default=0) < 0:
+                u, v = next((u, v) for u, v in pairs if u < 0 or v < 0)
+                raise ValueError(f"negative endpoint in edge ({u}, {v})") from None
+            top = max(map(max, pairs), default=-1)
+            if top >= n:
+                raise ValueError(f"endpoint {top} out of range for n={n}") from None
+            if isinstance(exc, (MemoryError, OverflowError)):
+                raise CapacityError(f"cannot allocate adjacency rows for n={n} vertices") from None
+            raise
+        return cls(n, adj)
 
     def neighbors(self, u: int) -> Iterator[int]:
         return iter(_bits(self.adj[u]))

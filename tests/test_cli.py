@@ -89,15 +89,27 @@ class TestEnumerate:
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert hashlib.sha256(proc.stdout).hexdigest() == self.K6_SHA256
 
-    def test_k6_through_a_nonblocking_pipe(self):
-        """Unbuffered stdout is raw: a full non-blocking pipe takes part of a write, or none."""
+    @pytest.mark.parametrize("flags, command", [
+        (["-u"], "enumerate-mifs"), ([], "enumerate-mifs"),
+        (["-u"], "construct-cover"), ([], "construct-cover"),
+    ], ids=["enumerate-mifs-6--u", "enumerate-mifs-6",
+            "construct-cover-json--u", "construct-cover-json"])
+    def test_k6_through_a_nonblocking_pipe(self, tmp_path, flags, command):
+        """Into a full non-blocking pipe a write takes part of the bytes, or none: all arrive."""
+        argv = ["enumerate-mifs", "6"] if command == "enumerate-mifs" else [
+            "construct-cover", str(write_k12x5(tmp_path)[0]), "--max-chi-vertices", "60", "--json"]
+        # buffered unless -u says otherwise
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(orcov.__file__).resolve().parents[1])
+        blocking = subprocess.run([sys.executable, "-m", "orcov", *argv],
+                                  capture_output=True, env=env, timeout=60)
+        assert (blocking.returncode, blocking.stderr) == (0, b"")
         read_end, write_end = os.pipe()
         os.set_blocking(write_end, False)
         try:
             proc = subprocess.Popen(
-                [sys.executable, "-u", "-m", "orcov", "enumerate-mifs", "6"],
-                stdout=write_end, stderr=subprocess.PIPE,
-                env={**os.environ, "PYTHONPATH": str(Path(orcov.__file__).resolve().parents[1])},
+                [sys.executable, *flags, "-m", "orcov", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
             )
         finally:
             os.close(write_end)
@@ -108,7 +120,7 @@ class TestEnumerate:
                 time.sleep(0.001)  # a slow reader, so that the pipe fills
         with proc.stderr:
             assert (proc.wait(timeout=60), proc.stderr.read()) == (0, b"")
-        assert digest.hexdigest() == self.K6_SHA256
+        assert digest.hexdigest() == hashlib.sha256(blocking.stdout).hexdigest()
 
     @staticmethod
     def listing(k):
@@ -388,6 +400,21 @@ class TestCover:
         assert first == second
 
 
+def write_k12x5(tmp_path):
+    """The complete 12-partite graph on 60 vertices, parts shuffled, as an edge list file.
+
+    Returns the file and its edges in canonical order; the file lists them
+    reversed and each one backwards.
+    """
+    n, parts = 60, 12
+    part = [v % parts for v in range(n)]
+    random.Random(60).shuffle(part)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]]
+    graph = tmp_path / "k12x5.el"
+    graph.write_text(f"n {n}\n" + "".join(f"{v} {u}\n" for u, v in reversed(edges)))
+    return graph, edges
+
+
 def run_process(*argv, entry=("-m", "orcov")):
     src = str(Path(orcov.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -451,12 +478,8 @@ class TestCoverInAProcess:
     """construct-cover --out, then verify-cover on the certificate and on a tampered copy."""
 
     def test_multipartite_60(self, tmp_path):
-        n, parts = 60, 12
-        part = [v % parts for v in range(n)]
-        random.Random(60).shuffle(part)
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]]
-        graph = tmp_path / "k12x5.el"
-        graph.write_text(f"n {n}\n" + "".join(f"{v} {u}\n" for u, v in reversed(edges)))
+        graph, edges = write_k12x5(tmp_path)
+        n = 60
         cert = tmp_path / "cert.json"
         proc = run_process("construct-cover", str(graph), "--max-chi-vertices", "60",
                            "--out", str(cert))

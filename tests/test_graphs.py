@@ -209,7 +209,7 @@ class TestConstructions:
 
     def test_invalid_graphs_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
-            Graph.from_edges([(1, 1)])
+            Graph.from_edges([(1, 1)], n=2)
         with pytest.raises(ValueError, match="asymmetric"):
             Graph(2, (2, 0))
         with pytest.raises(ValueError, match="self-loop at vertex 0"):
@@ -369,10 +369,10 @@ LONG_TOKENS = {
                  id="g6-header-only"),
     pytest.param(lambda: parse_graph6("?"), ParseError, "graph6 encodes an empty vertex set",
                  id="g6-no-vertices"),
-    pytest.param(lambda: Graph.from_edges([(0, 1), (2, -1)]), ValueError,
+    pytest.param(lambda: Graph.from_edges([(0, 1), (2, -1)], n=3), ValueError,
                  "negative endpoint in edge (2, -1)", id="from-edges-negative"),
-    pytest.param(lambda: Graph.from_edges([]), ValueError,
-                 "cannot infer vertex count from an empty edge list", id="from-edges-empty"),
+    pytest.param(lambda: Graph.from_edges([], n=-1), ValueError,
+                 "graph needs at least one vertex", id="from-edges-empty"),
     pytest.param(lambda: Graph.from_edges([(0, 3)], n=3), ValueError,
                  "endpoint 3 out of range for n=3", id="from-edges-above-n"),
     pytest.param(lambda: Graph(0, ()), ValueError, "graph needs at least one vertex",
