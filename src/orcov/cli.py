@@ -83,13 +83,16 @@ def _write_ascii(chunks: Iterable[bytes]) -> None:
     out.flush()  # text already written goes first
     # Into a full non-blocking pipe a buffered writer raises after keeping
     # part of a write in its buffer; the raw file below it takes part of
-    # the bytes, or none of them (None), and says so.  An unbuffered
-    # stdout is raw already.
+    # the bytes, or none of them (None), and says so.  After None, wait
+    # until the pipe has room.  An unbuffered stdout is raw already.
     raw = getattr(buffer, "raw", buffer)
     for chunk in chunks:
         view = memoryview(chunk)
         while view:
-            view = view[raw.write(view):]
+            if (written := raw.write(view)) is None:
+                import select
+                select.select((), (raw,), ())
+            view = view[written:]
 
 
 def _write_line(line: str) -> None:

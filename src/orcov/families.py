@@ -77,7 +77,7 @@ def family_lines(k: int, members: Sequence[int]) -> Iterator[bytes]:
     """
     table = _family_table(k)
     batch = 1 << (14 - k)
-    rows = (*table, [b"\n"]) * batch
+    rows = (*table, [b"\n"]) * min(batch, len(members))
     width = repeat(len(table) + 1)
     order = repeat("little")
     getitem = list.__getitem__
@@ -89,14 +89,12 @@ def family_lines(k: int, members: Sequence[int]) -> Iterator[bytes]:
 def format_family(k: int, member: int) -> str:
     """A 2^k-bit member vector as concatenated brace lists, ascending.
 
-    Up to KMAX_HARD through the byte table of k.  Above it, where no
-    table is built, one member at a time.
+    Up to KMAX_HARD as the one line of family_lines, without its
+    newline.  Above it, where no table is built, one member at a time.
     """
     if k > KMAX_HARD:
         return "".join([format_subset(s) for s in _bits(member)])
-    table = _family_table(k)
-    line = b"".join(map(list.__getitem__, table, member.to_bytes(len(table), "little")))
-    return line.decode("ascii")
+    return next(family_lines(k, [member]))[:-1].decode("ascii")
 
 
 class SetFamily(_Value):

@@ -4,9 +4,9 @@ These recompute the library's answers from the bare definitions:
 maximality of a family means no intersecting proper superset (not the
 size shortcut), covers are checked triple by triple with a verifier
 written here rather than the one in the cover module, and the minimum
-cover size is found by scanning multisets of orientations in index
-order with no pruning beyond permutation symmetry.  Slow on purpose;
-shared code with the fast paths is what these exist to catch.
+cover size is found by choosing direction sets edge by edge, with no
+pruning beyond the definition and one permutation symmetry.  Slow on
+purpose; shared code with the fast paths is what these exist to catch.
 """
 
 from __future__ import annotations
@@ -96,45 +96,54 @@ def _covers(nbrs: list[list[int]], n: int, rowset: list[list[int]]) -> bool:
 def brute_sigma(g: Graph, budget: SearchBudget | None = None) -> int | None:
     """Exact sigma(g) by exhaustive search, or None if above max_k.
 
-    Enumerates, for k = 1, 2, ..., all multisets of the 2^m possible
-    orientations (indices non-decreasing, which only removes
-    permutation symmetry) and returns the first k admitting a cover.
-    None means the whole space up to max_k was exhausted: a proof that
-    sigma(g) > max_k, not a budget failure.
+    k orientations cover g iff at every vertex x the direction sets
+    S_(x,y), the orientations sending x to y, meet pairwise (y = z
+    included).  For k = 1, 2, ... each edge (u, v) in canonical order
+    gets a set S_(u,v) other than {} and [k], S_(v,u) being the rest,
+    that meets every set already chosen at u and whose rest meets every
+    set chosen at v.  The first edge takes only {1..j}, as permuting [k]
+    maps any set onto one of those.  A cover must pass the literal
+    triple check.  None proves sigma(g) > max_k, not a budget failure.
     """
     if budget is None:
         budget = SearchBudget()
     if g.m == 0:
         raise ValueError("sigma is defined only for non-empty graphs")
     if g.m > budget.max_edges:
-        raise BudgetError(
-            f"graph has {g.m} edges; the search budget allows {budget.max_edges}"
-        )
+        raise BudgetError(f"graph has {g.m} edges; the search budget allows {budget.max_edges}")
     deadline = time.monotonic() + budget.timeout
-    n = g.n
-    norient = 1 << g.m
-    all_rows = []
-    for o in range(norient):
-        if o & _TIMEOUT_STRIDE == 0 and time.monotonic() > deadline:
-            raise BudgetError(f"search budget of {budget.timeout}s exhausted at orientation {o}")
-        rows = [0] * n
-        for e, (u, v) in enumerate(g.edges):
-            if (o >> e) & 1:
-                rows[u] |= 1 << v
-            else:
-                rows[v] |= 1 << u
-        all_rows.append(rows)
-    nbrs = _neighbor_lists(g)
-    tick = 0
+    n, m, edges = g.n, g.m, g.edges
+    nodes = 0
     for k in range(1, budget.max_k + 1):
-        for combo in itertools.combinations_with_replacement(range(norient), k):
-            tick += 1
-            if tick & _TIMEOUT_STRIDE == 0 and time.monotonic() > deadline:
-                raise BudgetError(
-                    f"search budget of {budget.timeout}s exhausted at k={k}"
-                )
-            if _covers(nbrs, n, [all_rows[i] for i in combo]):
-                return k
+        full = (1 << k) - 1
+        chosen = [0] * m  # S_(u,v) of each edge (u, v), 0 while undecided
+        out: list[list[int]] = [[] for _ in range(n)]  # S_(x,y) chosen so far at x
+        e = 0
+        while 0 <= e < m:
+            if nodes & _TIMEOUT_STRIDE == 0 and time.monotonic() > deadline:
+                raise BudgetError(f"search budget of {budget.timeout}s exhausted at k={k}")
+            nodes += 1
+            u, v = edges[e]
+            if chosen[e]:
+                out[u].pop()
+                out[v].pop()
+            s = chosen[e] * 2 + 1 if e == 0 else chosen[e] + 1
+            while s < full and not (all(s & a for a in out[u]) and all(b & ~s for b in out[v])):
+                s += 1
+            chosen[e] = s if s < full else 0
+            if chosen[e]:
+                out[u].append(s)
+                out[v].append(full ^ s)
+            e += 1 if chosen[e] else -1
+        if e == m:
+            rowset = [[0] * n for _ in range(k)]
+            for (u, v), s in zip(edges, chosen):
+                for i, rows in enumerate(rowset):
+                    x, y = (u, v) if s >> i & 1 else (v, u)
+                    rows[x] |= 1 << y
+            if not _covers(_neighbor_lists(g), n, rowset):
+                raise AssertionError(f"the edge search accepted a non-cover at k={k}")
+            return k
     return None
 
 

@@ -11,6 +11,7 @@ import time
 from conftest import all_labeled_graphs, k4_minus_edge, random_graph
 
 from orcov import (
+    SearchBudget,
     SetFamily,
     brute_mifs,
     brute_sigma,
@@ -87,13 +88,16 @@ def _criterion4_graphs():
     yield cycle_graph(7)
     yield k4_minus_edge()
     yield wheel_graph(5)
+    yield complete_graph(5)
+    yield complete_graph(6)
 
 
 def test_criterion_04_oracle_equivalence():
     t0 = time.perf_counter()
     checked = 0
+    budget = SearchBudget(max_edges=15, max_k=4)
     for g in _criterion4_graphs():
-        assert brute_sigma(g) == sigma_of_graph(g).value, f"mismatch on {g.edges}"
+        assert brute_sigma(g, budget) == sigma_of_graph(g).value, f"mismatch on {g.edges}"
         checked += 1
     elapsed = time.perf_counter() - t0
     report(

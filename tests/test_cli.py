@@ -4,11 +4,13 @@ import io
 import json
 import os
 import random
+import select
 import subprocess
 import sys
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from conftest import reference_counterexample
@@ -121,6 +123,31 @@ class TestEnumerate:
         with proc.stderr:
             assert (proc.wait(timeout=60), proc.stderr.read()) == (0, b"")
         assert digest.hexdigest() == hashlib.sha256(blocking.stdout).hexdigest()
+
+    def test_waits_for_room_after_a_refused_write(self, monkeypatch):
+        """A raw write that takes no bytes (None) is followed by one wait for room, then a retry."""
+        class FullOnce:
+            """Takes nothing on the first write, then at most 4 bytes a write."""
+
+            def __init__(self):
+                self.data = bytearray()
+                self.full = True
+
+            def write(self, view):
+                if self.full:
+                    self.full = False
+                    return None
+                self.data += view[:4]
+                return len(view[:4])
+
+        raw = FullOnce()
+        waits = []
+        monkeypatch.setattr(select, "select", lambda *files: waits.append(files) or files)
+        stdout = SimpleNamespace(buffer=SimpleNamespace(raw=raw), flush=lambda: None)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        cli._write_ascii([b"{1}{1,2}\n", b"{2}{1,2}\n"])
+        assert waits == [((), (raw,), ())]
+        assert raw.data == b"{1}{1,2}\n{2}{1,2}\n"
 
     @staticmethod
     def listing(k):

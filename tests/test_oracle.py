@@ -76,18 +76,30 @@ class TestBruteSigma:
         with pytest.raises(BudgetError, match="budget"):
             brute_sigma(wheel_graph(5), SearchBudget(timeout=1e-9))
 
-    def test_timeout_while_listing_orientations(self, monkeypatch):
-        """The deadline holds while the 2^m orientations are listed, before any cover is tried.
+    def test_timeout_inside_the_edge_search(self, monkeypatch):
+        """The deadline holds while direction sets are chosen, not only between values of k.
 
         A clock that gains a second per reading: the deadline is read at
-        0 + 1.5, orientation 0 reads 1 and orientation 0x4000 reads 2, half
-        way through the 2^15 orientations of the 15-edge path.
+        0 + 1.5, node 0 reads 1 and node 0x4000 reads 2, a quarter of the
+        way through the 65,131 nodes that the search takes on K_7 up to k = 3.
         """
         clock = itertools.count()
         monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=lambda: next(clock)))
-        with pytest.raises(BudgetError, match="exhausted at orientation 16384"):
-            brute_sigma(path_graph(16), SearchBudget(max_edges=15, timeout=1.5))
+        with pytest.raises(BudgetError, match="exhausted at k=3"):
+            brute_sigma(complete_graph(7), SearchBudget(max_edges=21, max_k=3, timeout=1.5))
         assert next(clock) == 3
+
+    def test_k5_needs_four(self):
+        assert brute_sigma(complete_graph(5), SearchBudget(max_edges=10, max_k=4)) == 4
+        assert brute_sigma(complete_graph(5), SearchBudget(max_edges=10, max_k=3)) is None
+
+    def test_matches_sigma_on_every_six_vertex_class(self):
+        masks = [mask for mask in iso_class_masks(6) if mask]  # all but the empty graph
+        assert len(masks) == 155
+        budget = SearchBudget(max_edges=15, max_k=4)
+        for mask in masks:
+            g = graph_from_mask(6, mask)
+            assert brute_sigma(g, budget) == sigma_of_graph(g).value, g.edges
 
     def test_edgeless_rejected(self):
         with pytest.raises(ValueError):

@@ -129,6 +129,38 @@ class TestEstimate:
         assert sigma_estimate(n).raw == pytest.approx(want)
 
 
+    # First n of each interval (lambda(k-1), lambda(k)] at which the
+    # estimate equals the exact sigma(K_n) = k, as the float formula
+    # decides it.  Below it, in the same interval, the estimate gives k - 1.
+    WINDOW_ENDS = {3: 4, 4: 7, 5: 21, 6: 180, 7: 9_595, 8: 15_316_999, 9: 14_725_380_938_893}
+
+    @pytest.mark.parametrize("k", range(3, 10))
+    def test_exact_from_the_window_end(self, k):
+        """The estimate misses sigma(K_n) only in a window just above lambda(k-1).
+
+        sigma_estimate(n).rounded is monotone in n, so bisection finds the
+        window's end, and the values at the ends of the miss window and of
+        the exact window fix every n of the interval.  Over k = 3..9 that
+        is every n in [3, lambda(9)], with lambda(8), lambda(9) from the
+        literature.
+        """
+        first = hosten_morris(k - 1, literature_table=True) + 1
+        last = hosten_morris(k, literature_table=True)
+        lo, hi = first, last
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sigma_estimate(mid).rounded >= k:
+                hi = mid
+            else:
+                lo = mid + 1
+        end = self.WINDOW_ENDS[k]
+        assert lo == end
+        for n in (first, last):
+            assert sigma_complete(n, literature_table=True).value == k
+        assert sigma_estimate(end).rounded == sigma_estimate(last).rounded == k
+        assert sigma_estimate(first).rounded == sigma_estimate(end - 1).rounded == k - 1
+
+
 class TestLambdaAsymptote:
     def test_values(self):
         assert lambda_asymptote(1) == pytest.approx(2 / math.sqrt(2 * math.pi), rel=1e-9)
