@@ -6,7 +6,6 @@ JSON certificates, and brute-force oracles for small instances.
 """
 
 from .cover import (
-    AssignmentViolation,
     CertificateMeta,
     CoverCertificate,
     FamilyAssignment,
@@ -15,7 +14,6 @@ from .cover import (
     construct_cover,
     cover_from_families,
     families_from_cover,
-    validate_assignment,
     verify_cover,
 )
 from .errors import BudgetError, CapacityError, ParseError
@@ -61,7 +59,6 @@ from .sigma import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssignmentViolation",
     "BudgetError",
     "CapacityError",
     "CertificateMeta",
@@ -107,7 +104,6 @@ __all__ = [
     "sigma_of_graph",
     "sorted_mif_masks",
     "upward_closure",
-    "validate_assignment",
     "verify_cover",
     "wheel_graph",
 ]

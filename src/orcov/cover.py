@@ -16,7 +16,7 @@ from itertools import chain, compress
 from collections.abc import Sequence
 
 from .errors import ParseError
-from .families import SetFamily, _disjoint_members, is_intersecting, sorted_mif_masks
+from .families import SetFamily, _disjoint_members, format_subset, sorted_mif_masks
 from .graphs import (
     DEFAULT_CHI_VERTEX_BOUND,
     Graph,
@@ -44,25 +44,6 @@ class FamilyAssignment(_Value):
                 raise ValueError("family ground set does not match assignment k")
         _set(self, "k", k)
         _set(self, "per_vertex", per_vertex)
-
-
-class AssignmentViolation(_Value):
-    """First failed condition of an assignment, with its witness."""
-
-    __slots__ = ("condition", "edge", "vertex")
-    condition: int
-    edge: tuple[int, int] | None
-    vertex: int | None
-
-    def __init__(
-        self,
-        condition: int,
-        edge: tuple[int, int] | None = None,
-        vertex: int | None = None,
-    ) -> None:
-        _set(self, "condition", condition)
-        _set(self, "edge", edge)
-        _set(self, "vertex", vertex)
 
 
 class CertificateMeta(_Value):
@@ -174,7 +155,7 @@ def families_from_cover(
     S_(v,w) is the set of orientation indices (1-based elements of
     [k]) directing v to w.  For a valid cover every A_v comes out
     intersecting; an invalid cover shows up as a failed condition in
-    validate_assignment, not as an error here.
+    cover_from_families, not as an error here.
     """
     _check_shapes(g, orientations)
     k = len(orientations)  # SetFamily refuses k < 1 and k > FAMILY_KMAX
@@ -183,32 +164,17 @@ def families_from_cover(
     ))
 
 
-def validate_assignment(
-    g: Graph, fa: FamilyAssignment
-) -> AssignmentViolation | None:
-    """None iff both cover conditions hold; else the first violation.
-
-    Condition 1: every edge uv admits disjoint S in A_u, T in A_v.
-    Condition 2: every A_v is intersecting.
-    """
-    if len(fa.per_vertex) != g.n:
-        raise ValueError("assignment size does not match vertex count")
-    for u, v in g.edges:
-        if _disjoint_members(fa.per_vertex[u], fa.per_vertex[v]) is None:
-            return AssignmentViolation(condition=1, edge=(u, v))
-    for v in range(g.n):
-        if not is_intersecting(fa.per_vertex[v]):
-            return AssignmentViolation(condition=2, vertex=v)
-    return None
-
-
 def cover_from_families(g: Graph, fa: FamilyAssignment) -> CoverCertificate:
-    """Build a k-orientation cover from a valid family assignment.
+    """Build a k-orientation cover from a family assignment, or raise ValueError.
 
-    Each edge uv gets deterministic disjoint direction sets
-    (smallest-mask choices, memoised per pair of member vectors);
-    orientation i then directs uv by membership of i, and slots
-    claimed by neither set default to low -> high.
+    The families-to-cover direction of the lemma: the orientations
+    cover g when every edge uv admits disjoint S in A_u, T in A_v
+    (condition 1) and every A_v is intersecting (condition 2).  All
+    edges are checked first, then all vertices, and the first failure
+    raises with its witness.  Each edge uv gets deterministic disjoint
+    direction sets (smallest-mask choices, memoised per pair of member
+    vectors); orientation i then directs uv by membership of i, and
+    slots claimed by neither set default to low -> high.
     """
     if len(fa.per_vertex) != g.n:
         raise ValueError("assignment size does not match vertex count")
@@ -233,6 +199,17 @@ def cover_from_families(g: Graph, fa: FamilyAssignment) -> CoverCertificate:
         direction_sets[(u, v)] = s
         direction_sets[(v, u)] = t
         forward.append(full & ~t)
+    # condition 2 once per distinct family, at the first vertex holding it
+    first: dict[SetFamily, int] = {}
+    for v, f in enumerate(fa.per_vertex):
+        first.setdefault(f, v)
+    for f, v in first.items():
+        pair = _disjoint_members(f, f)
+        if pair is not None:
+            s, t = map(format_subset, pair)
+            raise ValueError(
+                f"condition 2 violated at vertex {v}: members {s} and {t} are disjoint"
+            )
     # bit e of orientation i is bit i of forward[e]
     orientations = tuple(Orientation(g.n, g.m, bits) for bits in _transpose(forward, k))
     return CoverCertificate(k, orientations, CertificateMeta(direction_sets=direction_sets))

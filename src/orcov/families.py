@@ -89,12 +89,15 @@ def family_lines(k: int, members: Sequence[int]) -> Iterator[bytes]:
 def format_family(k: int, member: int) -> str:
     """A 2^k-bit member vector as concatenated brace lists, ascending.
 
-    Up to KMAX_HARD as the one line of family_lines, without its
-    newline.  Above it, where no table is built, one member at a time.
+    Up to KMAX_HARD each byte of the vector maps through its row of
+    _family_table, as in family_lines.  Above it, where no table is
+    built, one member at a time.
     """
     if k > KMAX_HARD:
         return "".join([format_subset(s) for s in _bits(member)])
-    return next(family_lines(k, [member]))[:-1].decode("ascii")
+    table = _family_table(k)
+    line = b"".join(map(list.__getitem__, table, member.to_bytes(len(table), "little")))
+    return line.decode("ascii")
 
 
 class SetFamily(_Value):

@@ -442,12 +442,12 @@ def write_k12x5(tmp_path):
     return graph, edges
 
 
-def run_process(*argv, entry=("-m", "orcov")):
+def run_process(*argv, entry=("-m", "orcov"), stdin=None):
     src = str(Path(orcov.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     return subprocess.run(
         [sys.executable, *entry, *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        input=stdin, capture_output=True, text=True, env=env, timeout=60,
     )
 
 
@@ -529,6 +529,13 @@ class TestCoverInAProcess:
         proc = run_process("verify-cover", str(graph), str(bad))
         assert proc.returncode == 1 and proc.stderr == ""
         assert proc.stdout == "counterexample {} {} {}\n".format(*want)
+
+    def test_json_on_stdout_verifies_from_stdin(self, k3_file):
+        """construct-cover --json | verify-cover graph -: stdout is a whole certificate."""
+        cert = run_process("construct-cover", k3_file, "--json")
+        assert (cert.returncode, cert.stderr) == (0, "")
+        proc = run_process("verify-cover", k3_file, "-", stdin=cert.stdout)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "accept\n", "")
 
     def test_nine_orientations(self, capsys, tmp_path):
         """k > 8: duplicated orientations still cover; emptying one direction set does not."""

@@ -29,7 +29,6 @@ from orcov import (
     path_graph,
     petersen_graph,
     sigma_of_graph,
-    validate_assignment,
     verify_cover,
 )
 from orcov.cover import _edge_masks
@@ -181,7 +180,7 @@ class TestFamiliesFromCover:
     def test_valid_cover_gives_intersecting_families(self):
         g, cover = transitive_rotation_covers_k3()
         fa = families_from_cover(g, cover)
-        assert validate_assignment(g, fa) is None
+        assert verify_cover(g, cover_from_families(g, fa).orientations) is None
 
     def test_orientation_count_bounds(self):
         # SetFamily holds the bounds 1 <= k <= FAMILY_KMAX (16)
@@ -196,31 +195,64 @@ class TestFamiliesFromCover:
         g = complete_graph(2)
         fa = families_from_cover(g, [orient(g, True)])
         assert fa.per_vertex[1] == SetFamily.from_masks(1, [0])
-        violation = validate_assignment(g, fa)
-        assert violation is not None
-        assert violation.condition == 2 and violation.vertex == 1
+        with pytest.raises(ValueError, match=r"^condition 2 violated at vertex 1: "):
+            cover_from_families(g, fa)
 
 
 class TestValidateAssignment:
+    """cover_from_families validates an assignment: the first failed condition raises."""
+
     def test_same_star_on_an_edge_is_condition_1(self):
         g = complete_graph(2)
         s1 = SetFamily.from_sets(2, [{1}, {1, 2}])
-        violation = validate_assignment(g, FamilyAssignment(2, (s1, s1)))
-        assert violation is not None
-        assert violation.condition == 1 and violation.edge == (0, 1)
+        with pytest.raises(ValueError, match=r"^condition 1 violated at edge \(0, 1\): "):
+            cover_from_families(g, FamilyAssignment(2, (s1, s1)))
 
     def test_disjoint_members_is_condition_2(self):
         g = complete_graph(2)
         f_ok = SetFamily.from_sets(2, [{1}])
         f_bad = SetFamily.from_sets(2, [{1}, {2}])
-        violation = validate_assignment(g, FamilyAssignment(2, (f_bad, f_ok)))
-        assert violation is not None
-        assert violation.condition == 2 and violation.vertex == 0
+        with pytest.raises(
+            ValueError, match=r"^condition 2 violated at vertex 0: members \{1\} and \{2\} are"
+        ):
+            cover_from_families(g, FamilyAssignment(2, (f_bad, f_ok)))
 
     def test_size_mismatch(self):
         g = complete_graph(3)
-        with pytest.raises(ValueError):
-            validate_assignment(g, FamilyAssignment(2, ()))
+        with pytest.raises(ValueError, match="assignment size does not match vertex count"):
+            cover_from_families(g, FamilyAssignment(2, ()))
+
+    def test_path_with_a_non_intersecting_centre_is_condition_2(self):
+        # every edge has disjoint members, so only condition 2 catches the
+        # centre: built anyway, the orientations miss the triple (0, 1, 2)
+        g = Graph.from_edges([(0, 1), (0, 2)], 3)
+        fa = FamilyAssignment(2, (
+            SetFamily.from_sets(2, [{1}, {2}]),
+            SetFamily.from_sets(2, [{2}]),
+            SetFamily.from_sets(2, [{1}]),
+        ))
+        with pytest.raises(ValueError, match=r"^condition 2 violated at vertex 0: "):
+            cover_from_families(g, fa)
+
+    def test_condition_1_is_reported_before_condition_2(self):
+        # vertex 0 fails condition 2, but the edge scan comes first
+        g = complete_graph(2)
+        f_bad = SetFamily.from_sets(2, [{1}, {2}])
+        f_full = SetFamily.from_sets(2, [{1, 2}])
+        with pytest.raises(ValueError, match=r"^condition 1 violated at edge \(0, 1\): "):
+            cover_from_families(g, FamilyAssignment(2, (f_bad, f_full)))
+
+    def test_condition_2_names_the_first_bad_vertex(self):
+        # vertices 1 and 3 share a family, vertex 2 holds another bad one
+        g = Graph.from_edges([], 4)
+        ok = SetFamily.from_sets(2, [{1}])
+        empty_set = SetFamily.from_masks(2, [0])
+        split = SetFamily.from_sets(2, [{1}, {2}])
+        fa = FamilyAssignment(2, (ok, empty_set, split, empty_set))
+        with pytest.raises(
+            ValueError, match=r"^condition 2 violated at vertex 1: members \{\} and \{\} are"
+        ):
+            cover_from_families(g, fa)
 
 
 class TestDisjointMembers:
@@ -442,7 +474,6 @@ class TestRoundTrip:
             cover = list(cert.orientations)
             rng.shuffle(cover)
             fa = families_from_cover(g, cover)
-            assert validate_assignment(g, fa) is None
             rebuilt = cover_from_families(g, fa)
             assert rebuilt.k == len(cover)
             assert verify_cover(g, rebuilt.orientations) is None

@@ -11,7 +11,6 @@ import pytest
 
 import orcov
 from orcov import (
-    AssignmentViolation,
     CertificateMeta,
     Coloring,
     CoverCertificate,
@@ -35,7 +34,7 @@ RECORDS = {
     "Graph": (
         lambda: Graph(2, (2, 1)),
         lambda: Graph(3, (2, 1, 0)),
-        AssignmentViolation(2, (2, 1), ((0, 1),)),
+        CertificateMeta(2, (2, 1), ((0, 1),)),
         "Graph(n=2, adj=(2, 1), edges=((0, 1),))",
     ),
     "Orientation": (
@@ -68,22 +67,16 @@ RECORDS = {
         MifCatalog(2, (F10,)),
         "FamilyAssignment(k=2, per_vertex=(SetFamily(k=2, member=10),))",
     ),
-    "AssignmentViolation": (
-        lambda: AssignmentViolation(condition=1, edge=(0, 1)),
-        lambda: AssignmentViolation(condition=1, edge=(0, 2)),
-        CertificateMeta(1, (0, 1), None),
-        "AssignmentViolation(condition=1, edge=(0, 1), vertex=None)",
-    ),
     "CertificateMeta": (
         lambda: CertificateMeta(coloring=(0, 1)),
         lambda: CertificateMeta(coloring=(0, 1), family_indices=(0, 1)),
-        AssignmentViolation((0, 1), None, None),
+        ((0, 1), None, None),
         "CertificateMeta(coloring=(0, 1), family_indices=None, direction_sets=None)",
     ),
     "CoverCertificate": (
         lambda: CoverCertificate(1, ONE_EDGE),
         lambda: CoverCertificate(1, ONE_EDGE, CertificateMeta()),
-        AssignmentViolation(1, ONE_EDGE, None),
+        CertificateMeta(1, ONE_EDGE, None),
         "CoverCertificate(k=1, orientations=(Orientation(n=2, m=1, bits=1),), meta=None)",
     ),
     "SigmaResult": (
@@ -101,7 +94,7 @@ RECORDS = {
     "SearchBudget": (
         lambda: SearchBudget(max_k=2),
         lambda: SearchBudget(max_k=2, timeout=1.0),
-        AssignmentViolation(8, 2, 300.0),
+        CertificateMeta(8, 2, 300.0),
         "SearchBudget(max_edges=8, max_k=2, timeout=300.0)",
     ),
 }
@@ -154,8 +147,6 @@ def test_copy_and_pickle_round_trip(name):
 
 def test_keyword_construction_with_defaults():
     assert CertificateMeta(coloring=(0,)).family_indices is None
-    violation = AssignmentViolation(condition=1, edge=(0, 1))
-    assert (violation.condition, violation.edge, violation.vertex) == (1, (0, 1), None)
     assert SearchBudget(max_k=2) == SearchBudget(8, 2, 300.0)
     assert SearchBudget() == SearchBudget(max_edges=8, max_k=3, timeout=300.0)
     assert Graph(n=1, adj=(0,)).edges == ()
