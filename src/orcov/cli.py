@@ -8,11 +8,11 @@ capacity or budget error.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 from collections.abc import Iterable, Sequence
+from types import SimpleNamespace
 
 from .cover import (
     certificate_from_json,
@@ -105,13 +105,17 @@ def sniff_format(text: str) -> str:
     stripped = text.strip()
     if not stripped:
         raise ParseError("empty graph input")
-    first = stripped.splitlines()[0].rstrip()
+    # the first line of a prefix that holds a line break, or of the whole text
+    end = 64
+    while len(lines := stripped[:end].splitlines()) == 1 and end < len(stripped):
+        end *= 2
+    first = lines[0].rstrip()
     if first.startswith(">>graph6<<") or ord(first[0]) >= 63 and not any(map(str.isspace, first)):
         return "graph6"
     return "edgelist"
 
 
-def _load_graph(args: argparse.Namespace) -> Graph:
+def _load_graph(args: SimpleNamespace) -> Graph:
     """The graph of args.graph in args.format (sniffed for "auto"), for every graph command.
 
     A command with --max-chi-vertices holds an edge list to that bound
@@ -138,73 +142,172 @@ def _print_verdict(g: Graph, orientations: Sequence[Orientation], accept: str) -
     return EXIT_REJECTED
 
 
-def _add_graph_arg(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("graph", help="graph file (edge list or graph6), or - for stdin")
-    sub.add_argument(
-        "--format",
-        choices=["auto", "graph6", "edgelist"],
-        default="auto",
-        help="input format (default: sniff)",
-    )
+# command: (description, positionals, options).  A positional is
+# (name, convert); an option maps its name to (convert, default), where
+# convert None marks a flag (default False) and a tuple lists the values
+# the option takes.  An argument is stored under its name with - as _.
+_FORMAT = {"--format": (("auto", "graph6", "edgelist"), "auto")}
+_LITERATURE = {"--literature-table": (None, False)}
+_BOUND = {"--max-chi-vertices": (int, DEFAULT_CHI_VERTEX_BOUND)}
+COMMANDS = {
+    "lambda": ("count maximal intersecting families over [k]", (("k", int),), _LITERATURE),
+    "enumerate-mifs": (
+        "list all maximal intersecting families (always streamed: --stream changes nothing)",
+        (("k", int),),
+        {"--stream": (None, False)},
+    ),
+    "sigma-complete": ("covering number of the complete graph K_n", (("n", int),), _LITERATURE),
+    "sigma": (
+        "covering number of a graph: prints sigma chi witness_k",
+        (("graph", str),),
+        {**_FORMAT, **_LITERATURE, **_BOUND},
+    ),
+    "estimate": ("closed-form estimate of sigma(K_n): prints raw rounded", (("n", int),), {}),
+    "construct-cover": (
+        "build a verified minimum cover: prints k accept, --json the certificate;"
+        " --out writes it",
+        (("graph", str),),
+        {**_FORMAT, "--out": (str, None), "--json": (None, False), **_BOUND},
+    ),
+    "verify-cover": (
+        "check a certificate against a graph: prints accept or counterexample x y z",
+        (("graph", str), ("certificate", str)),
+        _FORMAT,
+    ),
+    "brute-sigma": (
+        "exhaustive-search covering number (oracle)",
+        (("graph", str),),
+        {**_FORMAT, "--max-k": (int, 3), "--max-edges": (int, 8), "--timeout": (float, 300.0)},
+    ),
+    "chromatic": ("exact chromatic number", (("graph", str),), {**_FORMAT, **_BOUND}),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="orcov",
-        description="Orientation covering numbers, maximal intersecting families, "
-        "and verified minimum covers.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _is_option(arg: str) -> bool:
+    """Whether a word names an option: it starts with - and is neither - nor a negative number.
 
-    p = sub.add_parser("lambda", help="count maximal intersecting families over [k]")
-    p.add_argument("k", type=int)
-    p.add_argument("--literature-table", action="store_true")
-
-    p = sub.add_parser("enumerate-mifs", help="list all maximal intersecting families")
-    p.add_argument("k", type=int)
-    p.add_argument(
-        "--stream",
-        action="store_true",
-        help="accepted for compatibility: the output is always streamed",
-    )
-
-    p = sub.add_parser("sigma-complete", help="covering number of the complete graph K_n")
-    p.add_argument("n", type=int)
-    p.add_argument("--literature-table", action="store_true")
-
-    p = sub.add_parser("sigma", help="covering number of a graph: prints sigma chi witness_k")
-    _add_graph_arg(p)
-    p.add_argument("--literature-table", action="store_true")
-    p.add_argument("--max-chi-vertices", type=int, default=DEFAULT_CHI_VERTEX_BOUND)
-
-    p = sub.add_parser("estimate", help="closed-form estimate of sigma(K_n): prints raw rounded")
-    p.add_argument("n", type=int)
-
-    p = sub.add_parser("construct-cover", help="build a verified minimum cover")
-    _add_graph_arg(p)
-    p.add_argument("--out", help="write the certificate JSON to this file")
-    p.add_argument("--json", action="store_true", help="print the certificate JSON to stdout")
-    p.add_argument("--max-chi-vertices", type=int, default=DEFAULT_CHI_VERTEX_BOUND)
-
-    p = sub.add_parser("verify-cover", help="check a certificate against a graph")
-    _add_graph_arg(p)
-    p.add_argument("certificate", help="certificate JSON file, or - for stdin")
-
-    p = sub.add_parser("brute-sigma", help="exhaustive-search covering number (oracle)")
-    _add_graph_arg(p)
-    p.add_argument("--max-k", type=int, default=3)
-    p.add_argument("--max-edges", type=int, default=8)
-    p.add_argument("--timeout", type=float, default=300.0)
-
-    p = sub.add_parser("chromatic", help="exact chromatic number")
-    _add_graph_arg(p)
-    p.add_argument("--max-chi-vertices", type=int, default=DEFAULT_CHI_VERTEX_BOUND)
-
-    return parser
+    Negative numbers are argparse's: -N and -N.N or -.N, in decimal digits.
+    """
+    if arg[:1] != "-" or arg == "-":
+        return False
+    whole, dot, fraction = arg[1:].partition(".")
+    return not ((whole + fraction).isdecimal() and (fraction or not dot))
 
 
-def _run_command(args: argparse.Namespace) -> int:
+def _convert(command: str, name: str, convert, text: str):
+    if isinstance(convert, tuple):
+        if text in convert:
+            return text
+        raise ValueError(f"{command}: {name} must be one of {', '.join(convert)}, not {text!r}")
+    try:
+        return convert(text)
+    except ValueError:
+        message = f"{command}: {name} takes {convert.__name__} values, not {text!r}"
+        raise ValueError(message) from None
+
+
+_METAVARS = {int: "N", float: "SECONDS", str: "FILE"}
+
+
+def _synopsis(command: str) -> str:
+    _, positionals, options = COMMANDS[command]
+    words = [command, *(name for name, _ in positionals)]
+    for option, (convert, _) in options.items():
+        if convert is None:
+            words.append(f"[{option}]")
+        elif isinstance(convert, tuple):
+            words.append(f"[{option} {'|'.join(convert)}]")
+        else:
+            words.append(f"[{option} {_METAVARS[convert]}]")
+    return " ".join(words)
+
+
+class Parser:
+    """The argv parser of COMMANDS: every usage fault is a one-line ValueError.
+
+    After the command, options and positionals come in any order, an
+    option's value follows it or an = sign, and -- ends the options.
+    Option names must be given whole.
+    """
+
+    def usage(self, command: str | None = None) -> str:
+        """The -h text: every command, or one."""
+        if command is not None:
+            return f"usage: orcov {_synopsis(command)}\n\n{COMMANDS[command][0]}\n"
+        lines = [
+            "usage: orcov <command> [arguments]",
+            "",
+            "Orientation covering numbers, maximal intersecting families, "
+            "and verified minimum covers.",
+            "",
+            "commands:",
+        ]
+        for command, (text, _, _) in COMMANDS.items():
+            lines += [f"  orcov {_synopsis(command)}", f"      {text}"]
+        lines += [
+            "",
+            "A graph or certificate is a file path, or - for stdin; --format auto sniffs",
+            "the graph's format.  orcov <command> -h shows one command.",
+        ]
+        return "\n".join(lines) + "\n"
+
+    def parse_args(self, argv: Sequence[str]) -> SimpleNamespace:
+        """The command and its arguments by name; command None and the text under usage for -h."""
+        choose = f"choose from {', '.join(COMMANDS)}"
+        if not argv:
+            raise ValueError(f"missing command; {choose}")
+        command = argv[0]
+        if command in ("-h", "--help"):
+            return SimpleNamespace(command=None, usage=self.usage())
+        if command not in COMMANDS:
+            raise ValueError(f"unknown command {command!r}; {choose}")
+        _, positionals, options = COMMANDS[command]
+        values = {"command": command}
+        for option, (_, default) in options.items():
+            values[option[2:].replace("-", "_")] = default
+        words = []
+        rest = iter(argv[1:])
+        for arg in rest:
+            if arg == "--":
+                words += rest
+            elif not _is_option(arg):
+                words.append(arg)
+            elif arg in ("-h", "--help"):
+                return SimpleNamespace(command=None, usage=self.usage(command))
+            else:
+                option, eq, value = arg.partition("=")
+                if option not in options:
+                    raise ValueError(f"{command}: unknown option {option!r}")
+                convert = options[option][0]
+                if convert is None:
+                    if eq:
+                        raise ValueError(f"{command}: {option} takes no value")
+                    value = True
+                else:
+                    if not eq:
+                        value = next(rest, "--")  # reads as a missing value
+                        if _is_option(value):
+                            raise ValueError(f"{command}: {option} needs a value")
+                    value = _convert(command, option, convert, value)
+                values[option[2:].replace("-", "_")] = value
+        if len(words) > len(positionals):
+            raise ValueError(f"{command}: unexpected argument {words[len(positionals)]!r}")
+        if len(words) < len(positionals):
+            raise ValueError(f"{command}: missing argument {positionals[len(words)][0]}")
+        for (name, convert), word in zip(positionals, words):
+            values[name] = _convert(command, name, convert, word)
+        return SimpleNamespace(**values)
+
+
+def build_parser() -> Parser:
+    return Parser()
+
+
+def _run_command(args: SimpleNamespace) -> int:
     cmd = args.command
+    if cmd is None:
+        _write_ascii([args.usage.encode("ascii")])
+        return EXIT_OK
     if cmd == "lambda":
         value = hosten_morris(args.k, literature_table=args.literature_table)
         _write_line(f"{value} {lambda_provenance(args.k)}")
@@ -260,42 +363,46 @@ def _run_command(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
-        code = _run_command(args)
+        code = _run_command(build_parser().parse_args(sys.argv[1:] if argv is None else argv))
         # a block-buffered stdout is written here, so that a closed one
         # is reported below instead of at shutdown
         sys.stdout.flush()
         return code
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, error = EXIT_USAGE, exc
     except (CapacityError, BudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+        code, error = EXIT_CAPACITY, exc
     except OSError as exc:
         if isinstance(exc, BrokenPipeError):
-            # the reader closed stdout: keep the flush at shutdown quiet
+            # the reader closed stdout: keep the last flush quiet
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, error = EXIT_USAGE, exc
+    try:
+        sys.stderr.write(f"error: {error}\n")
+    except (AttributeError, OSError):
+        pass  # stderr is closed (None if it was at start): the line is lost, not the code
+    return code
 
 
 def run() -> None:
-    """Process entry: one command, then exit.
+    """Process entry: one command, then exit without interpreter teardown.
 
     orcov's hot paths build no reference cycles, so the cyclic collector
     would only scan the certificate and graph objects; the process runs
-    without it.  main() leaves the collector as it finds it, for callers
+    without it.  Freeing the interpreter's modules and objects at exit
+    would change no output, so the process flushes stdout and stderr
+    (files it wrote are closed already) and ends at once.  main() leaves
+    the collector as it finds it and does not exit, for callers
     in-process.
     """
     gc.disable()
-    sys.exit(main())
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None where the file was closed at start
+            stream.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

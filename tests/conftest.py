@@ -1,11 +1,13 @@
-"""Shared helpers: small-graph generators and named test graphs."""
+"""Shared helpers: small-graph generators, named test graphs and reference implementations."""
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import random
 
 from orcov import Graph
+from orcov.graphs import DEFAULT_CHI_VERTEX_BOUND
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:
@@ -90,3 +92,74 @@ def reference_counterexample(n: int, edges, rows):
                 if not any((x, y) in a and (x, z) in a for a in away):
                     return (x, y, z)
     return None
+
+
+def _add_graph_arg(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("graph", help="graph file (edge list or graph6), or - for stdin")
+    sub.add_argument(
+        "--format",
+        choices=["auto", "graph6", "edgelist"],
+        default="auto",
+        help="input format (default: sniff)",
+    )
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """orcov's command line in argparse: the reference that cli.Parser is tested against."""
+    parser = argparse.ArgumentParser(
+        prog="orcov",
+        description="Orientation covering numbers, maximal intersecting families, "
+        "and verified minimum covers.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("lambda", help="count maximal intersecting families over [k]")
+    p.add_argument("k", type=int)
+    p.add_argument("--literature-table", action="store_true")
+
+    p = sub.add_parser("enumerate-mifs", help="list all maximal intersecting families")
+    p.add_argument("k", type=int)
+    p.add_argument(
+        "--stream",
+        action="store_true",
+        help="accepted for compatibility: the output is always streamed",
+    )
+
+    p = sub.add_parser("sigma-complete", help="covering number of the complete graph K_n")
+    p.add_argument("n", type=int)
+    p.add_argument("--literature-table", action="store_true")
+
+    p = sub.add_parser("sigma", help="covering number of a graph: prints sigma chi witness_k")
+    _add_graph_arg(p)
+    p.add_argument("--literature-table", action="store_true")
+    p.add_argument("--max-chi-vertices", type=int, default=DEFAULT_CHI_VERTEX_BOUND)
+
+    p = sub.add_parser("estimate", help="closed-form estimate of sigma(K_n): prints raw rounded")
+    p.add_argument("n", type=int)
+
+    p = sub.add_parser("construct-cover", help="build a verified minimum cover")
+    _add_graph_arg(p)
+    p.add_argument("--out", help="write the certificate JSON to this file")
+    p.add_argument("--json", action="store_true", help="print the certificate JSON to stdout")
+    p.add_argument("--max-chi-vertices", type=int, default=DEFAULT_CHI_VERTEX_BOUND)
+
+    p = sub.add_parser("verify-cover", help="check a certificate against a graph")
+    _add_graph_arg(p)
+    p.add_argument("certificate", help="certificate JSON file, or - for stdin")
+
+    p = sub.add_parser("brute-sigma", help="exhaustive-search covering number (oracle)")
+    _add_graph_arg(p)
+    p.add_argument("--max-k", type=int, default=3)
+    p.add_argument("--max-edges", type=int, default=8)
+    p.add_argument("--timeout", type=float, default=300.0)
+
+    p = sub.add_parser("chromatic", help="exact chromatic number")
+    _add_graph_arg(p)
+    p.add_argument("--max-chi-vertices", type=int, default=DEFAULT_CHI_VERTEX_BOUND)
+
+    return parser
+
+
+def reference_commands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """The parser of each command in reference_parser(), by command name."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices

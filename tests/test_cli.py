@@ -5,6 +5,7 @@ import json
 import os
 import random
 import select
+import shlex
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from conftest import reference_counterexample
+from conftest import reference_commands, reference_counterexample, reference_parser
 from test_cover import GOLDEN_CERTIFICATES, MISSHAPEN_CERTIFICATES
 from test_families import brace_lists
 from test_graphs import INT_DIGIT_LIMIT, LONG_TOKENS
@@ -204,6 +205,10 @@ class TestFormats:
     @pytest.mark.parametrize("text, fmt", [
         ("A_", "graph6"), ("0 1", "edgelist"), ("\n>>graph6<<A_\n", "graph6"),
         ("0", "edgelist"),  # first byte below 63
+        # the first line ends at any of str.splitlines' breaks
+        ("A_\r0 1", "graph6"), ("A_\r\n0 1", "graph6"), ("A_\v0 1", "graph6"),
+        ("A_\f0 1", "graph6"), ("A_\x1c0 1", "graph6"), ("~" * 200 + "\r\n0 1", "graph6"),
+        ("~" * 63 + "\r\n0 1", "graph6"), ("0 1\x1c" + "~" * 200, "edgelist"),
     ])
     def test_sniff_format(self, text, fmt):
         assert cli.sniff_format(text) == fmt
@@ -501,6 +506,17 @@ class TestClosedStdout:
         assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.skipif(os.name != "posix", reason="closes stderr in a POSIX shell")
+@pytest.mark.parametrize("argv", ["lambda x", "chromatic /nonexistent/file"])
+def test_closed_stderr_keeps_the_exit_code(argv):
+    """With stderr closed the error line is lost, but not exit 2."""
+    src = str(Path(orcov.__file__).resolve().parents[1])
+    command = shlex.join([sys.executable, "-m", "orcov", *argv.split()])
+    proc = subprocess.run(f"{command} 2>&-", shell=True,
+                          capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+
+
 class TestCoverInAProcess:
     """construct-cover --out, then verify-cover on the certificate and on a tampered copy."""
 
@@ -672,14 +688,15 @@ class TestCollector:
                 gc.enable()
 
     def test_run_calls_main_with_the_collector_off(self, monkeypatch):
-        seen = []
-        monkeypatch.setattr(cli, "main", lambda: seen.append(gc.isenabled()) or 0)
+        seen, exits = [], []
+        monkeypatch.setattr(cli, "main", lambda: seen.append(gc.isenabled()) or 3)
+        # the real call would end this process
+        monkeypatch.setattr(cli.os, "_exit", exits.append)
         try:
-            with pytest.raises(SystemExit) as exc:
-                cli.run()
+            cli.run()
         finally:
             gc.enable()
-        assert seen == [False] and exc.value.code == 0
+        assert seen == [False] and exits == [3]
 
 
 class TestBruteSigmaCli:
@@ -703,11 +720,46 @@ class TestBruteSigmaCli:
 
 
 class TestUsage:
-    def test_no_subcommand(self, capsys):
-        assert main([]) == 2
+    """A usage fault is one error: line on stderr, nothing on stdout and exit 2, in a process."""
 
-    def test_unknown_subcommand(self, capsys):
-        assert main(["frobnicate"]) == 2
+    @staticmethod
+    def assert_one_error_line(*argv):
+        proc = run_process(*argv, stdin="0 1\n")  # a graph, for a command that runs
+        assert (proc.returncode, proc.stdout) == (2, "")
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
-    def test_bad_flag_value(self, capsys):
-        assert main(["lambda", "notanumber"]) == 2
+    def test_no_subcommand(self):
+        self.assert_one_error_line()
+
+    def test_unknown_subcommand(self):
+        self.assert_one_error_line("frobnicate")
+
+    def test_bad_flag_value(self):
+        self.assert_one_error_line("lambda", "notanumber")
+
+    @pytest.mark.parametrize("argv", [
+        ("lambda", "3", "--frobnicate"),
+        ("construct-cover", "-", "--out"),
+        ("brute-sigma", "-", "--max-k", "--max-edges", "4"),
+        ("lambda", "3", "4"),
+        ("sigma", "-", "--format", "xyz"),
+        ("lambda", "9", "--literature"),  # an abbreviation
+        ("lambda", "3", "--literature-table=yes"),
+    ], ids=["unknown-option", "missing-value", "option-for-value", "extra-positional",
+            "bad-choice", "abbreviation", "flag-with-value"])
+    def test_one_error_line(self, argv):
+        self.assert_one_error_line(*argv)
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_names_every_command(self, flag):
+        proc = run_process(flag)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("usage: orcov ")
+        for command in reference_commands(reference_parser()):
+            assert f"  orcov {command} " in proc.stdout
+
+    def test_help_for_one_command(self, capsys):
+        code, out, err = run(capsys, "brute-sigma", "-", "--help", "--max-k", "x")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: orcov brute-sigma graph ") and "--timeout" in out

@@ -1,10 +1,11 @@
-"""Property tests of the CLI input boundary: mutated graph files and certificates."""
+"""Property tests of the CLI input boundary: argv, mutated graph files and certificates."""
 
 import contextlib
 import functools
 import io
 import json
 import re
+from unittest import mock
 
 import pytest
 
@@ -12,13 +13,90 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from conftest import reference_counterexample  # noqa: E402
+from conftest import reference_commands, reference_counterexample, reference_parser  # noqa: E402
 
-from orcov import Graph, certificate_to_json, construct_cover, encode_graph6  # noqa: E402
+from orcov import Graph, certificate_to_json, cli, construct_cover, encode_graph6  # noqa: E402
 from orcov.cli import main  # noqa: E402
 
 # derandomized: the suite draws the same examples on every run
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+
+REFERENCE = reference_parser()
+COMMANDS = reference_commands(REFERENCE)
+
+# well-formed values of each type, and some the reference reads as options
+_VALUES = {
+    int: st.one_of(
+        st.integers(-(10**6), 10**6).map(str),
+        st.sampled_from(["+5", "1_000", "-0", "007", " 3", "\u0663", "-1_0", "-3.", "x"]),
+    ),
+    float: st.one_of(
+        st.floats().map(repr),
+        st.sampled_from(["nan", "-inf", "+inf", "1_0.5", "-.5", "-5.", "-1e3", "1e3", "-2", "x"]),
+    ),
+    None: st.sampled_from(["-", "g.el", "cert.json", "", "a=b", "-g"]),
+}
+
+
+@st.composite
+def argvs(draw, command):
+    """argv for command from the reference's own table: exact option names, value after the
+    option or after =, repeated options, options and positionals in any order, and a --
+    before the last positionals."""
+    positionals, items = [], []
+    for action in COMMANDS[command]._actions:
+        if not action.option_strings:
+            positionals.append(draw(_VALUES[action.type]))
+            continue
+        option = action.option_strings[0]
+        if option == "-h":
+            continue
+        values = st.sampled_from([*action.choices, "xyz"]) if action.choices else _VALUES[action.type]
+        for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
+            if action.nargs == 0:
+                items.append([option])
+            elif draw(st.booleans()):
+                items.append([option, draw(values)])
+            else:
+                items.append([f"{option}={draw(values)}"])
+    tail = draw(st.integers(0, len(positionals))) if draw(st.booleans()) else 0
+    items += [[None]] * (len(positionals) - tail)
+    items = draw(st.permutations(items))
+    argv = [command]
+    order = iter(positionals)
+    for item in items:
+        argv += [next(order)] if item == [None] else item
+    if tail:
+        argv += ["--", *order]
+    return argv
+
+
+def _attributes(namespace):
+    """Each attribute's type and repr, so that nan equals nan."""
+    return {name: (type(value), repr(value)) for name, value in vars(namespace).items()}
+
+
+@PROPERTY
+@pytest.mark.parametrize("command", list(COMMANDS))
+@given(data=st.data())
+def test_parser_agrees_with_argparse(command, data):
+    """Where the argparse reference reads argv, the parser gives the same attributes; where it
+    refuses argv, main exits 2 with one error line and runs no command."""
+    argv = data.draw(argvs(command))
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            want = REFERENCE.parse_args(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(cli, "_run_command", side_effect=AssertionError("parsed")), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1
+    else:
+        assert _attributes(cli.build_parser().parse_args(argv)) == _attributes(want)
 
 
 @st.composite

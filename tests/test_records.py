@@ -153,11 +153,11 @@ def test_keyword_construction_with_defaults():
     assert CoverCertificate(k=0, orientations=()).meta is None
 
 
-def _loaded_by_import(names, *flags):
-    """Which of names `import orcov.cli` loads in a fresh interpreter run with flags."""
+def _loaded_by(names, code, *flags):
+    """Which of names code loads in a fresh interpreter run with flags, printed after its output."""
     src = str(Path(orcov.__file__).resolve().parents[1])
     script = (
-        "import sys; before = set(sys.modules); import orcov.cli; "
+        f"import sys; before = set(sys.modules); {code}; "
         f"print(sorted(set({sorted(names)!r}) & (set(sys.modules) - before)))"
     )
     proc = subprocess.run(
@@ -169,10 +169,18 @@ def _loaded_by_import(names, *flags):
 
 def test_import_loads_no_dataclasses():
     """import orcov.cli loads neither dataclasses nor inspect nor json (start-up cost)."""
-    assert _loaded_by_import({"dataclasses", "inspect", "json"}) == (0, "[]\n", "")
+    assert _loaded_by({"dataclasses", "inspect", "json"}, "import orcov.cli") == (0, "[]\n", "")
 
 
 def test_import_without_site_loads_only_what_runs():
     """Under python -S, where site preloads nothing, import orcov.cli loads none of these."""
     names = {"typing", "pathlib", "threading", "dataclasses", "inspect", "json"}
-    assert _loaded_by_import(names, "-S") == (0, "[]\n", "")
+    assert _loaded_by(names, "import orcov.cli", "-S") == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("flags", [(), ("-S",)])
+def test_a_command_loads_no_argument_parser(flags):
+    """A whole command, argv parsing included, loads neither argparse nor what it imports."""
+    code = "from orcov import cli; cli.main(['lambda', '1'])"
+    result = _loaded_by({"argparse", "gettext", "locale"}, code, *flags)
+    assert result == (0, "1 computed\n[]\n", "")
