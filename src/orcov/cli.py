@@ -72,9 +72,12 @@ def _write_ascii(chunks: Iterable[bytes]) -> None:
 
     Every write to stdout goes through here.  A text stream put in place
     of stdout in-process has no buffer, so it gets the decoded text, as
-    _read_source does for stdin.
+    _read_source does for stdin.  Where stdout was closed at start
+    (sys.stdout is None) the write is an OSError, as into a closed pipe.
     """
     out = sys.stdout
+    if out is None:
+        raise OSError("stdout is closed")
     buffer = getattr(out, "buffer", None)
     if buffer is None:
         for chunk in chunks:

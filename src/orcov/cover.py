@@ -12,11 +12,12 @@ and handing each color class its own maximal intersecting family.
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from itertools import chain, compress, repeat
+from operator import add
 from collections.abc import Sequence
 
 from .errors import ParseError
-from .families import SetFamily, _disjoint_members, format_subset, sorted_mif_masks
+from .families import SetFamily, _avoiders, _disjoint_pair, format_subset, sorted_mif_masks
 from .graphs import (
     DEFAULT_CHI_VERTEX_BOUND,
     Graph,
@@ -172,29 +173,31 @@ def cover_from_families(g: Graph, fa: FamilyAssignment) -> CoverCertificate:
     (condition 1) and every A_v is intersecting (condition 2).  All
     edges are checked first, then all vertices, and the first failure
     raises with its witness.  Each edge uv gets deterministic disjoint
-    direction sets (smallest-mask choices, memoised per pair of member
-    vectors); orientation i then directs uv by membership of i, and
-    slots claimed by neither set default to low -> high.
+    direction sets (_disjoint_members' smallest-mask choices, memoised
+    per pair of member vectors, each family's avoiders computed once);
+    orientation i then directs uv by membership of i, and slots claimed
+    by neither set default to low -> high.
     """
     if len(fa.per_vertex) != g.n:
         raise ValueError("assignment size does not match vertex count")
     k = fa.k
+    members = [f.member for f in fa.per_vertex]
+    avoid = {f.member: _avoiders(f) for f in set(fa.per_vertex)}
     direction_sets: dict[tuple[int, int], int] = {}
-    chosen: dict[tuple[int, int], tuple[int, int] | None] = {}
+    chosen: dict[tuple[int, int], tuple[int, int]] = {}
     # Orientation i directs uv as u -> v unless i is in T = S_(v,u)
     # (S and T are disjoint); forward[e] is that mask of [k] for edge e.
     forward: list[int] = []
     full = (1 << k) - 1
     for u, v in g.edges:
-        fu, fv = fa.per_vertex[u], fa.per_vertex[v]
-        key = (fu.member, fv.member)
-        if key not in chosen:
-            chosen[key] = _disjoint_members(fu, fv)
-        pair = chosen[key]
+        key = (members[u], members[v])
+        pair = chosen.get(key)
         if pair is None:
-            raise ValueError(
-                f"condition 1 violated at edge ({u}, {v}): no disjoint direction sets"
-            )
+            pair = chosen[key] = _disjoint_pair(k, *key, avoid[key[1]])
+            if pair is None:
+                raise ValueError(
+                    f"condition 1 violated at edge ({u}, {v}): no disjoint direction sets"
+                )
         s, t = pair
         direction_sets[(u, v)] = s
         direction_sets[(v, u)] = t
@@ -204,7 +207,7 @@ def cover_from_families(g: Graph, fa: FamilyAssignment) -> CoverCertificate:
     for v, f in enumerate(fa.per_vertex):
         first.setdefault(f, v)
     for f, v in first.items():
-        pair = _disjoint_members(f, f)
+        pair = _disjoint_pair(k, f.member, f.member, avoid[f.member])
         if pair is not None:
             s, t = map(format_subset, pair)
             raise ValueError(
@@ -252,17 +255,37 @@ def _orientation_json(o: Orientation) -> str:
     return f"[{flags[:-2]}]"
 
 
-def _direction_sets_json(direction_sets: dict[tuple[int, int], int] | None) -> str:
+def _direction_sets_json(g: Graph, direction_sets: dict[tuple[int, int], int] | None) -> str:
+    """The meta.direction_sets object, its "x->y" keys in ascending (x, y) order.
+
+    Row x walks x's neighbours in ascending order, which is that key
+    order, so nothing is sorted.  A directed edge without a key is
+    skipped; a key that names no directed edge of g is found by the
+    count of written entries and raises ValueError.
+    """
     if direction_sets is None:
         return "null"
     import json
 
-    # each distinct set is formatted once; the keys are sorted alone, as
-    # sorting the (key, set) items falls back to generic tuple compares
+    # each distinct set is formatted once, and each key's "y": part once
     elements = {s: json.dumps([b + 1 for b in _bits(s)]) for s in set(direction_sets.values())}
-    return "{" + ", ".join(
-        f'"{x}->{y}": {elements[direction_sets[x, y]]}' for x, y in sorted(direction_sets)
-    ) + "}"
+    tails = [f'{y}": ' for y in range(g.n)]
+    get = direction_sets.get
+    rows = []
+    written = 0
+    for x, row in enumerate(g.adj):
+        ys = _bits(row)
+        sets = list(map(get, zip(repeat(x), ys)))
+        if None in sets:
+            ys = [y for y, s in zip(ys, sets) if s is not None]
+            sets = [s for s in sets if s is not None]
+        if ys:
+            written += len(ys)
+            entries = map(add, map(tails.__getitem__, ys), map(elements.__getitem__, sets))
+            rows.append(f'"{x}->' + f', "{x}->'.join(entries))
+    if written != len(direction_sets):
+        raise ValueError("a direction-set key names no directed edge of the graph")
+    return "{" + ", ".join(rows) + "}"
 
 
 def certificate_to_json(g: Graph, cert: CoverCertificate) -> str:
@@ -284,7 +307,7 @@ def certificate_to_json(g: Graph, cert: CoverCertificate) -> str:
         meta_json = (
             f'{{"coloring": {json.dumps(meta.coloring)}, '
             f'"family_indices": {json.dumps(meta.family_indices)}, '
-            f'"direction_sets": {_direction_sets_json(meta.direction_sets)}}}'
+            f'"direction_sets": {_direction_sets_json(g, meta.direction_sets)}}}'
         )
     lines = [
         "{",

@@ -4,12 +4,13 @@ A subset S of [k] = {1, ..., k} is a k-bit mask (bit i-1 set means
 i in S).  A family of subsets is a 2^k-bit member vector (bit s set
 means the subset with mask s belongs to the family).  The member
 vector of every subset of a mask comes from one doubling helper
-(_subsets); the subset and superset tables, upward closure, the
-disjoint members of two families and the intersecting test are all
-built on it.  Maximal intersecting families are listed by one
-pure-Python walk (_mif_walk); their counts lambda(k), the
-Hosten-Morris numbers, come from an independent up-set decomposition
-(_mif_count).
+(_subsets); the subset and superset tables and upward closure are
+built on it.  The disjoint members of two families and the
+intersecting test rest on one more vector, the sets that avoid some
+member of a family (_avoiders).  Maximal intersecting families are
+listed by one pure-Python walk (_mif_walk); their counts lambda(k),
+the Hosten-Morris numbers, come from an independent up-set
+decomposition (_mif_count).
 """
 
 from __future__ import annotations
@@ -146,13 +147,7 @@ class SetFamily(_Value):
 
     def members(self) -> Iterator[int]:
         """Member subset masks in ascending order."""
-        # lowest-bit steps, not _bits: callers stop early, where listing
-        # every member first would cost more than it saves
-        vec = self.member
-        while vec:
-            lsb = vec & -vec
-            yield lsb.bit_length() - 1
-            vec ^= lsb
+        return iter(_bits(self.member))
 
     def __contains__(self, mask: int) -> bool:
         return 0 <= mask < (1 << self.k) and bool((self.member >> mask) & 1)
@@ -192,14 +187,39 @@ def _subsets(mask: int) -> int:
     return vec
 
 
+def _avoiders(f: SetFamily) -> int:
+    """Member vector of the masks S disjoint from at least one member T of f.
+
+    S misses T iff S lies inside [k] \\ T, so this is the down-closure
+    of the complements of the members.  Reversing the 2^k bits of the
+    member vector moves position T to (2^k - 1) - T = [k] \\ T; then k
+    shift-ORs, the i-th adding every set with element i again without it.
+    """
+    vec = int(_bit_string(f.member, 1 << f.k), 2)
+    full = (1 << f.k) - 1
+    for i in range(f.k):
+        vec |= (vec >> (1 << i)) & _subsets(full ^ 1 << i)
+    return vec
+
+
 def _disjoint_members(fu: SetFamily, fv: SetFamily) -> tuple[int, int] | None:
     """Smallest-mask S in fu admitting a disjoint T in fv, then smallest T."""
-    full = (1 << fu.k) - 1
-    for s in fu.members():
-        hits = fv.member & _subsets(full ^ s)
-        if hits:
-            return (s, (hits & -hits).bit_length() - 1)
-    return None
+    return _disjoint_pair(fu.k, fu.member, fv.member, _avoiders(fv))
+
+
+def _disjoint_pair(k: int, mu: int, mv: int, avoid_v: int) -> tuple[int, int] | None:
+    """_disjoint_members on member vectors, with the avoiders of fv given.
+
+    The S in fu that admit a disjoint T in fv are fu's members among
+    fv's avoiders; T is the smallest member of fv inside [k] \\ S.  A
+    caller that pairs one family with many computes its avoiders once.
+    """
+    hits = mu & avoid_v
+    if not hits:
+        return None
+    s = (hits & -hits).bit_length() - 1
+    hits = mv & _subsets(((1 << k) - 1) ^ s)
+    return (s, (hits & -hits).bit_length() - 1)
 
 
 def is_intersecting(f: SetFamily) -> bool:

@@ -517,6 +517,18 @@ def test_closed_stderr_keeps_the_exit_code(argv):
     assert (proc.returncode, proc.stdout) == (2, b"")
 
 
+@pytest.mark.skipif(os.name != "posix", reason="closes stdout in a POSIX shell")
+@pytest.mark.parametrize("argv", ["lambda 4", "enumerate-mifs 3", "--help"])
+def test_stdout_closed_at_start_is_exit_2(argv):
+    """sys.stdout is None: one error line and exit 2, no traceback."""
+    src = str(Path(orcov.__file__).resolve().parents[1])
+    command = shlex.join([sys.executable, "-m", "orcov", *argv.split()])
+    proc = subprocess.run(f"{command} >&-", shell=True, stderr=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: stdout is closed\n"
+
+
 class TestCoverInAProcess:
     """construct-cover --out, then verify-cover on the certificate and on a tampered copy."""
 

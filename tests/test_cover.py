@@ -631,3 +631,37 @@ CERTIFICATE_TEXT = [
 def test_certificate_text(g, cert, text):
     assert certificate_to_json(g, cert) == text
     assert certificate_from_json(text, g) == cert
+
+
+def _sorted_key_block(direction_sets):
+    """The direction-set block with its keys sorted as (x, y) pairs, through json.dumps."""
+    return json.dumps({f"{x}->{y}": [b + 1 for b in range(s.bit_length()) if s >> b & 1]
+                       for (x, y), s in sorted(direction_sets.items())})
+
+
+class TestDirectionSetsBlock:
+    """certificate_to_json's direction-set block, row by row over each vertex's neighbours."""
+
+    @pytest.mark.parametrize("dropped", [[(0, 5)], [(7, 2)], [(4, v) for v in range(10)]],
+                             ids=["one-key", "other-direction", "whole-row"])
+    def test_missing_keys_are_skipped(self, dropped):
+        g = petersen_graph()
+        cert = construct_cover(g)
+        direction_sets = dict(cert.meta.direction_sets)
+        assert any(key in direction_sets for key in dropped)
+        for key in dropped:
+            direction_sets.pop(key, None)
+        meta = CertificateMeta(cert.meta.coloring, cert.meta.family_indices, direction_sets)
+        text = certificate_to_json(g, CoverCertificate(cert.k, cert.orientations, meta))
+        no_sets = CertificateMeta(cert.meta.coloring, cert.meta.family_indices)
+        want = certificate_to_json(g, CoverCertificate(cert.k, cert.orientations, no_sets))
+        assert text == want.replace('"direction_sets": null',
+                                    f'"direction_sets": {_sorted_key_block(direction_sets)}')
+
+    @pytest.mark.parametrize("key", [(0, 0), (0, 2), (0, 10), (10, 0), (-1, 0)])
+    def test_a_key_that_names_no_edge_raises(self, key):
+        g = petersen_graph()
+        cert = construct_cover(g)
+        meta = CertificateMeta(direction_sets={**cert.meta.direction_sets, key: 1})
+        with pytest.raises(ValueError, match="names no directed edge"):
+            certificate_to_json(g, CoverCertificate(cert.k, cert.orientations, meta))
