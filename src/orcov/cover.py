@@ -89,7 +89,7 @@ class CoverCertificate(_Value):
 
 def _check_shapes(g: Graph, orientations: Sequence[Orientation]) -> None:
     for o in orientations:
-        if not o.matches_shape(g):
+        if o.n != g.n or o.m != g.m:
             raise ValueError(
                 f"orientation shape ({o.n}, {o.m}) does not match graph ({g.n}, {g.m})"
             )
@@ -159,7 +159,7 @@ def families_from_cover(
     cover_from_families, not as an error here.
     """
     _check_shapes(g, orientations)
-    k = len(orientations)  # SetFamily refuses k < 1 and k > FAMILY_KMAX
+    k = len(orientations)  # SetFamily refuses k < 1 and k > KMAX_HARD
     return FamilyAssignment(k, tuple(
         SetFamily.from_masks(k, first) for first in _direction_sets_by_vertex(g, orientations)
     ))
@@ -173,7 +173,7 @@ def cover_from_families(g: Graph, fa: FamilyAssignment) -> CoverCertificate:
     (condition 1) and every A_v is intersecting (condition 2).  All
     edges are checked first, then all vertices, and the first failure
     raises with its witness.  Each edge uv gets deterministic disjoint
-    direction sets (_disjoint_members' smallest-mask choices, memoised
+    direction sets (_disjoint_pair's smallest-mask choices, memoised
     per pair of member vectors, each family's avoiders computed once);
     orientation i then directs uv by membership of i, and slots claimed
     by neither set default to low -> high.

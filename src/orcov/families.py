@@ -27,8 +27,6 @@ KMAX_HARD = 7
 # Reported as orcov.KERNEL_BACKEND: the package has one pure-Python kernel.
 KERNEL_BACKEND = "pure"
 
-FAMILY_KMAX = 16
-
 # Counts for k = 8, 9 transcribed from Brouwer, Mills, Mills and
 # Verbeek, "Counting families of mutually intersecting sets" (2013).
 # Served only on request and flagged with "literature" provenance;
@@ -51,11 +49,8 @@ def _family_table(k: int) -> tuple[list[bytes], ...]:
     entry b of row p concatenates format_subset of 8p + j for every bit
     j of b, ascending.  Each mask doubles the row: the entries so far,
     then the same entries with its brace list appended.  Below k = 3 a
-    vector has 2^k < 8 bits, one row of 2^(2^k) entries.  Built only up
-    to KMAX_HARD: at k = 16 the rows would hold 2M entries.
+    vector has 2^k < 8 bits, one row of 2^(2^k) entries.
     """
-    if k > KMAX_HARD:
-        raise CapacityError(f"family tables are built for k <= {KMAX_HARD}")
     table = []
     for p in range(max(1, (1 << k) >> 3)):
         row = [b""]
@@ -90,12 +85,9 @@ def family_lines(k: int, members: Sequence[int]) -> Iterator[bytes]:
 def format_family(k: int, member: int) -> str:
     """A 2^k-bit member vector as concatenated brace lists, ascending.
 
-    Up to KMAX_HARD each byte of the vector maps through its row of
-    _family_table, as in family_lines.  Above it, where no table is
-    built, one member at a time.
+    Each byte of the vector maps through its row of _family_table, as
+    in family_lines.
     """
-    if k > KMAX_HARD:
-        return "".join([format_subset(s) for s in _bits(member)])
     table = _family_table(k)
     line = b"".join(map(list.__getitem__, table, member.to_bytes(len(table), "little")))
     return line.decode("ascii")
@@ -111,8 +103,8 @@ class SetFamily(_Value):
     def __init__(self, k: int, member: int) -> None:
         if k < 1:
             raise ValueError("ground-set size k must be positive")
-        if k > FAMILY_KMAX:
-            raise CapacityError(f"set families support k <= {FAMILY_KMAX}")
+        if k > KMAX_HARD:
+            raise CapacityError(f"set families support k <= {KMAX_HARD}")
         if member < 0 or member >> (1 << k):
             raise ValueError("member vector wider than 2^k bits")
         _set(self, "k", k)
@@ -395,7 +387,7 @@ def hosten_morris(k: int, literature_table: bool = False) -> int:
         )
     raise CapacityError(
         f"lambda({k}) is beyond the enumeration capacity k <= {KMAX_HARD} "
-        f"and the literature table (k <= 9)"
+        f"and the literature table (k <= {max(LITERATURE_LAMBDA)})"
     )
 
 

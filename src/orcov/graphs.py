@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import compress
 from operator import attrgetter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import CapacityError, ParseError
 
@@ -210,22 +210,8 @@ class Graph(_Value):
             raise
         return cls(n, adj)
 
-    def neighbors(self, u: int) -> Iterator[int]:
-        return iter(_bits(self.adj[u]))
-
     def degree(self, u: int) -> int:
         return self.adj[u].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
-
-    def relabel(self, perm: Sequence[int]) -> "Graph":
-        """Return the graph with vertex v renamed perm[v]."""
-        if sorted(perm) != list(range(self.n)):
-            raise ValueError("perm must be a permutation of 0..n-1")
-        return Graph.from_edges(
-            [(perm[u], perm[v]) for u, v in self.edges], n=self.n
-        )
 
 
 class Orientation(_Value):
@@ -252,13 +238,6 @@ class Orientation(_Value):
         """Orientation whose edge e points u -> v iff dir_flags[e] is true."""
         digits = bytes(map(bool, dir_flags))[::-1].translate(_FLAG_DIGITS)
         return cls(n, len(dir_flags), int(digits or b"0", 2))
-
-    @property
-    def dir(self) -> tuple[bool, ...]:
-        return tuple(map(bool, _flags(self.bits, self.m)))
-
-    def matches_shape(self, g: Graph) -> bool:
-        return self.n == g.n and self.m == g.m
 
 
 class Coloring(_Value):

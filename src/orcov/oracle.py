@@ -73,7 +73,7 @@ def brute_mifs(k: int) -> tuple[SetFamily, ...]:
 
 
 def _neighbor_lists(g: Graph) -> list[list[int]]:
-    return [list(g.neighbors(x)) for x in range(g.n)]
+    return [[y for y in range(g.n) if g.adj[x] >> y & 1] for x in range(g.n)]
 
 
 def _covers(nbrs: list[list[int]], n: int, rowset: list[list[int]]) -> bool:

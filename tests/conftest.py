@@ -68,6 +68,11 @@ def random_graph(rng: random.Random, n_max: int = 10) -> Graph:
             return Graph.from_edges(edges, n=n)
 
 
+def relabeled(g: Graph, perm: list[int]) -> Graph:
+    """g with vertex v renamed perm[v]."""
+    return Graph.from_edges([(perm[u], perm[v]) for u, v in g.edges], n=g.n)
+
+
 def assert_equal_graphs(a: Graph, b: Graph) -> None:
     assert a.n == b.n and a.edges == b.edges
 

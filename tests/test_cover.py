@@ -183,13 +183,13 @@ class TestFamiliesFromCover:
         assert verify_cover(g, cover_from_families(g, fa).orientations) is None
 
     def test_orientation_count_bounds(self):
-        # SetFamily holds the bounds 1 <= k <= FAMILY_KMAX (16)
+        # SetFamily holds the bounds 1 <= k <= KMAX_HARD (7)
         g = complete_graph(2)
         with pytest.raises(ValueError, match="k must be positive"):
             families_from_cover(g, [])
-        assert families_from_cover(g, [orient(g, True)] * 16).k == 16
-        with pytest.raises(CapacityError, match="k <= 16"):
-            families_from_cover(g, [orient(g, True)] * 17)
+        assert families_from_cover(g, [orient(g, True)] * 7).k == 7
+        with pytest.raises(CapacityError, match="k <= 7"):
+            families_from_cover(g, [orient(g, True)] * 8)
 
     def test_missing_direction_shows_empty_set(self):
         g = complete_graph(2)

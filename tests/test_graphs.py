@@ -155,7 +155,7 @@ class TestGraph6:
             assert tuple(sorted(edges)) == g.edges
 
             want = "".join(
-                "1" if g.has_edge(u, v) else "0" for v in range(1, g.n) for u in range(v)
+                "1" if g.adj[u] >> v & 1 else "0" for v in range(1, g.n) for u in range(v)
             )
             pad = -len(want) % 6
             ref = chr(63 + g.n) + "".join(
@@ -238,14 +238,9 @@ class TestConstructions:
         for n in range(1, 6):
             for g in all_labeled_graphs(n):
                 assert Graph(g.n, g.adj) == g
-                pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if g.has_edge(u, v)]
+                pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if g.adj[u] >> v & 1]
                 assert g.edges == tuple(pairs)
                 assert Graph.from_edges([(v, u) for u, v in reversed(pairs)], n=n).edges == g.edges
-
-    def test_relabel(self):
-        g = path_graph(3)  # edges (0,1), (1,2)
-        h = g.relabel([2, 0, 1])
-        assert h.edges == ((0, 1), (0, 2))
 
 
 class TestColoring:
@@ -315,22 +310,18 @@ class TestColoring:
 
 class TestOrientation:
     def test_dir_round_trip(self):
-        o = Orientation.from_dir(3, [True, False, True])
-        assert o.dir == (True, False, True)
-        assert o.bits == 0b101
+        assert Orientation.from_dir(3, [True, False, True]).bits == 0b101
 
     def test_dir_with_leading_zeros_and_no_edges(self):
-        assert Orientation(5, 4, 0b0010).dir == (False, True, False, False)
+        assert Orientation.from_dir(5, [False, True, False, False]).bits == 0b0010
         assert Orientation.from_dir(5, [False] * 4).bits == 0
         assert Orientation.from_dir(1, []) == Orientation(1, 0, 0)
-        assert Orientation(1, 0, 0).dir == ()
         assert Orientation.from_dir(3, [1, 0, 2]).bits == 0b101  # truthy flags
         rng = random.Random(8)
         for m in (1, 63, 64, 65, 500):
             bits = rng.getrandbits(m) >> rng.randrange(m)
-            o = Orientation(2, m, bits)
-            assert o.dir == tuple(bool(bits >> e & 1) for e in range(m))
-            assert Orientation.from_dir(2, list(o.dir)) == o
+            flags = [bool(bits >> e & 1) for e in range(m)]
+            assert Orientation.from_dir(2, flags) == Orientation(2, m, bits)
 
     def test_shape_checked(self):
         with pytest.raises(ValueError):
@@ -379,8 +370,6 @@ LONG_TOKENS = {
                  id="no-vertices"),
     pytest.param(lambda: Graph(2, (0,)), ValueError, "adjacency row count does not match n",
                  id="row-count"),
-    pytest.param(lambda: path_graph(3).relabel([0, 0, 1]), ValueError,
-                 "perm must be a permutation of 0..n-1", id="relabel"),
     pytest.param(lambda: proper_coloring(path_graph(2), 0), ValueError, "t must be positive",
                  id="no-colors"),
     pytest.param(lambda: encode_graph6(Graph.from_edges([], n=63)), CapacityError,

@@ -8,6 +8,7 @@ from conftest import (
     graph_from_mask,
     iso_class_masks,
     k4_minus_edge,
+    relabeled,
 )
 
 from orcov import (
@@ -112,7 +113,7 @@ class TestBruteSigma:
         for _ in range(5):
             perm = list(range(4))
             rng.shuffle(perm)
-            assert brute_sigma(g.relabel(perm)) == base
+            assert brute_sigma(relabeled(g, perm)) == base
 
     def test_budget_fields_validated(self):
         with pytest.raises(ValueError):

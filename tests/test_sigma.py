@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from conftest import k4_minus_edge, random_graph
+from conftest import k4_minus_edge, random_graph, relabeled
 
 from orcov import (
     CapacityError,
@@ -99,7 +99,7 @@ class TestSigmaOfGraph:
             g = random_graph(rng, n_max=8)
             perm = list(range(g.n))
             rng.shuffle(perm)
-            assert sigma_of_graph(g.relabel(perm)).value == sigma_of_graph(g).value
+            assert sigma_of_graph(relabeled(g, perm)).value == sigma_of_graph(g).value
 
 
 class TestEstimate:
