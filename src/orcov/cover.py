@@ -255,7 +255,20 @@ def _orientation_json(o: Orientation) -> str:
     return f"[{flags[:-2]}]"
 
 
-def _direction_sets_json(g: Graph, direction_sets: dict[tuple[int, int], int] | None) -> str:
+def _edges_json(g: Graph, names: list[str]) -> str:
+    """json.dumps(g.edges), written row by row: row u is "[u, v]" for each upper neighbour v."""
+    rows = []
+    for u, row in enumerate(g.adj):
+        upper = row >> (u + 1) << (u + 1)
+        if upper:
+            vs = map(names.__getitem__, _bits(upper))
+            rows.append(f"[{names[u]}, " + f"], [{names[u]}, ".join(vs) + "]")
+    return "[" + ", ".join(rows) + "]"
+
+
+def _direction_sets_json(
+    g: Graph, direction_sets: dict[tuple[int, int], int] | None, names: list[str]
+) -> str:
     """The meta.direction_sets object, its "x->y" keys in ascending (x, y) order.
 
     Row x walks x's neighbours in ascending order, which is that key
@@ -269,7 +282,7 @@ def _direction_sets_json(g: Graph, direction_sets: dict[tuple[int, int], int] | 
 
     # each distinct set is formatted once, and each key's "y": part once
     elements = {s: json.dumps([b + 1 for b in _bits(s)]) for s in set(direction_sets.values())}
-    tails = [f'{y}": ' for y in range(g.n)]
+    tails = [name + '": ' for name in names]
     get = direction_sets.get
     rows = []
     written = 0
@@ -282,7 +295,7 @@ def _direction_sets_json(g: Graph, direction_sets: dict[tuple[int, int], int] | 
         if ys:
             written += len(ys)
             entries = map(add, map(tails.__getitem__, ys), map(elements.__getitem__, sets))
-            rows.append(f'"{x}->' + f', "{x}->'.join(entries))
+            rows.append(f'"{names[x]}->' + f', "{names[x]}->'.join(entries))
     if written != len(direction_sets):
         raise ValueError("a direction-set key names no directed edge of the graph")
     return "{" + ", ".join(rows) + "}"
@@ -300,6 +313,7 @@ def certificate_to_json(g: Graph, cert: CoverCertificate) -> str:
     import json  # here and in certificate_from_json: no other command starts with it
 
     _check_shapes(g, cert.orientations)
+    names = list(map(str, range(g.n)))
     meta = cert.meta
     if meta is None:
         meta_json = "null"
@@ -307,14 +321,14 @@ def certificate_to_json(g: Graph, cert: CoverCertificate) -> str:
         meta_json = (
             f'{{"coloring": {json.dumps(meta.coloring)}, '
             f'"family_indices": {json.dumps(meta.family_indices)}, '
-            f'"direction_sets": {_direction_sets_json(g, meta.direction_sets)}}}'
+            f'"direction_sets": {_direction_sets_json(g, meta.direction_sets, names)}}}'
         )
     lines = [
         "{",
         f'  "n": {g.n},',
         f'  "m": {g.m},',
         f'  "k": {cert.k},',
-        f'  "edges": {json.dumps(g.edges)},',
+        f'  "edges": {_edges_json(g, names)},',
         '  "orientations": [',
         ",\n".join("    " + _orientation_json(o) for o in cert.orientations),
         "  ],",

@@ -317,9 +317,21 @@ def _edge_list_pairs(text: str) -> tuple[list[tuple[int, int]], int]:
     plain = "_" not in text and "+" not in text
     pinned: int | None = None
     edges: list[tuple[int, int]] = []
+    # every token of an accepted edge line -> its endpoint: such a token
+    # is decimal, non-negative and below the header count, which is fixed
+    # once an edge is read, so a line of two known tokens with different
+    # values needs no further check
+    checked: dict[str, int] = {}
+    known = checked.get
     for lineno, raw in enumerate(text.splitlines(), 1):
         toks = raw.split()
-        if not toks:
+        if len(toks) == 2:
+            u = known(toks[0])
+            v = known(toks[1])
+            if u != v and u is not None and v is not None:
+                edges.append((u, v))
+                continue
+        elif not toks:
             continue
         if toks[0] == "n" and pinned is None and not edges:
             if len(toks) != 2:
@@ -348,6 +360,8 @@ def _edge_list_pairs(text: str) -> tuple[list[tuple[int, int]], int]:
         if pinned is not None and (u >= pinned or v >= pinned):
             raise ParseError(f"line {lineno}: endpoint {max(u, v)} out of range for n={pinned}")
         edges.append((u, v))
+        checked[toks[0]] = u
+        checked[toks[1]] = v
     if pinned is not None:
         return edges, pinned
     if not edges:
@@ -467,94 +481,107 @@ def _greedy_clique(g: Graph) -> list[int]:
     return clique
 
 
-def _dsatur(nbrs: list[list[int]], t: int, prio: Sequence[int]) -> list[int] | None:
-    """Per-vertex colors of the first proper coloring with at most t colors, or None.
+def _dsatur(rows: list[int], t: int) -> list[int] | None:
+    """Colors, by bit position, of the first proper coloring of rows with at most t colors, or None.
 
-    Iterative DSATUR branch and bound over precomputed neighbor lists.
-    The next vertex is the uncolored one with the most distinct
-    neighbor colors, ties broken by the highest prio (a permutation of
-    0..n-1, see _canonical_order and _degree_order); its colors are
-    tried in ascending order below min(t, max_used + 2), so a fresh
-    color class is opened at most once per vertex.  The order decides
-    which coloring is found first and how fast an infeasible t is
-    refuted, never whether one exists.
+    Iterative DSATUR branch and bound on adjacency bitmasks whose bit
+    positions are the vertex priorities (see _canonical_rows and
+    _degree_rows).  The next vertex is the uncolored one with the
+    most distinct neighbor colors, ties broken by the highest bit; its
+    colors are tried in ascending order below min(t, max_used + 2), so
+    a fresh color class is opened at most once per vertex.  The order
+    decides which coloring is found first and how fast an infeasible t
+    is refuted, never whether one exists.
 
-    Saturation is kept incrementally: count[w * t + c] is the number of
-    colored neighbors of w with color c, sat[w] the mask of colors with
-    a nonzero count and key[w] = popcount(sat[w]) * n + prio[w] (-1
-    once w is colored), so the largest key picks the next vertex.  Only
-    uncolored neighbors are updated; the stack unwinds in LIFO order,
-    so a vertex's counts are current again by the time it is uncolored.
+    The state is a few masks: unc holds the uncolored vertices, forb[c]
+    those of them next to color c, and level[j] those with exactly j
+    neighbor colors, so the next vertex is the top bit of the highest
+    non-empty level.  Coloring p with c gives the vertices
+    nbrs = rows[p] & unc & ~forb[c] their first neighbor of color c and
+    moves each of them up one level; the frame (p, c, max_used, nbrs, top)
+    undoes exactly that, top being the level p was taken from.
     """
-    n = len(nbrs)
+    n = len(rows)
     t = min(t, n)  # colors >= n are never reached: limit <= colored + 1
-    colors = [-1] * n
-    key = list(prio)
-    sat = [0] * n
-    count = [0] * (n * t)
-    stack: list[tuple[int, int, int]] = []  # (vertex, color, max_used before it)
+    colors = [0] * n
+    unc = (1 << n) - 1
+    forb = [0] * t
+    level = [0] * (t + 2)  # a saturation is at most t
+    level[0] = unc
+    stack: list[tuple[int, int, int, int, int]] = []
     max_used = -1
-    v, c = key.index(n - 1), 0
+    top = 0
+    p, c = n - 1, 0
     while True:
         limit = min(t, max_used + 2)
-        blocked = sat[v]
-        while c < limit and (blocked >> c) & 1:
+        bit = 1 << p
+        while c < limit and forb[c] & bit:
             c += 1
         if c < limit:
-            colors[v] = c
-            key[v] = -1
-            stack.append((v, c, max_used))
+            colors[p] = c
+            unc ^= bit
+            if not unc:
+                return colors
+            nbrs = rows[p] & unc & ~forb[c]
+            forb[c] |= nbrs
+            level[top] ^= bit
+            stack.append((p, c, max_used, nbrs, top))
             if c > max_used:
                 max_used = c
-            bit = 1 << c
-            for w in nbrs[v]:
-                if colors[w] < 0:
-                    i = w * t + c
-                    if not count[i]:
-                        sat[w] |= bit
-                        key[w] += n
-                    count[i] += 1
-            if len(stack) == n:
-                return colors
-            v = key.index(max(key))
+            # each neighbor in nbrs moves up one level, taken from the top down
+            j = top
+            while nbrs:
+                moved = level[j] & nbrs
+                if moved:
+                    level[j] ^= moved
+                    level[j + 1] |= moved
+                    nbrs ^= moved
+                j -= 1
+            if level[top + 1]:
+                top += 1
+            else:
+                while not level[top]:
+                    top -= 1
+            p = level[top].bit_length() - 1
             c = 0
             continue
         if not stack:
             return None
-        v, c, max_used = stack.pop()
-        bit = 1 << c
-        for w in nbrs[v]:
-            if colors[w] < 0:
-                i = w * t + c
-                count[i] -= 1
-                if not count[i]:
-                    sat[w] ^= bit
-                    key[w] -= n
-        colors[v] = -1
-        key[v] = sat[v].bit_count() * n + prio[v]
+        p, c, max_used, nbrs, top = stack.pop()
+        forb[c] ^= nbrs
+        j = top + 1
+        while nbrs:
+            moved = level[j] & nbrs
+            if moved:
+                level[j] ^= moved
+                level[j - 1] |= moved
+                nbrs ^= moved
+            j -= 1
+        bit = 1 << p
+        unc |= bit
+        level[top] |= bit
         c += 1
 
 
-def _canonical_order(n: int) -> list[int]:
-    """DSATUR priorities for the certificate order: the lowest index wins a tie."""
-    return list(range(n - 1, -1, -1))
+def _canonical_rows(g: Graph) -> list[int]:
+    """g's rows for the certificate order: v at bit n - 1 - v, so the lowest index wins a tie."""
+    n = g.n
+    return [int(_bit_string(row, n), 2) if row else 0 for row in reversed(g.adj)]
 
 
-def _degree_order(g: Graph) -> list[int]:
-    """DSATUR priorities for proofs: the highest degree wins a tie, then the lowest index.
+def _degree_rows(g: Graph) -> list[int]:
+    """g's rows for proofs: the vertex of rank r at bit r, ranked by (degree, -index).
 
-    Brelaz's tie-break.  On G(n, 1/2) it refutes t < chi about four times
-    faster than the canonical order; it finds other colorings, so it is
-    used only where the answer is a number.
+    Brelaz's tie-break: the highest degree wins a tie, then the lowest
+    index.  On G(n, 1/2) it refutes t < chi about four times faster than
+    the canonical order; it finds other colorings, so it is used only
+    where the answer is a number.
     """
-    prio = [0] * g.n
-    for rank, v in enumerate(sorted(range(g.n), key=lambda v: (g.adj[v].bit_count(), -v))):
-        prio[v] = rank
-    return prio
-
-
-def _neighbor_lists(g: Graph) -> list[list[int]]:
-    return [_bits(row) for row in g.adj]
+    order = sorted(range(g.n), key=lambda v: (g.adj[v].bit_count(), -v))
+    rank = [0] * g.n
+    for r, v in enumerate(order):
+        rank[v] = r
+    return [sum(1 << rank[w] for w in _bits(g.adj[v])) for v in order]
 
 
 def proper_coloring(g: Graph, t: int) -> Coloring | None:
@@ -566,10 +593,10 @@ def proper_coloring(g: Graph, t: int) -> Coloring | None:
     """
     if t < 1:
         raise ValueError("t must be positive")
-    colors = _dsatur(_neighbor_lists(g), t, _canonical_order(g.n))
+    colors = _dsatur(_canonical_rows(g), t)
     if colors is None:
         return None
-    return Coloring(tuple(colors), max(colors) + 1)
+    return Coloring(tuple(reversed(colors)), max(colors) + 1)
 
 
 def _check_vertex_bound(n: int, max_vertices: int) -> None:
@@ -580,10 +607,10 @@ def _check_vertex_bound(n: int, max_vertices: int) -> None:
         )
 
 
-def _least_colorable(g: Graph, nbrs: list[list[int]], t: int) -> int:
+def _least_colorable(g: Graph, t: int) -> int:
     """The smallest t' >= t with a t'-coloring, for t <= chi(g): degree-order passes."""
-    prio = _degree_order(g)
-    while _dsatur(nbrs, t, prio) is None:
+    rows = _degree_rows(g)
+    while _dsatur(rows, t) is None:
         t += 1
     return t
 
@@ -601,13 +628,12 @@ def exact_coloring(g: Graph, max_vertices: int = DEFAULT_CHI_VERTEX_BOUND) -> Co
     _check_vertex_bound(g.n, max_vertices)
     if g.m == 0:
         return Coloring((0,) * g.n, 1)
-    nbrs = _neighbor_lists(g)
+    rows = _canonical_rows(g)
     q = len(_greedy_clique(g))
-    canonical = _canonical_order(g.n)
-    colors = _dsatur(nbrs, q, canonical)
+    colors = _dsatur(rows, q)
     if colors is None:
-        colors = _dsatur(nbrs, _least_colorable(g, nbrs, q + 1), canonical)
-    return Coloring(tuple(colors), max(colors) + 1)
+        colors = _dsatur(rows, _least_colorable(g, q + 1))
+    return Coloring(tuple(reversed(colors)), max(colors) + 1)
 
 
 def chromatic_number(g: Graph, max_vertices: int = DEFAULT_CHI_VERTEX_BOUND) -> int:
@@ -620,4 +646,4 @@ def chromatic_number(g: Graph, max_vertices: int = DEFAULT_CHI_VERTEX_BOUND) -> 
     _check_vertex_bound(g.n, max_vertices)
     if g.m == 0:
         return 1
-    return _least_colorable(g, _neighbor_lists(g), len(_greedy_clique(g)))
+    return _least_colorable(g, len(_greedy_clique(g)))

@@ -6,8 +6,11 @@ import argparse
 import itertools
 import random
 
+from collections.abc import Sequence
+
 from orcov import Graph
-from orcov.graphs import DEFAULT_CHI_VERTEX_BOUND
+from orcov.errors import ParseError
+from orcov.graphs import DEFAULT_CHI_VERTEX_BOUND, _int_error, _is_decimal
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:
@@ -168,3 +171,132 @@ def reference_parser() -> argparse.ArgumentParser:
 def reference_commands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
     """The parser of each command in reference_parser(), by command name."""
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def reference_dsatur(nbrs: list[list[int]], t: int, prio: Sequence[int]) -> list[int] | None:
+    """Per-vertex colors of the first proper coloring with at most t colors, or None.
+
+    The neighbour-list DSATUR that graphs._dsatur replaced, kept verbatim
+    as its reference.  The next vertex is the uncolored one with the most
+    distinct neighbor colors, ties broken by the highest prio (a
+    permutation of 0..n-1, see reference_priorities); its colors are
+    tried in ascending order below min(t, max_used + 2).
+
+    Saturation is kept incrementally: count[w * t + c] is the number of
+    colored neighbors of w with color c, sat[w] the mask of colors with
+    a nonzero count and key[w] = popcount(sat[w]) * n + prio[w] (-1
+    once w is colored), so the largest key picks the next vertex.  Only
+    uncolored neighbors are updated; the stack unwinds in LIFO order,
+    so a vertex's counts are current again by the time it is uncolored.
+    """
+    n = len(nbrs)
+    t = min(t, n)  # colors >= n are never reached: limit <= colored + 1
+    colors = [-1] * n
+    key = list(prio)
+    sat = [0] * n
+    count = [0] * (n * t)
+    stack: list[tuple[int, int, int]] = []  # (vertex, color, max_used before it)
+    max_used = -1
+    v, c = key.index(n - 1), 0
+    while True:
+        limit = min(t, max_used + 2)
+        blocked = sat[v]
+        while c < limit and (blocked >> c) & 1:
+            c += 1
+        if c < limit:
+            colors[v] = c
+            key[v] = -1
+            stack.append((v, c, max_used))
+            if c > max_used:
+                max_used = c
+            bit = 1 << c
+            for w in nbrs[v]:
+                if colors[w] < 0:
+                    i = w * t + c
+                    if not count[i]:
+                        sat[w] |= bit
+                        key[w] += n
+                    count[i] += 1
+            if len(stack) == n:
+                return colors
+            v = key.index(max(key))
+            c = 0
+            continue
+        if not stack:
+            return None
+        v, c, max_used = stack.pop()
+        bit = 1 << c
+        for w in nbrs[v]:
+            if colors[w] < 0:
+                i = w * t + c
+                count[i] -= 1
+                if not count[i]:
+                    sat[w] ^= bit
+                    key[w] -= n
+        colors[v] = -1
+        key[v] = sat[v].bit_count() * n + prio[v]
+        c += 1
+
+
+def reference_priorities(g: Graph) -> dict[str, list[int]]:
+    """reference_dsatur's priority vectors of g, by order name.
+
+    canonical: the lowest index wins a tie; degree: the highest degree
+    wins, then the lowest index.
+    """
+    degree = [0] * g.n
+    for rank, v in enumerate(sorted(range(g.n), key=lambda v: (g.adj[v].bit_count(), -v))):
+        degree[v] = rank
+    return {"canonical": list(range(g.n - 1, -1, -1)), "degree": degree}
+
+
+def reference_neighbor_lists(g: Graph) -> list[list[int]]:
+    return [[v for v in range(g.n) if row >> v & 1] for row in g.adj]
+
+
+def reference_edge_list_pairs(text: str) -> tuple[list[tuple[int, int]], int]:
+    """graphs._edge_list_pairs before its checked-token memo: every line checked in full."""
+    if not text.isascii():
+        # str.split would take U+00A0 and the like for whitespace
+        i = next(i for i, ch in enumerate(text) if not ch.isascii())
+        lineno = len(text[: i + 1].splitlines())
+        raise ParseError(f"line {lineno}: non-ASCII character {text[i]!a}")
+    plain = "_" not in text and "+" not in text
+    pinned: int | None = None
+    edges: list[tuple[int, int]] = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        toks = raw.split()
+        if not toks:
+            continue
+        if toks[0] == "n" and pinned is None and not edges:
+            if len(toks) != 2:
+                raise ParseError(f"line {lineno}: header must be 'n <count>'")
+            try:
+                if not (plain or _is_decimal(toks[1])):
+                    raise ValueError
+                pinned = int(toks[1])
+            except ValueError:
+                raise _int_error(lineno, toks[1:], "vertex count") from None
+            if pinned < 1:
+                raise ParseError(f"line {lineno}: vertex count must be positive")
+            continue
+        if len(toks) != 2:
+            raise ParseError(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
+        try:
+            if not (plain or _is_decimal(toks[0]) and _is_decimal(toks[1])):
+                raise ValueError
+            u, v = int(toks[0]), int(toks[1])
+        except ValueError:
+            raise _int_error(lineno, toks, "token") from None
+        if u < 0 or v < 0:
+            raise ParseError(f"line {lineno}: negative endpoint")
+        if u == v:
+            raise ParseError(f"line {lineno}: self-loop {u} {v}")
+        if pinned is not None and (u >= pinned or v >= pinned):
+            raise ParseError(f"line {lineno}: endpoint {max(u, v)} out of range for n={pinned}")
+        edges.append((u, v))
+    if pinned is not None:
+        return edges, pinned
+    if not edges:
+        raise ParseError("empty edge-list input")
+    return edges, 1 + max(map(max, edges))

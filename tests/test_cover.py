@@ -31,7 +31,7 @@ from orcov import (
     sigma_of_graph,
     verify_cover,
 )
-from orcov.cover import _edge_masks
+from orcov.cover import _edge_masks, _edges_json
 from orcov.families import _disjoint_members
 
 
@@ -407,21 +407,21 @@ class TestConstructCover:
 
 
 def _record_dsatur(monkeypatch) -> list:
-    """Patch graphs._dsatur to log (t, priorities) of every pass; returns the log."""
+    """Patch graphs._dsatur to log (t, relabelled rows) of every pass; returns the log."""
     calls = []
     dsatur = orcov.graphs._dsatur
 
-    def counting(nbrs, t, prio):
-        calls.append((t, list(prio)))
-        return dsatur(nbrs, t, prio)
+    def counting(rows, t):
+        calls.append((t, list(rows)))
+        return dsatur(rows, t)
 
     monkeypatch.setattr(orcov.graphs, "_dsatur", counting)
     return calls
 
 
 def _orders(g: Graph) -> tuple[list[int], list[int]]:
-    """The degree and canonical DSATUR priorities of g."""
-    return orcov.graphs._degree_order(g), orcov.graphs._canonical_order(g.n)
+    """g's rows relabelled in degree and in canonical DSATUR order."""
+    return orcov.graphs._degree_rows(g), orcov.graphs._canonical_rows(g)
 
 
 def _shuffled_multipartite(parts: int, size: int, seed: int) -> Graph:
@@ -665,3 +665,30 @@ class TestDirectionSetsBlock:
         meta = CertificateMeta(direction_sets={**cert.meta.direction_sets, key: 1})
         with pytest.raises(ValueError, match="names no directed edge"):
             certificate_to_json(g, CoverCertificate(cert.k, cert.orientations, meta))
+
+
+class TestEdgesField:
+    """certificate_to_json's edges field, row by row: the text of json.dumps(g.edges)."""
+
+    @staticmethod
+    def check(g: Graph) -> None:
+        assert _edges_json(g, list(map(str, range(g.n)))) == json.dumps(g.edges)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_edgeless(self, n):
+        self.check(Graph.from_edges([], n=n))
+
+    @pytest.mark.parametrize("n, edge", [(2, (0, 1)), (5, (3, 4)), (12, (10, 11))])
+    def test_one_edge(self, n, edge):
+        self.check(Graph.from_edges([edge], n=n))
+
+    def test_isolated_vertices(self):
+        self.check(Graph.from_edges([(1, 3), (3, 7), (1, 7), (9, 11)], n=14))
+
+    def test_seeded_random_graphs(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            n = rng.randint(1, 40)
+            p = rng.choice([0.05, 0.3, 0.9])
+            self.check(Graph.from_edges(
+                [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p], n=n))

@@ -4,7 +4,16 @@ import sys
 import tracemalloc
 
 import pytest
-from conftest import all_labeled_graphs, assert_equal_graphs, graph_from_mask
+from conftest import (
+    all_labeled_graphs,
+    assert_equal_graphs,
+    graph_from_mask,
+    reference_dsatur,
+    reference_edge_list_pairs,
+    reference_neighbor_lists,
+    reference_priorities,
+    relabeled,
+)
 
 from orcov import (
     CapacityError,
@@ -25,7 +34,16 @@ from orcov import (
     verify_cover,
     wheel_graph,
 )
-from orcov.graphs import _bits, _transpose, is_proper_coloring
+from orcov.graphs import (
+    _bits,
+    _canonical_rows,
+    _degree_rows,
+    _dsatur,
+    _edge_list_pairs,
+    _greedy_clique,
+    _transpose,
+    is_proper_coloring,
+)
 
 
 class TestParseEdgeList:
@@ -425,3 +443,112 @@ def test_transpose_matches_shift_loop():
         want = [sum((rows[r] >> j & 1) << r for r in range(nrows)) for j in range(width)]
         assert _transpose(rows, width) == want
         assert _transpose(want, nrows) == rows
+
+
+def _gnp(rng: random.Random, n: int, p: float) -> Graph:
+    return Graph.from_edges(
+        [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p], n=n
+    )
+
+
+def _chi_pool() -> list[Graph]:
+    """The benchmark's ten chi-search graphs: G(n, 1/2), n in 38..44, from its pool seed."""
+    rng = random.Random(2010_04450)
+    return [_gnp(rng, rng.randint(38, 44), 0.5) for _ in range(10)]
+
+
+def _kernel_graphs() -> dict[str, Graph]:
+    rng = random.Random(2323)
+    graphs = {f"gnp{i}-p{p}": _gnp(rng, rng.randint(2, 30), p)
+              for p in (0.2, 0.5, 0.8) for i in range(8)}
+    graphs.update({f"chi{i:02d}": g for i, g in enumerate(_chi_pool())})
+    for parts, size in [(1, 5), (6, 1), (5, 3), (9, 2), (4, 6)]:
+        n = parts * size
+        g = Graph.from_edges([(u, v) for u in range(n) for v in range(u + 1, n)
+                              if u // size != v // size], n=n)
+        graphs[f"K{parts}x{size}"] = relabeled(g, rng.sample(range(n), n))
+    return graphs
+
+
+KERNEL_GRAPHS = _kernel_graphs()
+
+
+@pytest.mark.parametrize("g", KERNEL_GRAPHS.values(), ids=KERNEL_GRAPHS.keys())
+def test_dsatur_matches_the_neighbour_list_reference(g):
+    """The bitmask kernel finds the reference's coloring, or none, in both orders.
+
+    Every t from one below the greedy clique size to chi + 2: refutations
+    below chi and colorings from chi up.  Bit r of the relabelled rows
+    holds the vertex of priority r, so a vertex's color is read at its
+    priority.
+    """
+    nbrs = reference_neighbor_lists(g)
+    prios = reference_priorities(g)
+    rows = {"canonical": _canonical_rows(g), "degree": _degree_rows(g)}
+    chi = chromatic_number(g, max_vertices=64)
+    for t in range(max(1, len(_greedy_clique(g)) - 1), chi + 3):
+        for order, prio in prios.items():
+            want = reference_dsatur(nbrs, t, prio)
+            got = _dsatur(rows[order], t)
+            assert (t < chi) == (want is None), (t, order)
+            assert (got and [got[p] for p in prio]) == want, (t, order)
+
+
+def _faulty_edge_list(rng: random.Random) -> str:
+    """A random edge list, sometimes with a header, with up to two injected faults."""
+    n = rng.randint(1, 12)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+    lines = [f"{v}\t{u}" if rng.random() < 0.5 else f"{u} {v}"
+             for u, v in pairs + rng.sample(pairs, min(len(pairs), 3))]
+    rng.shuffle(lines)
+    if rng.random() < 0.6:
+        lines.insert(0, f"n {rng.choice([n, n + 2, max(1, n - 2)])}")
+    faults = [
+        lambda u, v: f"0{u} {v}", lambda u, v: f"{u} 0{u}", lambda u, v: f"+{u} {v}",
+        lambda u, v: f"{u} {v}_0", lambda u, v: f"-{u} {v}", lambda u, v: f"{u} {u}",
+        lambda u, v: f"{u} {n + rng.randint(0, 3)}", lambda u, v: f"n {n}",
+        lambda u, v: f"{u} {v} {u}", lambda u, v: f"{u}", lambda u, v: "",
+        lambda u, v: f"{u} x", lambda u, v: f"{u} \u00a0{v}", lambda u, v: f"  {u}\t{v}  ",
+    ]
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        u, v = rng.randrange(n + 1), rng.randrange(n + 1)
+        lines.insert(rng.randint(0, len(lines)), rng.choice(faults)(u, v))
+    return "\n".join(lines) + rng.choice(["", "\n", "\n\n"])
+
+
+def _pairs_or_error(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+def test_edge_list_pairs_match_the_reference_on_faulty_texts():
+    rng = random.Random(2302)
+    outcomes = set()
+    for _ in range(3000):
+        text = _faulty_edge_list(rng)
+        want = _pairs_or_error(reference_edge_list_pairs, text)
+        assert _pairs_or_error(_edge_list_pairs, text) == want, text
+        outcomes.add(want if isinstance(want, str) else "ok")
+    # every fault above reached its message, and clean texts parsed
+    kinds = {re.sub(r"line \d+: |[ '\d].*", "", o) for o in outcomes}
+    assert kinds >= {"ok", "non-integer", "negative", "self-loop", "endpoint", "expected",
+                     "non-ASCII"}, kinds
+
+
+@pytest.mark.parametrize("text, want", [
+    ("5 6\n05 5\n", "line 2: self-loop 5 5"),
+    ("5 6\n6 5\n5 5\n", "line 3: self-loop 5 5"),
+    ("n 3\n0 1\n1 2\n2 3\n", "line 4: endpoint 3 out of range for n=3"),
+    ("0 1\n+1 0\n", "line 2: non-integer token '+1'"),
+    ("0 1\n1 1_0\n", "line 2: non-integer token '1_0'"),
+    ("0 1\n1 -0\n1 -1\n", "line 3: negative endpoint"),
+    ("0 1\nn 4\n", "line 2: non-integer token 'n'"),
+    ("0 1\n1 2\n\n  \n2 0\n1 0\n", ([(0, 1), (1, 2), (2, 0), (1, 0)], 3)),
+    ("n 4\n0 1\n0 1\n1 0\n", ([(0, 1), (0, 1), (1, 0)], 4)),
+])
+def test_edge_list_faults_behind_known_tokens(text, want):
+    """A line of known tokens skips only checks those tokens have passed."""
+    assert _pairs_or_error(_edge_list_pairs, text) == want
+    assert _pairs_or_error(reference_edge_list_pairs, text) == want
