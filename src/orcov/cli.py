@@ -2,8 +2,8 @@
 
 Machine-readable results go to stdout, diagnostics to stderr.  Exit
 codes: 0 success or accept, 1 cover verification rejected, 2 usage,
-input or output error (a reader that closed stdout included), 3
-capacity or budget error.
+input or output error (a reader that closed stdout, and a stdin or
+stdout closed at start, included), 3 capacity or budget error.
 """
 
 from __future__ import annotations
@@ -50,9 +50,13 @@ def _read_source(path: str) -> str:
 
     A non-ASCII byte is a ParseError naming its line, on either path.
     A text stream put in place of stdin in-process has no bytes to
-    decode, so its text is taken as it is.
+    decode, so its text is taken as it is.  Where stdin was closed at
+    start (sys.stdin is None) the read is an OSError, as _write_ascii's
+    write is for stdout.
     """
     if path == "-":
+        if sys.stdin is None:
+            raise OSError("stdin is closed")
         data = getattr(sys.stdin, "buffer", sys.stdin).read()
         if isinstance(data, str):
             return data
@@ -152,6 +156,7 @@ def _print_verdict(g: Graph, orientations: Sequence[Orientation], accept: str) -
 _FORMAT = {"--format": (("auto", "graph6", "edgelist"), "auto")}
 _LITERATURE = {"--literature-table": (None, False)}
 _BOUND = {"--max-chi-vertices": (int, DEFAULT_CHI_VERTEX_BOUND)}
+_BUDGET = SearchBudget()
 COMMANDS = {
     "lambda": ("count maximal intersecting families over [k]", (("k", int),), _LITERATURE),
     "enumerate-mifs": (
@@ -180,7 +185,12 @@ COMMANDS = {
     "brute-sigma": (
         "exhaustive-search covering number (oracle)",
         (("graph", str),),
-        {**_FORMAT, "--max-k": (int, 3), "--max-edges": (int, 8), "--timeout": (float, 300.0)},
+        {
+            **_FORMAT,
+            "--max-k": (int, _BUDGET.max_k),
+            "--max-edges": (int, _BUDGET.max_edges),
+            "--timeout": (float, _BUDGET.timeout),
+        },
     ),
     "chromatic": ("exact chromatic number", (("graph", str),), {**_FORMAT, **_BOUND}),
 }

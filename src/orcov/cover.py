@@ -202,16 +202,14 @@ def cover_from_families(g: Graph, fa: FamilyAssignment) -> CoverCertificate:
         direction_sets[(u, v)] = s
         direction_sets[(v, u)] = t
         forward.append(full & ~t)
-    # condition 2 once per distinct family, at the first vertex holding it
-    first: dict[SetFamily, int] = {}
-    for v, f in enumerate(fa.per_vertex):
-        first.setdefault(f, v)
-    for f, v in first.items():
-        pair = _disjoint_pair(k, f.member, f.member, avoid[f.member])
+    # condition 2 once per distinct family, named at the first vertex holding it
+    for m in dict.fromkeys(members):
+        pair = _disjoint_pair(k, m, m, avoid[m])
         if pair is not None:
             s, t = map(format_subset, pair)
             raise ValueError(
-                f"condition 2 violated at vertex {v}: members {s} and {t} are disjoint"
+                f"condition 2 violated at vertex {members.index(m)}: "
+                f"members {s} and {t} are disjoint"
             )
     # bit e of orientation i is bit i of forward[e]
     orientations = tuple(Orientation(g.n, g.m, bits) for bits in _transpose(forward, k))

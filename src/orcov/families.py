@@ -3,11 +3,12 @@
 A subset S of [k] = {1, ..., k} is a k-bit mask (bit i-1 set means
 i in S).  A family of subsets is a 2^k-bit member vector (bit s set
 means the subset with mask s belongs to the family).  The member
-vector of every subset of a mask comes from one doubling helper
-(_subsets); the subset and superset tables and upward closure are
-built on it.  The disjoint members of two families and the
-intersecting test rest on one more vector, the sets that avoid some
-member of a family (_avoiders).  Maximal intersecting families are
+vectors of the subsets and of the supersets of every mask come from
+one cached pair of tables per k (_closure_tables); upward closure and
+the disjoint-pair choice read them.  The disjoint members of two
+families and the intersecting test rest on one more vector, the sets
+that avoid some member of a family (_avoiders), which is the upward
+closure reversed.  Maximal intersecting families are
 listed by one pure-Python walk (_mif_walk); their counts lambda(k),
 the Hosten-Morris numbers, come from an independent up-set
 decomposition (_mif_count).
@@ -62,14 +63,16 @@ def _family_table(k: int) -> tuple[list[bytes], ...]:
 
 
 def family_lines(k: int, members: Sequence[int]) -> Iterator[bytes]:
-    """format_family of each member vector as ASCII lines, joined in batches of about 64 KB.
+    """Each member vector as one ASCII line, joined in batches of about 64 KB.
 
-    For k <= KMAX_HARD, where families are enumerated.  A batch is the
-    bytes of its vectors, each one byte wider than the table, mapped
-    through the rows of the table once: the byte above a vector is 0,
-    and its row maps 0 to the newline.  A line holds 2^(k-1) brace
-    lists of about 9 bytes at k = 6, 7, so 2^(14-k) lines are about
-    64 KB; a bounded batch keeps a long listing's memory flat.
+    A line is the brace lists of the vector's members in ascending mask
+    order, then a newline.  For k <= KMAX_HARD, where families are
+    enumerated.  A batch is the bytes of its vectors, each one byte
+    wider than the table, mapped through the rows of the table once:
+    the byte above a vector is 0, and its row maps 0 to the newline.
+    A line holds 2^(k-1) brace lists of about 9 bytes at k = 6, 7, so
+    2^(14-k) lines are about 64 KB; a bounded batch keeps a long
+    listing's memory flat.
     """
     table = _family_table(k)
     batch = 1 << (14 - k)
@@ -83,14 +86,8 @@ def family_lines(k: int, members: Sequence[int]) -> Iterator[bytes]:
 
 
 def format_family(k: int, member: int) -> str:
-    """A 2^k-bit member vector as concatenated brace lists, ascending.
-
-    Each byte of the vector maps through its row of _family_table, as
-    in family_lines.
-    """
-    table = _family_table(k)
-    line = b"".join(map(list.__getitem__, table, member.to_bytes(len(table), "little")))
-    return line.decode("ascii")
+    """A 2^k-bit member vector as concatenated brace lists, ascending: its family_lines line."""
+    return next(family_lines(k, [member]))[:-1].decode("ascii")
 
 
 class SetFamily(_Value):
@@ -165,33 +162,15 @@ class MifCatalog(_Value):
         return len(self.families)
 
 
-def _subsets(mask: int) -> int:
-    """Member vector of the family of all subsets of mask.
-
-    Starts from {empty set}; each element b of mask doubles the vector
-    by a copy shifted 2^b positions, the same subsets with b added.
-    """
-    vec = 1
-    while mask:
-        low = mask & -mask
-        vec |= vec << low
-        mask ^= low
-    return vec
-
-
 def _avoiders(f: SetFamily) -> int:
     """Member vector of the masks S disjoint from at least one member T of f.
 
-    S misses T iff S lies inside [k] \\ T, so this is the down-closure
-    of the complements of the members.  Reversing the 2^k bits of the
-    member vector moves position T to (2^k - 1) - T = [k] \\ T; then k
-    shift-ORs, the i-th adding every set with element i again without it.
+    S misses T iff T lies inside [k] \\ S, so S avoids f iff [k] \\ S is
+    in the upward closure of f.  Reversing the 2^k bits of a member
+    vector moves position X to (2^k - 1) - X = [k] \\ X, so the avoiders
+    are the upward closure's vector reversed.
     """
-    vec = int(_bit_string(f.member, 1 << f.k), 2)
-    full = (1 << f.k) - 1
-    for i in range(f.k):
-        vec |= (vec >> (1 << i)) & _subsets(full ^ 1 << i)
-    return vec
+    return int(_bit_string(upward_closure(f).member, 1 << f.k), 2)
 
 
 def _disjoint_members(fu: SetFamily, fv: SetFamily) -> tuple[int, int] | None:
@@ -210,7 +189,7 @@ def _disjoint_pair(k: int, mu: int, mv: int, avoid_v: int) -> tuple[int, int] | 
     if not hits:
         return None
     s = (hits & -hits).bit_length() - 1
-    hits = mv & _subsets(((1 << k) - 1) ^ s)
+    hits = mv & _closure_tables(k)[1][((1 << k) - 1) ^ s]
     return (s, (hits & -hits).bit_length() - 1)
 
 
@@ -228,9 +207,10 @@ def upward_closure(f: SetFamily) -> SetFamily:
     """Smallest superset-closed family containing f."""
     vec = f.member
     full = (1 << f.k) - 1
+    sub = _closure_tables(f.k)[1]
     for i in range(f.k):
         # the members without element i, each shifted onto its union with {i}
-        vec |= (vec & _subsets(full ^ 1 << i)) << (1 << i)
+        vec |= (vec & sub[full ^ 1 << i]) << (1 << i)
     return SetFamily(f.k, vec)
 
 
@@ -246,13 +226,20 @@ def _pair_reps(k: int) -> list[int]:
     return reps
 
 
-def _closure_tables(k: int) -> tuple[list[int], list[int]]:
-    """sup[s] / sub[s]: 2^k-bit masks of the supersets / subsets of s."""
+@functools.cache
+def _closure_tables(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """sup[s] / sub[s]: 2^k-bit masks of the supersets / subsets of s.
+
+    sub doubles from {empty set}: the masks with top element i are
+    those below 2^i with i added, and the subsets of s + 2^i are those
+    of s plus the same shifted 2^i positions, i added.
+    """
+    sub: tuple[int, ...] = (1,)
+    for i in range(k):
+        sub += tuple([v | v << (1 << i) for v in sub])
     full = (1 << k) - 1
-    sub = [_subsets(s) for s in range(full + 1)]
     # the supersets of s are s + T for the subsets T of [k] \ s
-    sup = [sub[full ^ s] << s for s in range(full + 1)]
-    return sup, sub
+    return tuple([sub[full ^ s] << s for s in range(full + 1)]), sub
 
 
 def _mif_walk(k: int, reverse_pairs: bool = False) -> list[int]:

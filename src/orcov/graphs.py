@@ -628,12 +628,8 @@ def exact_coloring(g: Graph, max_vertices: int = DEFAULT_CHI_VERTEX_BOUND) -> Co
     _check_vertex_bound(g.n, max_vertices)
     if g.m == 0:
         return Coloring((0,) * g.n, 1)
-    rows = _canonical_rows(g)
     q = len(_greedy_clique(g))
-    colors = _dsatur(rows, q)
-    if colors is None:
-        colors = _dsatur(rows, _least_colorable(g, q + 1))
-    return Coloring(tuple(reversed(colors)), max(colors) + 1)
+    return proper_coloring(g, q) or proper_coloring(g, _least_colorable(g, q + 1))
 
 
 def chromatic_number(g: Graph, max_vertices: int = DEFAULT_CHI_VERTEX_BOUND) -> int:

@@ -529,6 +529,23 @@ def test_stdout_closed_at_start_is_exit_2(argv):
     assert proc.stderr == "error: stdout is closed\n"
 
 
+class TestClosedStdin:
+    """sys.stdin is None where stdin was closed at start: a read of - is exit 2, one line."""
+
+    GRAPH_COMMANDS = [name for name, (_, positionals, _) in cli.COMMANDS.items()
+                      if positionals[0][0] == "graph"]
+
+    @pytest.mark.parametrize("command", GRAPH_COMMANDS)
+    def test_graph_from_stdin(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(sys, "stdin", None)
+        argv = [command, "-"] + (["-"] if command == "verify-cover" else [])
+        assert run(capsys, *argv) == (2, "", "error: stdin is closed\n")
+
+    def test_certificate_from_stdin(self, capsys, monkeypatch, k3_file):
+        monkeypatch.setattr(sys, "stdin", None)
+        assert run(capsys, "verify-cover", k3_file, "-") == (2, "", "error: stdin is closed\n")
+
+
 class TestCoverInAProcess:
     """construct-cover --out, then verify-cover on the certificate and on a tampered copy."""
 
@@ -729,6 +746,12 @@ class TestBruteSigmaCli:
         p.write_text("\n".join(f"{u} {v}" for u in range(5) for v in range(u + 1, 5)))
         code, _, err = run(capsys, "brute-sigma", str(p), "--max-edges", "4")
         assert code == 3 and "budget" in err.lower()
+
+    def test_defaults_are_the_search_budget_defaults(self):
+        args = cli.build_parser().parse_args(["brute-sigma", "-"])
+        budget = orcov.SearchBudget()
+        assert (args.max_k, args.max_edges, args.timeout) == (
+            budget.max_k, budget.max_edges, budget.timeout)
 
 
 class TestUsage:

@@ -17,10 +17,10 @@ from orcov import (
 import orcov
 from orcov.families import (
     LITERATURE_LAMBDA,
+    _avoiders,
     _closure_tables,
     _mif_count,
     _mif_walk,
-    _subsets,
     family_lines,
     format_family,
     format_subset,
@@ -86,8 +86,16 @@ class TestSubsetVectors:
         sup, sub = _closure_tables(k)
         assert len(sup) == len(sub) == size
         for s in range(size):
-            assert sub[s] == _subsets(s) == sum(1 << t for t in range(size) if t & s == t)
+            assert sub[s] == sum(1 << t for t in range(size) if t & s == t)
             assert sup[s] == sum(1 << t for t in range(size) if t & s == s)
+
+    def test_avoiders_match_definition(self):
+        """The sets S with S & T == 0 for some member T: every family for k <= 3, then seeded."""
+        families = [SetFamily(k, member) for k in (1, 2, 3) for member in range(1 << (1 << k))]
+        families += [f for f in seeded_families(seed=24, kmax=7, per_k=24) if f.k >= 4]
+        for f in families:
+            want = sum(1 << s for s in range(1 << f.k) if any(s & t == 0 for t in f.members()))
+            assert _avoiders(f) == want
 
 
 class TestPredicates:
