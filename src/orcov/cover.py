@@ -12,7 +12,7 @@ and handing each color class its own maximal intersecting family.
 
 from __future__ import annotations
 
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from operator import add
 from collections.abc import Sequence
 
@@ -48,18 +48,22 @@ class FamilyAssignment(_Value):
 
 
 class CertificateMeta(_Value):
-    """Construction provenance: coloring, catalog indices, direction sets."""
+    """Construction provenance: coloring, catalog indices, direction sets.
+
+    Row x of direction_sets holds S_(x,y) for x's neighbours y in ascending
+    order, None where the certificate gives that directed edge no set.
+    """
 
     __slots__ = ("coloring", "family_indices", "direction_sets")
     coloring: tuple[int, ...] | None
     family_indices: tuple[int, ...] | None
-    direction_sets: dict[tuple[int, int], int] | None
+    direction_sets: tuple[tuple[int | None, ...], ...] | None
 
     def __init__(
         self,
         coloring: tuple[int, ...] | None = None,
         family_indices: tuple[int, ...] | None = None,
-        direction_sets: dict[tuple[int, int], int] | None = None,
+        direction_sets: tuple[tuple[int | None, ...], ...] | None = None,
     ) -> None:
         _set(self, "coloring", coloring)
         _set(self, "family_indices", family_indices)
@@ -183,7 +187,7 @@ def cover_from_families(g: Graph, fa: FamilyAssignment) -> CoverCertificate:
     k = fa.k
     members = [f.member for f in fa.per_vertex]
     avoid = {f.member: _avoiders(f) for f in set(fa.per_vertex)}
-    direction_sets: dict[tuple[int, int], int] = {}
+    rows: list[list[int]] = [[] for _ in range(g.n)]  # canonical edge order fills them sorted
     chosen: dict[tuple[int, int], tuple[int, int]] = {}
     # Orientation i directs uv as u -> v unless i is in T = S_(v,u)
     # (S and T are disjoint); forward[e] is that mask of [k] for edge e.
@@ -199,8 +203,8 @@ def cover_from_families(g: Graph, fa: FamilyAssignment) -> CoverCertificate:
                     f"condition 1 violated at edge ({u}, {v}): no disjoint direction sets"
                 )
         s, t = pair
-        direction_sets[(u, v)] = s
-        direction_sets[(v, u)] = t
+        rows[u].append(s)
+        rows[v].append(t)
         forward.append(full & ~t)
     # condition 2 once per distinct family, named at the first vertex holding it
     for m in dict.fromkeys(members):
@@ -213,7 +217,8 @@ def cover_from_families(g: Graph, fa: FamilyAssignment) -> CoverCertificate:
             )
     # bit e of orientation i is bit i of forward[e]
     orientations = tuple(Orientation(g.n, g.m, bits) for bits in _transpose(forward, k))
-    return CoverCertificate(k, orientations, CertificateMeta(direction_sets=direction_sets))
+    meta = CertificateMeta(direction_sets=tuple(map(tuple, rows)))
+    return CoverCertificate(k, orientations, meta)
 
 
 def construct_cover(
@@ -234,11 +239,7 @@ def construct_cover(
     families = [SetFamily(k, member) for member in sorted_mif_masks(k)[: coloring.t]]
     fa = FamilyAssignment(k, tuple(families[c] for c in coloring.colors))
     cert = cover_from_families(g, fa)
-    meta = CertificateMeta(
-        coloring=coloring.colors,
-        family_indices=tuple(range(coloring.t)),
-        direction_sets=cert.meta.direction_sets,
-    )
+    meta = CertificateMeta(coloring.colors, tuple(range(coloring.t)), cert.meta.direction_sets)
     return CoverCertificate(k, cert.orientations, meta)
 
 
@@ -265,37 +266,34 @@ def _edges_json(g: Graph, names: list[str]) -> str:
 
 
 def _direction_sets_json(
-    g: Graph, direction_sets: dict[tuple[int, int], int] | None, names: list[str]
+    g: Graph, direction_sets: tuple[tuple[int | None, ...], ...] | None, names: list[str]
 ) -> str:
     """The meta.direction_sets object, its "x->y" keys in ascending (x, y) order.
 
-    Row x walks x's neighbours in ascending order, which is that key
-    order, so nothing is sorted.  A directed edge without a key is
-    skipped; a key that names no directed edge of g is found by the
-    count of written entries and raises ValueError.
+    Row x of direction_sets pairs with x's neighbours in ascending
+    order, which is that key order, so nothing is sorted; a None entry
+    is skipped.  Rows that do not match g's neighbour counts raise
+    ValueError.
     """
     if direction_sets is None:
         return "null"
     import json
 
+    if list(map(len, direction_sets)) != list(map(int.bit_count, g.adj)):
+        raise ValueError("direction-set rows do not match the graph's neighbours")
     # each distinct set is formatted once, and each key's "y": part once
-    elements = {s: json.dumps([b + 1 for b in _bits(s)]) for s in set(direction_sets.values())}
+    distinct = set(chain.from_iterable(direction_sets)) - {None}
+    elements = {s: json.dumps([b + 1 for b in _bits(s)]) for s in distinct}
     tails = [name + '": ' for name in names]
-    get = direction_sets.get
     rows = []
-    written = 0
-    for x, row in enumerate(g.adj):
+    for x, (row, sets) in enumerate(zip(g.adj, direction_sets)):
         ys = _bits(row)
-        sets = list(map(get, zip(repeat(x), ys)))
         if None in sets:
             ys = [y for y, s in zip(ys, sets) if s is not None]
             sets = [s for s in sets if s is not None]
         if ys:
-            written += len(ys)
             entries = map(add, map(tails.__getitem__, ys), map(elements.__getitem__, sets))
             rows.append(f'"{names[x]}->' + f', "{names[x]}->'.join(entries))
-    if written != len(direction_sets):
-        raise ValueError("a direction-set key names no directed edge of the graph")
     return "{" + ", ".join(rows) + "}"
 
 
@@ -353,7 +351,7 @@ def _meta_from_json(raw: object, k: int, g: Graph) -> CertificateMeta | None:
     """Type-checked meta block; a missing or null field stays None.
 
     Direction-set keys name directed edges of g in the writer's form,
-    and their elements lie in [1, k], the orientation indices.
+    and their elements lie in [1, k]; a missing key leaves None in its row.
     """
     if raw is None:
         return None
@@ -368,7 +366,7 @@ def _meta_from_json(raw: object, k: int, g: Graph) -> CertificateMeta | None:
         # bit test accept a key, and only a miss pays for the form test
         names = {str(v): v for v in compress(range(g.n), g.adj)}
         adj = g.adj
-        direction_sets = {}
+        rows: list[list[int | None]] = [[None] * row.bit_count() for row in adj]
         for key, elems in raw_ds.items():
             x, arrow, y = key.partition("->")
             u = names.get(x)
@@ -391,12 +389,10 @@ def _meta_from_json(raw: object, k: int, g: Graph) -> CertificateMeta | None:
                         reason = "not a positive integer"
                     raise ParseError(f"certificate direction set {key!r} lists {i!r}, {reason}")
                 mask |= 1 << (i - 1)
-            direction_sets[u, v] = mask
-    return CertificateMeta(
-        coloring=_int_tuple(raw, "coloring"),
-        family_indices=_int_tuple(raw, "family_indices"),
-        direction_sets=direction_sets,
-    )
+            rows[u][(adj[u] & ~(-1 << v)).bit_count()] = mask
+        direction_sets = tuple(map(tuple, rows))
+    coloring = _int_tuple(raw, "coloring")
+    return CertificateMeta(coloring, _int_tuple(raw, "family_indices"), direction_sets)
 
 
 def certificate_from_json(text: str, g: Graph) -> CoverCertificate:
@@ -412,6 +408,8 @@ def certificate_from_json(text: str, g: Graph) -> CoverCertificate:
         raise ParseError(f"certificate is not valid JSON: {exc}") from None
     except ValueError:  # int() refuses a JSON integer above its digit limit
         raise ParseError("certificate holds an integer too long to read") from None
+    except RecursionError:
+        raise ParseError("certificate nests arrays or objects too deeply to read") from None
     if not isinstance(doc, dict):
         raise ParseError("certificate must be a JSON object")
     for key in ("n", "m", "k", "edges", "orientations"):

@@ -693,6 +693,17 @@ class TestMalformedCertificate:
         assert run(capsys, "verify-cover", k2_g6, str(p)) == (
             2, "", "error: certificate holds an integer too long to read\n")
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000,
+        '{"a": ' * 100_000 + "1" + "}" * 100_000,
+    ], ids=["arrays", "objects"])
+    def test_deep_nesting_exit_2_in_a_process(self, k2_g6, tmp_path, text):
+        p = tmp_path / "deep.json"
+        p.write_text(text)
+        proc = run_process("verify-cover", k2_g6, str(p))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: certificate nests arrays or objects too deeply to read\n")
+
     @pytest.mark.parametrize("case", ["orientation-not-list", "coloring-not-list"])
     def test_no_traceback_in_a_process(self, k2_g6, k2_cert, tmp_path, case):
         bad = self.write(tmp_path, k2_cert, case)

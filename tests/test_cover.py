@@ -32,7 +32,7 @@ from orcov import (
     verify_cover,
 )
 from orcov.cover import _edge_masks, _edges_json
-from orcov.families import _disjoint_members
+from orcov.families import _disjoint_members, sorted_mif_masks
 
 
 def orient(g, *flags):
@@ -329,6 +329,22 @@ class TestConstructCover:
         assert cert.meta.family_indices == (0, 1, 2)
         assert cert.meta.direction_sets is not None
 
+    def test_meta_rows_witness_condition_1(self):
+        """Each edge's two sets are disjoint members of the endpoints' catalog families,
+        and the orientations direct the edge out of each endpoint on that endpoint's set."""
+        rng = random.Random(17)
+        for g in [random_graph(rng, n_max=8) for _ in range(15)] + [petersen_graph()]:
+            cert = construct_cover(g)
+            meta, neighbours = cert.meta, _neighbours(g)
+            catalog = sorted_mif_masks(cert.k)
+            family = [SetFamily(cert.k, catalog[meta.family_indices[c]]) for c in meta.coloring]
+            for (u, v), forward in zip(g.edges, _edge_masks(g.m, cert.orientations)):
+                s = meta.direction_sets[u][neighbours[u].index(v)]
+                t = meta.direction_sets[v][neighbours[v].index(u)]
+                assert s in family[u] and t in family[v]
+                assert s & t == 0
+                assert s & ~forward == 0 and t & forward == 0
+
     def test_every_directed_edge_appears(self):
         for g in (complete_graph(4), cycle_graph(5), petersen_graph()):
             cert = construct_cover(g)
@@ -545,7 +561,7 @@ class TestCertificateJson:
             certificate_from_json(json.dumps(doc), g)
         doc["meta"]["direction_sets"] = {"0->1": [2, 1], "1->0": [2, 1]}
         meta = certificate_from_json(json.dumps(doc), g).meta
-        assert meta.direction_sets == {(0, 1): 0b11, (1, 0): 0b11}
+        assert meta.direction_sets == ((0b11,), (0b11,))
 
     @pytest.mark.parametrize("bad, key", [
         ("\u0661->1", "0->1"),  # ARABIC-INDIC DIGIT ONE: int() reads the self-loop (1, 1)
@@ -574,6 +590,15 @@ class TestCertificateJson:
         doc["meta"]["direction_sets"][bad] = [1]
         with pytest.raises(ParseError, match=re.escape(f"set {bad!a} names no edge of the graph")):
             certificate_from_json(json.dumps(doc), g)
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000,
+        '{"a": ' * 100_000 + "1" + "}" * 100_000,
+    ], ids=["arrays", "objects"])
+    def test_deep_nesting_is_a_parse_error(self, text):
+        with pytest.raises(ParseError) as exc:
+            certificate_from_json(text, complete_graph(2))
+        assert str(exc.value) == "certificate nests arrays or objects too deeply to read"
 
     def test_orientations_with_leading_zeros_round_trip(self):
         g = path_graph(40)
@@ -604,14 +629,15 @@ CERTIFICATE_TEXT = [
      '  "meta": {"coloring": [0, 1, 0], "family_indices": [0, 1], "direction_sets": null}\n}'),
     (path_graph(3), CoverCertificate(
         3, (_path3_orientation(0b00), _path3_orientation(0b01), _path3_orientation(0b00)),
-        CertificateMeta(direction_sets={(1, 0): 0, (0, 1): 0b101, (1, 2): 0b111, (2, 1): 0})),
+        CertificateMeta(direction_sets=((0b101,), (0, 0b111), (0,)))),
      '{\n  "n": 3,\n  "m": 2,\n  "k": 3,\n  "edges": [[0, 1], [1, 2]],\n  "orientations": [\n'
      '    [false, false],\n    [true, false],\n    [false, false]\n  ],\n'
      '  "meta": {"coloring": null, "family_indices": null, "direction_sets": '
      '{"0->1": [1, 3], "1->0": [], "1->2": [1, 2, 3], "2->1": []}}\n}'),
     (Graph.from_edges([(1, 9), (2, 10)], n=11), CoverCertificate(
         1, (Orientation(11, 2, 0b10),),
-        CertificateMeta(coloring=(), direction_sets={(10, 2): 1, (2, 10): 0, (9, 1): 1})),
+        CertificateMeta(coloring=(), direction_sets=(
+            (), (None,), (0,), (), (), (), (), (), (), (1,), (1,)))),
      '{\n  "n": 11,\n  "m": 2,\n  "k": 1,\n  "edges": [[1, 9], [2, 10]],\n  "orientations": [\n'
      '    [false, true]\n  ],\n  "meta": {"coloring": [], "family_indices": null, '
      '"direction_sets": {"2->10": [], "9->1": [1], "10->2": [1]}}\n}'),
@@ -633,10 +659,17 @@ def test_certificate_text(g, cert, text):
     assert certificate_from_json(text, g) == cert
 
 
-def _sorted_key_block(direction_sets):
+def _neighbours(g):
+    """Each vertex's neighbours in ascending order, read off the edge list."""
+    return [sorted({w for e in g.edges if x in e for w in e} - {x}) for x in range(g.n)]
+
+
+def _sorted_key_block(g, rows):
     """The direction-set block with its keys sorted as (x, y) pairs, through json.dumps."""
+    sets = {(x, y): s for x, ys in enumerate(_neighbours(g))
+            for y, s in zip(ys, rows[x], strict=True) if s is not None}
     return json.dumps({f"{x}->{y}": [b + 1 for b in range(s.bit_length()) if s >> b & 1]
-                       for (x, y), s in sorted(direction_sets.items())})
+                       for (x, y), s in sorted(sets.items())})
 
 
 class TestDirectionSetsBlock:
@@ -647,23 +680,34 @@ class TestDirectionSetsBlock:
     def test_missing_keys_are_skipped(self, dropped):
         g = petersen_graph()
         cert = construct_cover(g)
-        direction_sets = dict(cert.meta.direction_sets)
-        assert any(key in direction_sets for key in dropped)
-        for key in dropped:
-            direction_sets.pop(key, None)
-        meta = CertificateMeta(cert.meta.coloring, cert.meta.family_indices, direction_sets)
+        neighbours = _neighbours(g)
+        rows = list(map(list, cert.meta.direction_sets))
+        assert any(y in neighbours[x] for x, y in dropped)
+        for x, y in dropped:
+            if y in neighbours[x]:
+                rows[x][neighbours[x].index(y)] = None
+        rows = tuple(map(tuple, rows))
+        meta = CertificateMeta(cert.meta.coloring, cert.meta.family_indices, rows)
         text = certificate_to_json(g, CoverCertificate(cert.k, cert.orientations, meta))
         no_sets = CertificateMeta(cert.meta.coloring, cert.meta.family_indices)
         want = certificate_to_json(g, CoverCertificate(cert.k, cert.orientations, no_sets))
         assert text == want.replace('"direction_sets": null',
-                                    f'"direction_sets": {_sorted_key_block(direction_sets)}')
+                                    f'"direction_sets": {_sorted_key_block(g, rows)}')
 
-    @pytest.mark.parametrize("key", [(0, 0), (0, 2), (0, 10), (10, 0), (-1, 0)])
-    def test_a_key_that_names_no_edge_raises(self, key):
-        g = petersen_graph()
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows[:4] + (rows[4] + (1,),) + rows[5:],
+        lambda rows: rows[:4] + (rows[4][:-1],) + rows[5:],
+        lambda rows: rows + ((),),
+        lambda rows: rows[:-1],
+        lambda rows: rows[:-1] + ((1,),),
+    ], ids=["row-one-long", "row-one-short", "n-plus-one-rows", "n-minus-one-rows",
+            "entry-on-an-isolated-vertex"])
+    def test_rows_of_the_wrong_shape_raise(self, edit):
+        g = Graph.from_edges(petersen_graph().edges, n=11)  # vertex 10 has no edges
         cert = construct_cover(g)
-        meta = CertificateMeta(direction_sets={**cert.meta.direction_sets, key: 1})
-        with pytest.raises(ValueError, match="names no directed edge"):
+        assert cert.meta.direction_sets[10] == ()
+        meta = CertificateMeta(direction_sets=edit(cert.meta.direction_sets))
+        with pytest.raises(ValueError, match="rows do not match the graph's neighbours"):
             certificate_to_json(g, CoverCertificate(cert.k, cert.orientations, meta))
 
 

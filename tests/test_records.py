@@ -22,6 +22,10 @@ from orcov import (
     SearchBudget,
     SetFamily,
     SigmaResult,
+    certificate_from_json,
+    certificate_to_json,
+    construct_cover,
+    petersen_graph,
 )
 
 F10, F12 = SetFamily(2, 0b1010), SetFamily(2, 0b1100)
@@ -151,6 +155,14 @@ def test_keyword_construction_with_defaults():
     assert SearchBudget() == SearchBudget(max_edges=8, max_k=3, timeout=300.0)
     assert Graph(n=1, adj=(0,)).edges == ()
     assert CoverCertificate(k=0, orientations=()).meta is None
+
+
+@pytest.mark.parametrize("g", [petersen_graph(), Graph.from_edges([(1, 2), (2, 4)], n=6)],
+                         ids=["petersen", "isolated-vertices"])
+def test_a_certificate_hashes_as_its_read_back_copy(g):
+    cert = construct_cover(g)
+    loaded = certificate_from_json(certificate_to_json(g, cert), g)
+    assert loaded == cert and hash(loaded) == hash(cert)
 
 
 def _loaded_by(names, code, *flags):
