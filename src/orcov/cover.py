@@ -50,20 +50,20 @@ class FamilyAssignment(_Value):
 class CertificateMeta(_Value):
     """Construction provenance: coloring, catalog indices, direction sets.
 
-    Row x of direction_sets holds S_(x,y) for x's neighbours y in ascending
-    order, None where the certificate gives that directed edge no set.
+    Row x of direction_sets holds S_(x,y) for every neighbour y of x, in
+    ascending order of y.
     """
 
     __slots__ = ("coloring", "family_indices", "direction_sets")
     coloring: tuple[int, ...] | None
     family_indices: tuple[int, ...] | None
-    direction_sets: tuple[tuple[int | None, ...], ...] | None
+    direction_sets: tuple[tuple[int, ...], ...] | None
 
     def __init__(
         self,
         coloring: tuple[int, ...] | None = None,
         family_indices: tuple[int, ...] | None = None,
-        direction_sets: tuple[tuple[int | None, ...], ...] | None = None,
+        direction_sets: tuple[tuple[int, ...], ...] | None = None,
     ) -> None:
         _set(self, "coloring", coloring)
         _set(self, "family_indices", family_indices)
@@ -266,14 +266,13 @@ def _edges_json(g: Graph, names: list[str]) -> str:
 
 
 def _direction_sets_json(
-    g: Graph, direction_sets: tuple[tuple[int | None, ...], ...] | None, names: list[str]
+    g: Graph, direction_sets: tuple[tuple[int, ...], ...] | None, names: list[str]
 ) -> str:
     """The meta.direction_sets object, its "x->y" keys in ascending (x, y) order.
 
     Row x of direction_sets pairs with x's neighbours in ascending
-    order, which is that key order, so nothing is sorted; a None entry
-    is skipped.  Rows that do not match g's neighbour counts raise
-    ValueError.
+    order, which is that key order, so nothing is sorted.  Rows that do
+    not match g's neighbour counts, or that hold None, raise ValueError.
     """
     if direction_sets is None:
         return "null"
@@ -282,17 +281,15 @@ def _direction_sets_json(
     if list(map(len, direction_sets)) != list(map(int.bit_count, g.adj)):
         raise ValueError("direction-set rows do not match the graph's neighbours")
     # each distinct set is formatted once, and each key's "y": part once
-    distinct = set(chain.from_iterable(direction_sets)) - {None}
+    distinct = set(chain.from_iterable(direction_sets))
+    if None in distinct:
+        raise ValueError("direction-set rows must hold a set for every neighbour")
     elements = {s: json.dumps([b + 1 for b in _bits(s)]) for s in distinct}
     tails = [name + '": ' for name in names]
     rows = []
     for x, (row, sets) in enumerate(zip(g.adj, direction_sets)):
-        ys = _bits(row)
-        if None in sets:
-            ys = [y for y, s in zip(ys, sets) if s is not None]
-            sets = [s for s in sets if s is not None]
-        if ys:
-            entries = map(add, map(tails.__getitem__, ys), map(elements.__getitem__, sets))
+        if sets:
+            entries = map(add, map(tails.__getitem__, _bits(row)), map(elements.__getitem__, sets))
             rows.append(f'"{names[x]}->' + f', "{names[x]}->'.join(entries))
     return "{" + ", ".join(rows) + "}"
 
@@ -351,7 +348,7 @@ def _meta_from_json(raw: object, k: int, g: Graph) -> CertificateMeta | None:
     """Type-checked meta block; a missing or null field stays None.
 
     Direction-set keys name directed edges of g in the writer's form,
-    and their elements lie in [1, k]; a missing key leaves None in its row.
+    their elements lie in [1, k], and every directed edge has its key.
     """
     if raw is None:
         return None
@@ -390,6 +387,10 @@ def _meta_from_json(raw: object, k: int, g: Graph) -> CertificateMeta | None:
                     raise ParseError(f"certificate direction set {key!r} lists {i!r}, {reason}")
                 mask |= 1 << (i - 1)
             rows[u][(adj[u] & ~(-1 << v)).bit_count()] = mask
+        if len(raw_ds) != 2 * g.m:  # each accepted key filled its own entry
+            x = next(x for x, row in enumerate(rows) if None in row)
+            y = _bits(adj[x])[rows[x].index(None)]
+            raise ParseError(f"certificate is missing direction set '{x}->{y}'")
         direction_sets = tuple(map(tuple, rows))
     coloring = _int_tuple(raw, "coloring")
     return CertificateMeta(coloring, _int_tuple(raw, "family_indices"), direction_sets)

@@ -119,7 +119,7 @@ class _Value:
             _set(self, name, value)
 
 
-def _rows(pairs: list[tuple[int, int]], n: int) -> tuple[int, ...]:
+def _rows(pairs: Iterable[tuple[int, int]], n: int) -> tuple[int, ...]:
     """Adjacency rows of n vertices from (u, v) pairs; raises on any endpoint outside 0..n-1.
 
     Both rows of a pair are read before either shift, so an endpoint >= n
@@ -578,10 +578,8 @@ def _degree_rows(g: Graph) -> list[int]:
     where the answer is a number.
     """
     order = sorted(range(g.n), key=lambda v: (g.adj[v].bit_count(), -v))
-    rank = [0] * g.n
-    for r, v in enumerate(order):
-        rank[v] = r
-    return [sum(1 << rank[w] for w in _bits(g.adj[v])) for v in order]
+    rank = sorted(range(g.n), key=order.__getitem__)  # the inverse of order
+    return list(_rows(((rank[u], rank[v]) for u, v in g.edges), g.n))
 
 
 def proper_coloring(g: Graph, t: int) -> Coloring | None:
@@ -600,11 +598,11 @@ def proper_coloring(g: Graph, t: int) -> Coloring | None:
 
 
 def _check_vertex_bound(n: int, max_vertices: int) -> None:
+    if max_vertices < 1:
+        raise ValueError("max_vertices must be positive")
     if n > max_vertices:
-        raise CapacityError(
-            f"exact chromatic number limited to {max_vertices} vertices (graph has {n}); "
-            "raise max_vertices to override"
-        )
+        raise CapacityError(f"exact chromatic number limited to {max_vertices} vertices "
+                            f"(graph has {n}); raise max_vertices to override")
 
 
 def _least_colorable(g: Graph, t: int) -> int:

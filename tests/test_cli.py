@@ -354,6 +354,16 @@ class TestFormats:
         assert run(capsys, "chromatic", str(p), "--max-chi-vertices", "40") == (0, "2\n", "")
         assert run(capsys, "chromatic", str(p), "--max-chi-vertices", "39")[0] == 3
 
+    @pytest.mark.parametrize("command", ["chromatic", "sigma", "construct-cover"])
+    @pytest.mark.parametrize("text", ["0 1\n", "A_\n"], ids=["edgelist", "graph6"])
+    @pytest.mark.parametrize("bound", ["0", "-5"])
+    def test_bound_below_one_is_a_usage_fault(self, capsys, tmp_path, command, text, bound):
+        """Not a capacity error: no graph fits a bound below one vertex."""
+        p = tmp_path / "k2"
+        p.write_text(text)
+        assert run(capsys, command, str(p), "--max-chi-vertices", bound) == (
+            2, "", "error: max_vertices must be positive\n")
+
 
 class TestCover:
     def test_construct_then_verify_file(self, capsys, k3_file, tmp_path):
@@ -678,6 +688,23 @@ class TestMalformedCertificate:
         cert.write_text(json.dumps(doc))
         assert run(capsys, "verify-cover", str(graph), str(cert)) == (
             2, "", f"error: certificate direction set '{key}' names no edge of the graph\n")
+
+    @pytest.mark.parametrize("dropped, first", [
+        (["1->2"], "1->2"), (["2->1"], "2->1"), (["2->0", "2->1", "2->3"], "2->0"), (None, "0->1"),
+    ], ids=["one-key", "other-direction", "whole-row", "empty"])
+    def test_missing_direction_set_exit_2(self, capsys, tmp_path, dropped, first):
+        graph = tmp_path / "g.el"
+        graph.write_text("0 1\n1 2\n2 0\n2 3\n")
+        code, out, _ = run(capsys, "construct-cover", str(graph), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        sets = doc["meta"]["direction_sets"]
+        for key in list(sets) if dropped is None else dropped:
+            del sets[key]
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc))
+        assert run(capsys, "verify-cover", str(graph), str(cert)) == (
+            2, "", f"error: certificate is missing direction set '{first}'\n")
 
     @INT_DIGIT_LIMIT
     @pytest.mark.parametrize("text, long", [

@@ -637,10 +637,10 @@ CERTIFICATE_TEXT = [
     (Graph.from_edges([(1, 9), (2, 10)], n=11), CoverCertificate(
         1, (Orientation(11, 2, 0b10),),
         CertificateMeta(coloring=(), direction_sets=(
-            (), (None,), (0,), (), (), (), (), (), (), (1,), (1,)))),
+            (), (0,), (0,), (), (), (), (), (), (), (1,), (1,)))),
      '{\n  "n": 11,\n  "m": 2,\n  "k": 1,\n  "edges": [[1, 9], [2, 10]],\n  "orientations": [\n'
      '    [false, true]\n  ],\n  "meta": {"coloring": [], "family_indices": null, '
-     '"direction_sets": {"2->10": [], "9->1": [1], "10->2": [1]}}\n}'),
+     '"direction_sets": {"1->9": [], "2->10": [], "9->1": [1], "10->2": [1]}}\n}'),
     (path_graph(3), CoverCertificate(0, ()),
      '{\n  "n": 3,\n  "m": 2,\n  "k": 0,\n  "edges": [[0, 1], [1, 2]],\n  "orientations": [\n'
      '\n  ],\n  "meta": null\n}'),
@@ -664,20 +664,13 @@ def _neighbours(g):
     return [sorted({w for e in g.edges if x in e for w in e} - {x}) for x in range(g.n)]
 
 
-def _sorted_key_block(g, rows):
-    """The direction-set block with its keys sorted as (x, y) pairs, through json.dumps."""
-    sets = {(x, y): s for x, ys in enumerate(_neighbours(g))
-            for y, s in zip(ys, rows[x], strict=True) if s is not None}
-    return json.dumps({f"{x}->{y}": [b + 1 for b in range(s.bit_length()) if s >> b & 1]
-                       for (x, y), s in sorted(sets.items())})
-
-
 class TestDirectionSetsBlock:
     """certificate_to_json's direction-set block, row by row over each vertex's neighbours."""
 
     @pytest.mark.parametrize("dropped", [[(0, 5)], [(7, 2)], [(4, v) for v in range(10)]],
                              ids=["one-key", "other-direction", "whole-row"])
-    def test_missing_keys_are_skipped(self, dropped):
+    def test_a_none_entry_raises(self, dropped):
+        """A None entry is refused; written as it stands, it would be an empty set."""
         g = petersen_graph()
         cert = construct_cover(g)
         neighbours = _neighbours(g)
@@ -686,13 +679,11 @@ class TestDirectionSetsBlock:
         for x, y in dropped:
             if y in neighbours[x]:
                 rows[x][neighbours[x].index(y)] = None
-        rows = tuple(map(tuple, rows))
-        meta = CertificateMeta(cert.meta.coloring, cert.meta.family_indices, rows)
-        text = certificate_to_json(g, CoverCertificate(cert.k, cert.orientations, meta))
-        no_sets = CertificateMeta(cert.meta.coloring, cert.meta.family_indices)
-        want = certificate_to_json(g, CoverCertificate(cert.k, cert.orientations, no_sets))
-        assert text == want.replace('"direction_sets": null',
-                                    f'"direction_sets": {_sorted_key_block(g, rows)}')
+        meta = CertificateMeta(cert.meta.coloring, cert.meta.family_indices,
+                               tuple(map(tuple, rows)))
+        with pytest.raises(ValueError) as exc:
+            certificate_to_json(g, CoverCertificate(cert.k, cert.orientations, meta))
+        assert str(exc.value) == "direction-set rows must hold a set for every neighbour"
 
     @pytest.mark.parametrize("edit", [
         lambda rows: rows[:4] + (rows[4] + (1,),) + rows[5:],
@@ -709,6 +700,53 @@ class TestDirectionSetsBlock:
         meta = CertificateMeta(direction_sets=edit(cert.meta.direction_sets))
         with pytest.raises(ValueError, match="rows do not match the graph's neighbours"):
             certificate_to_json(g, CoverCertificate(cert.k, cert.orientations, meta))
+
+
+TRIANGLE_AND_PENDANT = Graph.from_edges([(0, 1), (1, 2), (2, 0), (2, 3)], n=4)
+KEY_ORDER = Graph.from_edges([(1, 9), (2, 10)], n=11)
+
+
+class TestMissingDirectionSets:
+    """The reader needs every directed edge's key and names the first missing one in the
+    writer's key order."""
+
+    @pytest.mark.parametrize("g, dropped, first", [
+        (TRIANGLE_AND_PENDANT, ["1->2"], "1->2"),
+        (TRIANGLE_AND_PENDANT, ["2->1"], "2->1"),
+        (TRIANGLE_AND_PENDANT, ["2->0", "2->1", "2->3"], "2->0"),
+        (TRIANGLE_AND_PENDANT, ["3->2", "0->2"], "0->2"),
+        (TRIANGLE_AND_PENDANT, None, "0->1"),
+        (petersen_graph(), None, "0->1"),
+        (KEY_ORDER, ["10->2", "9->1"], "9->1"),
+    ], ids=["one-key", "other-direction", "whole-row", "two-rows", "empty", "empty-petersen",
+            "numeric-order"])
+    def test_names_the_first_missing_key(self, g, dropped, first):
+        doc = json.loads(certificate_to_json(g, construct_cover(g)))
+        sets = doc["meta"]["direction_sets"]
+        assert len(sets) == 2 * g.m
+        for key in sets.copy() if dropped is None else dropped:
+            del sets[key]
+        with pytest.raises(ParseError) as exc:
+            certificate_from_json(json.dumps(doc), g)
+        assert str(exc.value) == f"certificate is missing direction set '{first}'"
+
+    def test_a_bad_key_is_named_before_a_missing_one(self):
+        g = TRIANGLE_AND_PENDANT
+        doc = json.loads(certificate_to_json(g, construct_cover(g)))
+        sets = doc["meta"]["direction_sets"]
+        del sets["0->1"]
+        sets["3->2"] = [0]
+        with pytest.raises(ParseError, match="'3->2' lists 0"):
+            certificate_from_json(json.dumps(doc), g)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_an_empty_map_on_an_edgeless_graph(self, n):
+        g = Graph.from_edges([], n=n)
+        cert = CoverCertificate(1, (Orientation(n, 0, 0),), CertificateMeta(
+            direction_sets=((),) * n))
+        text = certificate_to_json(g, cert)
+        assert '"direction_sets": {}' in text
+        assert certificate_from_json(text, g) == cert
 
 
 class TestEdgesField:

@@ -390,6 +390,10 @@ LONG_TOKENS = {
                  id="row-count"),
     pytest.param(lambda: proper_coloring(path_graph(2), 0), ValueError, "t must be positive",
                  id="no-colors"),
+    pytest.param(lambda: chromatic_number(path_graph(2), max_vertices=0), ValueError,
+                 "max_vertices must be positive", id="chromatic-vertex-bound-zero"),
+    pytest.param(lambda: exact_coloring(path_graph(2), max_vertices=-5), ValueError,
+                 "max_vertices must be positive", id="coloring-vertex-bound-negative"),
     pytest.param(lambda: encode_graph6(Graph.from_edges([], n=63)), CapacityError,
                  "graph6 short form supports at most 62 vertices", id="g6-encode-63"),
     pytest.param(lambda: cycle_graph(2), ValueError, "cycle_graph needs n >= 3", id="cycle"),
