@@ -141,6 +141,24 @@ def _upper_edges(adj: Sequence[int]) -> tuple[tuple[int, int], ...]:
     )
 
 
+def _loop_free_edges(n: int, adj: Sequence[int]) -> tuple[tuple[int, int], ...] | None:
+    """The upper edges of n rows in range that hold 2 * len(edges) bits, else None.
+
+    Raises ValueError for n < 1 or a row count other than n.  The bit
+    count catches a self-loop; a bit without its mirror can hide behind
+    another stray bit, so rows not symmetric by construction still need
+    the mirror walk.
+    """
+    if n < 1:
+        raise ValueError("graph needs at least one vertex")
+    if len(adj) != n:
+        raise ValueError("adjacency row count does not match n")
+    if min(adj) < 0 or max(adj) >> n:
+        return None
+    edges = _upper_edges(adj)
+    return edges if sum(map(int.bit_count, adj)) == 2 * len(edges) else None
+
+
 class Graph(_Value):
     """Simple undirected graph with bitmask adjacency rows.
 
@@ -155,21 +173,14 @@ class Graph(_Value):
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, n: int, adj: tuple[int, ...]) -> None:
-        if n < 1:
-            raise ValueError("graph needs at least one vertex")
-        if len(adj) != n:
-            raise ValueError("adjacency row count does not match n")
         # Rows in range are symmetric and loop-free iff every upper bit
         # (u, v) has its mirror (v, u) and the rows hold 2 * len(edges) bits:
         # the mirrors fill that count, leaving no diagonal or stray bit.  This
         # is linear in the bits; a transpose would cost n * n digits even for
         # a sparse graph.  Only a failure pays for the row-by-row scan that
         # names the first offending row or pair.
-        in_range = min(adj) >= 0 and not max(adj) >> n
-        edges = _upper_edges(adj) if in_range else ()
-        if not in_range or sum(map(int.bit_count, adj)) != 2 * len(edges) or not all(
-            adj[v] >> u & 1 for u, v in edges
-        ):
+        edges = _loop_free_edges(n, adj)
+        if edges is None or not all(adj[v] >> u & 1 for u, v in edges):
             for u, row in enumerate(adj):
                 if row < 0 or row >> n:
                     raise ValueError(f"adjacency row of vertex {u} addresses vertices >= n")
@@ -208,7 +219,14 @@ class Graph(_Value):
             if isinstance(exc, (MemoryError, OverflowError)):
                 raise CapacityError(f"cannot allocate adjacency rows for n={n} vertices") from None
             raise
-        return cls(n, adj)
+        # _rows sets both bits of every pair, so its rows need no mirror
+        # walk; a self-loop is the one fault they can hold
+        edges = _loop_free_edges(n, adj)
+        if edges is None:
+            return cls(n, adj)  # names the fault
+        g = cls.__new__(cls)
+        g.__setstate__((n, adj, edges))
+        return g
 
     def degree(self, u: int) -> int:
         return self.adj[u].bit_count()

@@ -193,6 +193,8 @@ def _scalar_slots(node):
 _META_KEYS = ["coloring", "family_indices", "direction_sets", "0->1", "1->0", "01->1",
               "0->1->2", " 0->1", "0->9", "x", "\xe9"]
 _NOT_INTS = [1.0, True, False, "1", 1, 0, -1, None, [], 2**64, 10**30]
+# direction-set values: all but [1, 1] are refused; "k + 1" is one past the orientation count
+_SET_VALUES = [[True], [1.0], "", {}, [1, 1], "k + 1", [0], [2**64]]
 
 
 @st.composite
@@ -212,7 +214,7 @@ def certificates(draw):
         row[e] = not row[e]
     well_formed = True
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
-        kind = draw(st.sampled_from(["drop", "duplicate", "shape", "type", "meta"]))
+        kind = draw(st.sampled_from(["drop", "duplicate", "shape", "type", "meta", "sets"]))
         if kind in ("drop", "duplicate"):
             i = draw(st.integers(0, len(orientations) - 1))
             recount = draw(st.booleans())
@@ -241,6 +243,19 @@ def certificates(draw):
                 if draw(st.booleans()):
                     table[draw(st.sampled_from(_META_KEYS))] = value
                 well_formed = False
+        elif kind == "sets":  # the direction-set keys shuffled, or one value replaced
+            sets = meta.get("direction_sets")
+            if not isinstance(sets, dict) or not sets:
+                continue
+            if draw(st.booleans()):
+                items = draw(st.permutations(list(sets.items())))
+                sets.clear()
+                sets.update(items)
+            else:
+                value = draw(st.sampled_from(_SET_VALUES))
+                sets[draw(st.sampled_from(sorted(sets)))] = (
+                    [len(orientations) + 1] if value == "k + 1" else value)
+                well_formed &= value == [1, 1]
     text = json.dumps(doc)
     if draw(st.integers(0, 9)) == 0:
         numbers = [m.span() for m in re.finditer(r"\d+", text)]

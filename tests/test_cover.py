@@ -749,6 +749,90 @@ class TestMissingDirectionSets:
         assert certificate_from_json(text, g) == cert
 
 
+def _read(text: str, g: Graph):
+    """certificate_from_json's record, or its ParseError text."""
+    try:
+        return certificate_from_json(text, g)
+    except ParseError as exc:
+        return str(exc)
+
+
+def _set_value(i: int, value):
+    """An edit that gives the i-th direction-set key the value."""
+    def edit(text, k):
+        doc = json.loads(text)
+        sets = doc["meta"]["direction_sets"]
+        sets[list(sets)[i]] = value(k) if callable(value) else value
+        return json.dumps(doc)
+    return edit
+
+
+def _reverse_keys(text, k):
+    doc = json.loads(text)
+    doc["meta"]["direction_sets"] = dict(reversed(doc["meta"]["direction_sets"].items()))
+    return json.dumps(doc)
+
+
+def _nul_key(text, k):
+    """The first two keys merged into one that holds a NUL: the keys joined by NUL read as
+    the writer's, and only the key count tells them apart."""
+    doc = json.loads(text)
+    items = list(doc["meta"]["direction_sets"].items())
+    (a, value), (b, _) = items[:2]
+    doc["meta"]["direction_sets"] = {a + "\0" + b: value, **dict(items[2:])}
+    return json.dumps(doc)
+
+
+def _true_beside_one(text, k):
+    """[1] as the first value and [true] as the last, so that (True,) == (1,) meets a seen set."""
+    return _set_value(-1, [True])(_set_value(0, [1])(text, k), k)
+
+
+WRITER_ORDER_EDITS = {
+    "true-beside-1": (_true_beside_one, False),
+    "float": (_set_value(-1, [1.0]), False),
+    "empty-string": (_set_value(3, ""), False),
+    "empty-object": (_set_value(3, {}), False),
+    "repeated-element": (_set_value(3, [1, 1]), True),
+    "above-k": (_set_value(5, lambda k: [k + 1]), False),
+    "zero": (_set_value(5, [0]), False),
+    "huge": (_set_value(5, [2**64]), False),
+    "keys-reversed": (_reverse_keys, True),
+    "duplicate-json-key": (lambda text, k: text.replace('"0->1": ', '"0->1": [2], "0->1": ', 1),
+                           True),
+    "nul-in-key": (_nul_key, False),
+    "escaped-hyphen": (lambda text, k: text.replace('"0->1"', '"0\\u002d>1"', 1), True),
+}
+
+
+class TestWriterOrderedBlock:
+    """A direction-set block whose keys are the writer's, in its order, is read in
+    whole-block passes (_rows_in_writer_order); any other block goes key by key
+    (_rows_by_key).  Both must give the same record or the same ParseError."""
+
+    @pytest.mark.parametrize("case", sorted(WRITER_ORDER_EDITS))
+    def test_same_outcome_as_the_key_loop_alone(self, case, monkeypatch):
+        edit, accepted = WRITER_ORDER_EDITS[case]
+        g = petersen_graph()
+        cert = construct_cover(g)
+        text = edit(certificate_to_json(g, cert), cert.k)
+        got = _read(text, g)
+        monkeypatch.setattr(orcov.cover, "_rows_in_writer_order", lambda *args: None)
+        assert got == _read(text, g)
+        assert isinstance(got, CoverCertificate) == accepted, got
+
+    @pytest.mark.parametrize("g", [
+        petersen_graph(),
+        Graph.from_edges(petersen_graph().edges + ((11, 12),), n=14),  # 10 and 13 isolated
+        _shuffled_multipartite(6, 5, 11),
+    ], ids=["petersen", "isolated-vertices", "multipartite"])
+    def test_the_writers_certificates_skip_the_key_loop(self, g, monkeypatch):
+        cert = construct_cover(g)
+        text = certificate_to_json(g, cert)
+        monkeypatch.setattr(orcov.cover, "_rows_by_key", None)  # a call would raise TypeError
+        assert certificate_from_json(text, g) == cert
+
+
 class TestEdgesField:
     """certificate_to_json's edges field, row by row: the text of json.dumps(g.edges)."""
 
