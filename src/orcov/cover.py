@@ -344,70 +344,70 @@ def _int_tuple(raw: dict, field: str) -> tuple[int, ...] | None:
     return tuple(value)
 
 
-def _rows_in_writer_order(raw_ds: dict, k: int, g: Graph) -> tuple[tuple[int, ...], ...] | None:
-    """The direction-set rows of a block whose keys are the writer's, in its order; else None.
+def _direction_set_rows(raw_ds: dict, k: int, g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The direction-set rows of a block in any key order; a fault raises ParseError.
 
-    Whole-block passes, no per-key loop:
-    - keys: the block's keys joined by NUL equal the writer's keys
-      joined by NUL, and there are 2m of them.  The writer's text holds
-      exactly 2m - 1 NULs, all separators, so a key holding a NUL would
-      make the counts differ: equal texts mean equal key lists, in order;
+    Keys name directed edges of g in the writer's form, their elements
+    lie in [1, k], and every directed edge has its key.  Whole-block
+    passes, no per-key loop:
+    - keys: 2m of them, their values taken in the writer's key order:
+      as they are when the keys joined by NUL equal the writer's keys
+      joined by NUL (which hold exactly 2m - 1 NULs, all separators, so
+      equal texts and counts mean equal key lists), else by looking up
+      each writer key, a missing one giving None;
     - values: every value is exactly a list and every element exactly an
-      int (bool and float fail), so equal element tuples are equal
+      int (bool, float and None fail), so equal element tuples are equal
       lists, and each distinct tuple is range-checked and turned into a
       mask once;
-    - rows: the masks, in key order, cut by the vertex degrees.
-    None sends the block to _rows_by_key, which names the first fault or
-    reads a valid block whose keys come in another order.
+    - rows: the masks, in writer order, cut by the vertex degrees.
+    A block that fails a pass goes to _direction_set_fault.
     """
-    if len(raw_ds) != 2 * g.m:
-        return None
     names = list(map(str, range(g.n)))
     adj = g.adj
     parts = []
     for x in compress(range(g.n), adj):
         head = names[x] + "->"
         parts.append(head + ("\0" + head).join(map(names.__getitem__, _bits(adj[x]))))
-    if "\0".join(raw_ds) != "\0".join(parts):
-        return None
-    values = raw_ds.values()
+    text = "\0".join(parts)
+    if len(raw_ds) != 2 * g.m:
+        _direction_set_fault(raw_ds, k, text)
+    if "\0".join(raw_ds) == text:
+        values = raw_ds.values()
+    else:
+        values = list(map(raw_ds.get, text.split("\0")))
     if not (set(map(type, values)) <= {list}
             and set(map(type, chain.from_iterable(values))) <= {int}):
-        return None
+        _direction_set_fault(raw_ds, k, text)
     masks = {}
     for elems in set(map(tuple, values)):
         if not all(0 < i <= k for i in elems):
-            return None
+            _direction_set_fault(raw_ds, k, text)
         masks[elems] = sum(1 << (i - 1) for i in set(elems))
     it = map(masks.__getitem__, map(tuple, values))
     return tuple(tuple(islice(it, row.bit_count())) for row in adj)
 
 
-def _rows_by_key(raw_ds: dict, k: int, g: Graph) -> tuple[tuple[int, ...], ...]:
-    """The direction-set rows, key by key in any order; raises ParseError at the first fault.
+def _direction_set_fault(raw_ds: dict, k: int, text: str) -> None:
+    """Raise ParseError at the first fault of a block _direction_set_rows declined.
 
-    Keys name directed edges of g in the writer's form, their elements
-    lie in [1, k], and every directed edge has its key.
+    Never returns.  text is the writer's keys joined by NUL.  Keys are
+    scanned in the block's order, each before its elements; a block
+    with no bad key misses one, and the first missing in writer order
+    is named.
     """
-    # the writer's name of every vertex with an edge: two lookups and a
-    # bit test accept a key, and only a miss pays for the form test
-    names = {str(v): v for v in compress(range(g.n), g.adj)}
-    adj = g.adj
-    rows: list[list[int | None]] = [[None] * row.bit_count() for row in adj]
+    keys = text.split("\0") if text else []
+    edge_keys = set(keys)
     for key, elems in raw_ds.items():
-        x, arrow, y = key.partition("->")
-        u = names.get(x)
-        v = names.get(y)
-        if u is None or v is None or not adj[u] >> v & 1 or type(elems) is not list:
+        if key not in edge_keys or type(elems) is not list:
             # int() also reads non-ASCII digits and leading zeros, so
             # that two keys could name one edge
+            x, arrow, y = key.partition("->")
             if not (arrow and key.isascii() and x.isdecimal() and y.isdecimal()
                     and (x[0] != "0" or x == "0") and (y[0] != "0" or y == "0")
                     and type(elems) is list):
                 raise ParseError(f"certificate direction set {key!a} must map 'x->y' to a"
                                  " list (ASCII decimal, no leading zeros)")
             raise ParseError(f"certificate direction set {key!a} names no edge of the graph")
-        mask = 0
         for i in elems:
             if type(i) is not int or not 0 < i <= k:
                 if type(i) is int and i > k:
@@ -415,20 +415,16 @@ def _rows_by_key(raw_ds: dict, k: int, g: Graph) -> tuple[tuple[int, ...], ...]:
                 else:
                     reason = "not a positive integer"
                 raise ParseError(f"certificate direction set {key!r} lists {i!r}, {reason}")
-            mask |= 1 << (i - 1)
-        rows[u][(adj[u] & ~(-1 << v)).bit_count()] = mask
-    if len(raw_ds) != 2 * g.m:  # each accepted key filled its own entry
-        x = next(x for x, row in enumerate(rows) if None in row)
-        y = _bits(adj[x])[rows[x].index(None)]
-        raise ParseError(f"certificate is missing direction set '{x}->{y}'")
-    return tuple(map(tuple, rows))
+    missing = next(key for key in keys if key not in raw_ds)
+    raise ParseError(f"certificate is missing direction set {missing!r}")
 
 
 def _meta_from_json(raw: object, k: int, g: Graph) -> CertificateMeta | None:
     """Type-checked meta block; a missing or null field stays None.
 
-    A direction-set block in the writer's key order is read in bulk;
-    any other goes key by key, which names its first fault.
+    The direction-set block is read in whole-block passes, its keys in
+    any order; only a block that fails a pass is scanned key by key,
+    which raises at its first fault.
     """
     if raw is None:
         return None
@@ -439,7 +435,7 @@ def _meta_from_json(raw: object, k: int, g: Graph) -> CertificateMeta | None:
     if raw_ds is not None:
         if not isinstance(raw_ds, dict):
             raise ParseError("certificate meta.direction_sets must be an object")
-        direction_sets = _rows_in_writer_order(raw_ds, k, g) or _rows_by_key(raw_ds, k, g)
+        direction_sets = _direction_set_rows(raw_ds, k, g)
     coloring = _int_tuple(raw, "coloring")
     return CertificateMeta(coloring, _int_tuple(raw, "family_indices"), direction_sets)
 

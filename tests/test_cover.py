@@ -730,6 +730,20 @@ class TestMissingDirectionSets:
             certificate_from_json(json.dumps(doc), g)
         assert str(exc.value) == f"certificate is missing direction set '{first}'"
 
+    @pytest.mark.parametrize("dropped", [
+        ["0->1"], ["4->3"], ["9->7"], ["7->5", "3->4"],
+    ], ids=["first", "middle", "last", "two"])
+    def test_a_shuffled_block_names_the_first_missing_key_in_writer_order(self, dropped):
+        g = petersen_graph()
+        text = _shuffle_keys(certificate_to_json(g, construct_cover(g)), None)
+        doc = json.loads(text)
+        for key in dropped:
+            del doc["meta"]["direction_sets"][key]
+        first = min(dropped, key=_writer_keys(g).index)
+        with pytest.raises(ParseError) as exc:
+            certificate_from_json(json.dumps(doc), g)
+        assert str(exc.value) == f"certificate is missing direction set '{first}'"
+
     def test_a_bad_key_is_named_before_a_missing_one(self):
         g = TRIANGLE_AND_PENDANT
         doc = json.loads(certificate_to_json(g, construct_cover(g)))
@@ -749,6 +763,11 @@ class TestMissingDirectionSets:
         assert certificate_from_json(text, g) == cert
 
 
+def _writer_keys(g: Graph) -> list[str]:
+    """The writer's direction-set keys, in its order: ascending (x, y)."""
+    return [f"{x}->{y}" for x in range(g.n) for y in range(g.n) if g.adj[x] >> y & 1]
+
+
 def _read(text: str, g: Graph):
     """certificate_from_json's record, or its ParseError text."""
     try:
@@ -757,12 +776,11 @@ def _read(text: str, g: Graph):
         return str(exc)
 
 
-def _set_value(i: int, value):
-    """An edit that gives the i-th direction-set key the value."""
+def _set_value(key: str, value):
+    """An edit that gives the direction-set key the value."""
     def edit(text, k):
         doc = json.loads(text)
-        sets = doc["meta"]["direction_sets"]
-        sets[list(sets)[i]] = value(k) if callable(value) else value
+        doc["meta"]["direction_sets"][key] = value(k) if callable(value) else value
         return json.dumps(doc)
     return edit
 
@@ -773,63 +791,117 @@ def _reverse_keys(text, k):
     return json.dumps(doc)
 
 
-def _nul_key(text, k):
-    """The first two keys merged into one that holds a NUL: the keys joined by NUL read as
-    the writer's, and only the key count tells them apart."""
+def _shuffle_keys(text, k):
     doc = json.loads(text)
     items = list(doc["meta"]["direction_sets"].items())
-    (a, value), (b, _) = items[:2]
-    doc["meta"]["direction_sets"] = {a + "\0" + b: value, **dict(items[2:])}
+    random.Random(7).shuffle(items)
+    doc["meta"]["direction_sets"] = dict(items)
+    return json.dumps(doc)
+
+
+def _nul_key(text, k):
+    """Petersen's first two writer keys merged, where the first stood, into one that holds a
+    NUL: in the writer's order the keys joined by NUL read as the writer's, and only the key
+    count tells them apart."""
+    doc = json.loads(text)
+    sets = doc["meta"]["direction_sets"]
+    del sets["0->4"]
+    doc["meta"]["direction_sets"] = {
+        "0->1" + "\0" + "0->4" if key == "0->1" else key: value for key, value in sets.items()}
     return json.dumps(doc)
 
 
 def _true_beside_one(text, k):
-    """[1] as the first value and [true] as the last, so that (True,) == (1,) meets a seen set."""
-    return _set_value(-1, [True])(_set_value(0, [1])(text, k), k)
+    """[1] at Petersen's first writer key and [true] at its last, so that (True,) == (1,)
+    meets a seen set."""
+    return _set_value("9->7", [True])(_set_value("0->1", [1])(text, k), k)
 
 
+def _fault(key: str, what: str) -> str:
+    return f"certificate direction set '{key}' {what}"
+
+
+_NOT_A_LIST = "must map 'x->y' to a list (ASCII decimal, no leading zeros)"
+
+# Each edit of Petersen's certificate, and its outcome as the per-key reader gave it before
+# whole-block passes read every key order: a ParseError text, or the record, given as the
+# changes {(x, i): mask} to the writer's direction-set rows.
 WRITER_ORDER_EDITS = {
-    "true-beside-1": (_true_beside_one, False),
-    "float": (_set_value(-1, [1.0]), False),
-    "empty-string": (_set_value(3, ""), False),
-    "empty-object": (_set_value(3, {}), False),
-    "repeated-element": (_set_value(3, [1, 1]), True),
-    "above-k": (_set_value(5, lambda k: [k + 1]), False),
-    "zero": (_set_value(5, [0]), False),
-    "huge": (_set_value(5, [2**64]), False),
-    "keys-reversed": (_reverse_keys, True),
+    "true-beside-1": (_true_beside_one, _fault("9->7", "lists True, not a positive integer")),
+    "float": (_set_value("9->7", [1.0]), _fault("9->7", "lists 1.0, not a positive integer")),
+    "empty-string": (_set_value("1->0", ""), _fault("1->0", _NOT_A_LIST)),
+    "empty-object": (_set_value("1->0", {}), _fault("1->0", _NOT_A_LIST)),
+    "repeated-element": (_set_value("1->0", [1, 1]), {(1, 0): 0b1}),
+    "above-k": (_set_value("1->6", lambda k: [k + 1]), _fault("1->6", "lists 4, outside [1, 3]")),
+    "zero": (_set_value("1->6", [0]), _fault("1->6", "lists 0, not a positive integer")),
+    "huge": (_set_value("1->6", [2**64]),
+             _fault("1->6", "lists 18446744073709551616, outside [1, 3]")),
+    "keys-reversed": (_reverse_keys, {}),
     "duplicate-json-key": (lambda text, k: text.replace('"0->1": ', '"0->1": [2], "0->1": ', 1),
-                           True),
-    "nul-in-key": (_nul_key, False),
-    "escaped-hyphen": (lambda text, k: text.replace('"0->1"', '"0\\u002d>1"', 1), True),
+                           {}),
+    "nul-in-key": (_nul_key, _fault("0->1\\x000->4", _NOT_A_LIST)),
+    "escaped-hyphen": (lambda text, k: text.replace('"0->1"', '"0\\u002d>1"', 1), {}),
 }
+
+KEY_ORDERS = {"reversed": _reverse_keys, "shuffled": _shuffle_keys}
+
+READ_GRAPHS = pytest.mark.parametrize("g", [
+    petersen_graph(),
+    Graph.from_edges(petersen_graph().edges + ((11, 12),), n=14),  # 10 and 13 isolated
+    _shuffled_multipartite(6, 5, 11),
+], ids=["petersen", "isolated-vertices", "multipartite"])
 
 
 class TestWriterOrderedBlock:
-    """A direction-set block whose keys are the writer's, in its order, is read in
-    whole-block passes (_rows_in_writer_order); any other block goes key by key
-    (_rows_by_key).  Both must give the same record or the same ParseError."""
+    """A direction-set block is read in whole-block passes whatever its key order; only a
+    block that fails a pass goes to the key loop, _direction_set_fault, which raises at
+    the first fault.  Each edit gives the outcome pinned in WRITER_ORDER_EDITS, the one the
+    key loop alone gave, in the writer's key order and in any other."""
 
-    @pytest.mark.parametrize("case", sorted(WRITER_ORDER_EDITS))
-    def test_same_outcome_as_the_key_loop_alone(self, case, monkeypatch):
-        edit, accepted = WRITER_ORDER_EDITS[case]
+    @staticmethod
+    def check(case: str, reorder=None) -> None:
+        edit, outcome = WRITER_ORDER_EDITS[case]
         g = petersen_graph()
         cert = construct_cover(g)
-        text = edit(certificate_to_json(g, cert), cert.k)
-        got = _read(text, g)
-        monkeypatch.setattr(orcov.cover, "_rows_in_writer_order", lambda *args: None)
-        assert got == _read(text, g)
-        assert isinstance(got, CoverCertificate) == accepted, got
+        text = certificate_to_json(g, cert)
+        if reorder is not None:
+            text = reorder(text, cert.k)
+            assert list(json.loads(text)["meta"]["direction_sets"]) != _writer_keys(g)
+        got = _read(edit(text, cert.k), g)
+        if isinstance(outcome, str):
+            assert got == outcome
+            return
+        rows = list(map(list, cert.meta.direction_sets))
+        for (x, i), mask in outcome.items():
+            assert rows[x][i] != mask
+            rows[x][i] = mask
+        meta = CertificateMeta(cert.meta.coloring, cert.meta.family_indices,
+                               tuple(map(tuple, rows)))
+        assert got == CoverCertificate(cert.k, cert.orientations, meta)
 
-    @pytest.mark.parametrize("g", [
-        petersen_graph(),
-        Graph.from_edges(petersen_graph().edges + ((11, 12),), n=14),  # 10 and 13 isolated
-        _shuffled_multipartite(6, 5, 11),
-    ], ids=["petersen", "isolated-vertices", "multipartite"])
+    @pytest.mark.parametrize("case", sorted(WRITER_ORDER_EDITS))
+    def test_same_outcome_as_the_key_loop_alone(self, case):
+        self.check(case)
+
+    @pytest.mark.parametrize("order", sorted(KEY_ORDERS))
+    @pytest.mark.parametrize("case", sorted(WRITER_ORDER_EDITS))
+    def test_same_outcome_in_another_key_order(self, case, order):
+        self.check(case, KEY_ORDERS[order])
+
+    @READ_GRAPHS
     def test_the_writers_certificates_skip_the_key_loop(self, g, monkeypatch):
         cert = construct_cover(g)
         text = certificate_to_json(g, cert)
-        monkeypatch.setattr(orcov.cover, "_rows_by_key", None)  # a call would raise TypeError
+        monkeypatch.setattr(orcov.cover, "_direction_set_fault", None)  # a call raises TypeError
+        assert certificate_from_json(text, g) == cert
+
+    @pytest.mark.parametrize("order", sorted(KEY_ORDERS))
+    @READ_GRAPHS
+    def test_other_key_orders_skip_the_key_loop(self, g, order, monkeypatch):
+        cert = construct_cover(g)
+        text = KEY_ORDERS[order](certificate_to_json(g, cert), cert.k)
+        assert list(json.loads(text)["meta"]["direction_sets"]) != _writer_keys(g)
+        monkeypatch.setattr(orcov.cover, "_direction_set_fault", None)  # a call raises TypeError
         assert certificate_from_json(text, g) == cert
 
 
