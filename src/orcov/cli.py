@@ -36,7 +36,7 @@ from .graphs import (
     chromatic_number,
     parse_graph6,
 )
-from .oracle import SearchBudget, brute_sigma
+from .oracle import SearchBudget, _check_search_size, brute_sigma
 from .sigma import sigma_complete, sigma_estimate, sigma_of_graph
 
 EXIT_OK = 0
@@ -128,6 +128,9 @@ def _load_graph(args: SimpleNamespace) -> Graph:
     A command with --max-chi-vertices holds an edge list to that bound
     after the parse and before any rows exist; graph6 (n <= 62) is built
     first and meets the bound in the library, before any other refusal.
+    brute-sigma refuses an edge list there too, in the search's order:
+    its budget fields, then no edges, then more distinct pairs than
+    --max-edges ("0 1" and "1 0" are one edge).
     """
     text = _read_source(args.graph)
     fmt = sniff_format(text) if args.format == "auto" else args.format
@@ -136,7 +139,14 @@ def _load_graph(args: SimpleNamespace) -> Graph:
     edges, n = _edge_list_pairs(text)
     if hasattr(args, "max_chi_vertices"):
         _check_vertex_bound(n, args.max_chi_vertices)
+    if hasattr(args, "max_edges"):
+        pairs = {(u, v) if u < v else (v, u) for u, v in edges}
+        _check_search_size(len(pairs), _search_budget(args))
     return Graph.from_edges(edges, n)
+
+
+def _search_budget(args: SimpleNamespace) -> SearchBudget:
+    return SearchBudget(max_edges=args.max_edges, max_k=args.max_k, timeout=args.timeout)
 
 
 def _print_verdict(g: Graph, orientations: Sequence[Orientation], accept: str) -> int:
@@ -362,10 +372,7 @@ def _run_command(args: SimpleNamespace) -> int:
         return _print_verdict(g, cert.orientations, "accept")
     if cmd == "brute-sigma":
         g = _load_graph(args)
-        budget = SearchBudget(
-            max_edges=args.max_edges, max_k=args.max_k, timeout=args.timeout
-        )
-        result = brute_sigma(g, budget)
+        result = brute_sigma(g, _search_budget(args))
         _write_line(f"> {args.max_k}" if result is None else str(result))
         return EXIT_OK
     if cmd == "chromatic":

@@ -344,23 +344,12 @@ def _int_tuple(raw: dict, field: str) -> tuple[int, ...] | None:
     return tuple(value)
 
 
-def _direction_set_rows(raw_ds: dict, k: int, g: Graph) -> tuple[tuple[int, ...], ...]:
-    """The direction-set rows of a block in any key order; a fault raises ParseError.
+def _edge_key_text(g: Graph) -> str:
+    """The writer's direction-set keys joined by NUL: "x->y" in ascending (x, y) order.
 
-    Keys name directed edges of g in the writer's form, their elements
-    lie in [1, k], and every directed edge has its key.  Whole-block
-    passes, no per-key loop:
-    - keys: 2m of them, their values taken in the writer's key order:
-      as they are when the keys joined by NUL equal the writer's keys
-      joined by NUL (which hold exactly 2m - 1 NULs, all separators, so
-      equal texts and counts mean equal key lists), else by looking up
-      each writer key, a missing one giving None;
-    - values: every value is exactly a list and every element exactly an
-      int (bool, float and None fail), so equal element tuples are equal
-      lists, and each distinct tuple is range-checked and turned into a
-      mask once;
-    - rows: the masks, in writer order, cut by the vertex degrees.
-    A block that fails a pass goes to _direction_set_fault.
+    The keys hold no NUL, so the text holds exactly 2m - 1, all
+    separators: a text of 2m keys joined by NUL that equals it is the
+    writer's key list.
     """
     names = list(map(str, range(g.n)))
     adj = g.adj
@@ -368,13 +357,28 @@ def _direction_set_rows(raw_ds: dict, k: int, g: Graph) -> tuple[tuple[int, ...]
     for x in compress(range(g.n), adj):
         head = names[x] + "->"
         parts.append(head + ("\0" + head).join(map(names.__getitem__, _bits(adj[x]))))
-    text = "\0".join(parts)
+    return "\0".join(parts)
+
+
+def _direction_set_rows(raw_ds: dict, k: int, g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The direction-set rows of a parsed block in any key order; a fault raises ParseError.
+
+    Keys name directed edges of g in the writer's form, their elements
+    lie in [1, k], and every directed edge has its key.  Whole-block
+    passes, no per-key loop:
+    - keys: 2m of them, their values taken by looking up each writer
+      key (_edge_key_text), a missing one giving None;
+    - values: every value is exactly a list and every element exactly an
+      int (bool, float and None fail), so equal element tuples are equal
+      lists, and each distinct tuple is range-checked and turned into a
+      mask once;
+    - rows: the masks, in writer order, cut by the vertex degrees.
+    A block that fails a pass goes to _direction_set_fault.
+    """
+    text = _edge_key_text(g)
     if len(raw_ds) != 2 * g.m:
         _direction_set_fault(raw_ds, k, text)
-    if "\0".join(raw_ds) == text:
-        values = raw_ds.values()
-    else:
-        values = list(map(raw_ds.get, text.split("\0")))
+    values = list(map(raw_ds.get, text.split("\0"))) if text else []
     if not (set(map(type, values)) <= {list}
             and set(map(type, chain.from_iterable(values))) <= {int}):
         _direction_set_fault(raw_ds, k, text)
@@ -384,16 +388,15 @@ def _direction_set_rows(raw_ds: dict, k: int, g: Graph) -> tuple[tuple[int, ...]
             _direction_set_fault(raw_ds, k, text)
         masks[elems] = sum(1 << (i - 1) for i in set(elems))
     it = map(masks.__getitem__, map(tuple, values))
-    return tuple(tuple(islice(it, row.bit_count())) for row in adj)
+    return tuple(tuple(islice(it, row.bit_count())) for row in g.adj)
 
 
 def _direction_set_fault(raw_ds: dict, k: int, text: str) -> None:
     """Raise ParseError at the first fault of a block _direction_set_rows declined.
 
-    Never returns.  text is the writer's keys joined by NUL.  Keys are
-    scanned in the block's order, each before its elements; a block
-    with no bad key misses one, and the first missing in writer order
-    is named.
+    Never returns.  text is _edge_key_text's.  Keys are scanned in the
+    block's order, each before its elements; a block with no bad key
+    misses one, and the first missing in writer order is named.
     """
     keys = text.split("\0") if text else []
     edge_keys = set(keys)
@@ -419,20 +422,109 @@ def _direction_set_fault(raw_ds: dict, k: int, text: str) -> None:
     raise ParseError(f"certificate is missing direction set {missing!r}")
 
 
-def _meta_from_json(raw: object, k: int, g: Graph) -> CertificateMeta | None:
+_JSON_SPACE = " \t\n\r"
+_BLOCK_HEAD = '"direction_sets": {'
+
+
+def _distinct_keys(pairs: list) -> dict:
+    """An object_pairs_hook that refuses a repeated key, where json.loads keeps the last."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("repeated key")
+    return obj
+
+
+def _read_block_text(text: str, g: Graph) -> tuple[dict, tuple[tuple[int, ...], ...]] | None:
+    """The document and direction-set rows of a certificate that ends in its block, or None.
+
+    The writer's layout and json.dumps both end in
+    '"direction_sets": {"0->1": [1, 3], ...}}' and the document's "}",
+    each key followed by '": ' and each value by ", ".  Steps, any
+    failed one giving None:
+    - the block is the text from the last '"direction_sets": {' to the
+      two closing braces at the end (JSON whitespace stripped);
+    - split once on '"', its 2m keys joined by NUL are _edge_key_text's
+      (the writer's keys, in order), and every distinct separator after
+      a key fully matches ': [d, ...], ' with d = [1-9][0-9]* and the
+      empty set allowed (the last set read as if ", " followed it);
+    - json.loads of the text with the block replaced by {} holds no
+      duplicate key, its last key is meta, and meta's last is
+      direction_sets (whose value is then that {}, as below);
+    - k is an int, and each distinct set lies in [1, k].  An element
+      with more digits than k is above it, so no int() can meet the
+      digit limit.
+    Why the document is the same as json.loads(text) gives: the tail
+    after {} holds no quote, so {} is not inside a string; it is the
+    last value of an object that is the last value of the document.
+    With no duplicate keys that value is meta.direction_sets.  The
+    block is a complete object with no escape and an even number of
+    quotes, so the text parses to the same document with the block in
+    place of {}.
+    """
+    import json
+    import re
+
+    head = text.rfind(_BLOCK_HEAD)
+    close = text.rstrip(_JSON_SPACE)
+    if head < 0 or close[-1:] != "}":
+        return None
+    close = close[:-1].rstrip(_JSON_SPACE)  # ends in meta's "}"
+    start = head + len(_BLOCK_HEAD) - 1  # the block's "{"
+    block = close[start:-1].rstrip(_JSON_SPACE)
+    if close[-1:] != "}" or block[-1:] != "}":
+        return None
+    parts = (block[:-1] + ", ").split('"')
+    keys = parts[1::2]
+    if parts[0] != "{" or len(keys) != 2 * g.m or "\0".join(keys) != _edge_key_text(g):
+        return None
+    seps = parts[2::2]
+    match = re.compile(r": \[((?:[1-9][0-9]*, )*[1-9][0-9]*)?\], ").fullmatch
+    found = {sep: match(sep) for sep in set(seps)}
+    if not all(found.values()):
+        return None
+    try:
+        doc = json.loads(text[:start] + "{}" + text[len(close) - 1:],
+                         object_pairs_hook=_distinct_keys)
+    except (ValueError, RecursionError):
+        return None
+    meta = doc.get("meta")
+    if not (next(reversed(doc), None) == "meta" and isinstance(meta, dict)
+            and next(reversed(meta), None) == "direction_sets"):
+        return None
+    k = doc.get("k")
+    if not _is_int(k):
+        return None
+    width = len(str(k))
+    masks = {}
+    for sep, elems in found.items():
+        digits = elems[1].split(", ") if elems[1] else []
+        if any(len(d) > width for d in digits):
+            return None
+        ints = set(map(int, digits))
+        if ints and max(ints) > k:
+            return None
+        masks[sep] = sum(1 << (i - 1) for i in ints)
+    it = map(masks.__getitem__, seps)
+    return doc, tuple(tuple(islice(it, row.bit_count())) for row in g.adj)
+
+
+def _meta_from_json(
+    raw: object, k: int, g: Graph, rows: tuple[tuple[int, ...], ...] | None = None
+) -> CertificateMeta | None:
     """Type-checked meta block; a missing or null field stays None.
 
-    The direction-set block is read in whole-block passes, its keys in
-    any order; only a block that fails a pass is scanned key by key,
-    which raises at its first fault.
+    rows are the direction sets _read_block_text read from the text;
+    without them the parsed block is read by _direction_set_rows, its
+    keys in any order, and only a block that fails a pass is scanned
+    key by key, which raises at its first fault.
     """
     if raw is None:
         return None
     if not isinstance(raw, dict):
         raise ParseError("certificate meta must be an object or null")
     raw_ds = raw.get("direction_sets")
-    direction_sets = None
-    if raw_ds is not None:
+    direction_sets = rows
+    if rows is None and raw_ds is not None:
         if not isinstance(raw_ds, dict):
             raise ParseError("certificate meta.direction_sets must be an object")
         direction_sets = _direction_set_rows(raw_ds, k, g)
@@ -444,17 +536,27 @@ def certificate_from_json(text: str, g: Graph) -> CoverCertificate:
     """Parse, type-check and shape-check a certificate against g.
 
     Every malformed field raises ParseError with a one-line reason.
+    A text that ends in the writer's direction-set block has the block
+    read from the text and the rest parsed (_read_block_text); any other
+    text, and one that fails a step there, is parsed whole, its block
+    read by _direction_set_rows.  Both paths run the same checks below
+    and give the same record or message.
     """
     import json
 
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"certificate is not valid JSON: {exc}") from None
-    except ValueError:  # int() refuses a JSON integer above its digit limit
-        raise ParseError("certificate holds an integer too long to read") from None
-    except RecursionError:
-        raise ParseError("certificate nests arrays or objects too deeply to read") from None
+    read = _read_block_text(text, g)
+    if read is not None:
+        doc, rows = read
+    else:
+        rows = None
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"certificate is not valid JSON: {exc}") from None
+        except ValueError:  # int() refuses a JSON integer above its digit limit
+            raise ParseError("certificate holds an integer too long to read") from None
+        except RecursionError:
+            raise ParseError("certificate nests arrays or objects too deeply to read") from None
     if not isinstance(doc, dict):
         raise ParseError("certificate must be a JSON object")
     for key in ("n", "m", "k", "edges", "orientations"):
@@ -488,5 +590,5 @@ def certificate_from_json(text: str, g: Graph) -> CoverCertificate:
         ):
             raise ParseError("each orientation must list m booleans")
         orientations.append(Orientation.from_dir(g.n, flags))
-    meta = _meta_from_json(doc.get("meta"), k, g)
+    meta = _meta_from_json(doc.get("meta"), k, g, rows)
     return CoverCertificate(k, tuple(orientations), meta)

@@ -37,6 +37,14 @@ class SearchBudget(_Value):
         _set(self, "timeout", timeout)
 
 
+def _check_search_size(m: int, budget: SearchBudget) -> None:
+    """The search's refusals of a graph with m edges: none, then more than the budget allows."""
+    if m == 0:
+        raise ValueError("sigma is defined only for non-empty graphs")
+    if m > budget.max_edges:
+        raise BudgetError(f"graph has {m} edges; the search budget allows {budget.max_edges}")
+
+
 def brute_mifs(k: int) -> tuple[SetFamily, ...]:
     """All maximal intersecting families over [k] by exhaustive filter.
 
@@ -107,10 +115,7 @@ def brute_sigma(g: Graph, budget: SearchBudget | None = None) -> int | None:
     """
     if budget is None:
         budget = SearchBudget()
-    if g.m == 0:
-        raise ValueError("sigma is defined only for non-empty graphs")
-    if g.m > budget.max_edges:
-        raise BudgetError(f"graph has {g.m} edges; the search budget allows {budget.max_edges}")
+    _check_search_size(g.m, budget)
     deadline = time.monotonic() + budget.timeout
     n, m, edges = g.n, g.m, g.edges
     nodes = 0

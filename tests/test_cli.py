@@ -300,10 +300,11 @@ class TestFormats:
         ("0 100000000000000000000\n", 10**20 + 1),
     ])
     def test_unallocatable_vertex_count_exit_3(self, capsys, tmp_path, text, n):
-        """brute-sigma has no vertex bound, so it tries to build the rows."""
+        """verify-cover has no vertex bound, so it tries to build the rows, before it reads
+        the certificate (here the graph file, never read)."""
         p = tmp_path / "huge.el"
         p.write_text(text)
-        code, out, err = run(capsys, "brute-sigma", str(p))
+        code, out, err = run(capsys, "verify-cover", str(p), str(p))
         assert (code, out) == (3, "")
         assert err == f"error: cannot allocate adjacency rows for n={n} vertices\n"
 
@@ -484,7 +485,7 @@ def test_row_build_out_of_memory_exit_3(tmp_path):
     """The 40 MB row list of n = 5,000,000 fits under the limit; its 40 MB tuple does not."""
     p = tmp_path / "wide.el"
     p.write_text("n 5000000\n")
-    proc = run_process("brute-sigma", str(p), entry=("-c", _MAIN_UNDER_RLIMIT))
+    proc = run_process("verify-cover", str(p), str(p), entry=("-c", _MAIN_UNDER_RLIMIT))
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == "error: cannot allocate adjacency rows for n=5000000 vertices\n"
 
@@ -784,6 +785,31 @@ class TestBruteSigmaCli:
         p.write_text("\n".join(f"{u} {v}" for u in range(5) for v in range(u + 1, 5)))
         code, _, err = run(capsys, "brute-sigma", str(p), "--max-edges", "4")
         assert code == 3 and "budget" in err.lower()
+
+    @pytest.mark.parametrize("text, options, result", [
+        ("0 x\n", ["--max-k", "0"], (2, "error: line 1: non-integer token 'x'\n")),
+        ("n 2000000\n", ["--max-k", "0"], (2, "error: budget fields must be positive\n")),
+        ("n 2000000\n", [], (2, "error: sigma is defined only for non-empty graphs\n")),
+        ("".join(f"{u} {v}\n{v} {u}\n" for u in range(5) for v in range(u + 1, 5)),
+         ["--max-edges", "9"], (3, "error: graph has 10 edges; the search budget allows 9\n")),
+    ], ids=["parse", "budget-fields", "edgeless", "edge-count"])
+    def test_refused_before_any_rows(self, capsys, tmp_path, monkeypatch, text, options, result):
+        """An edge list is refused in the search's order (parse, budget fields, no edges,
+        distinct pairs over the budget) before Graph.from_edges builds a row."""
+        p = tmp_path / "refused.el"
+        p.write_text(text)
+
+        def build(edges, n):
+            raise AssertionError("rows were built")
+
+        monkeypatch.setattr(Graph, "from_edges", build)
+        code, out, err = run(capsys, "brute-sigma", str(p), *options)
+        assert (code, err) == result and out == ""
+
+    def test_a_repeated_pair_is_one_edge(self, capsys, tmp_path):
+        p = tmp_path / "k2.el"
+        p.write_text("0 1\n1 0\n0 1\n")
+        assert run(capsys, "brute-sigma", str(p), "--max-edges", "1") == (0, "2\n", "")
 
     def test_defaults_are_the_search_budget_defaults(self):
         args = cli.build_parser().parse_args(["brute-sigma", "-"])

@@ -6,6 +6,8 @@ import re
 
 import pytest
 from conftest import all_labeled_graphs, random_graph, reference_counterexample
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orcov.graphs
 from orcov import (
@@ -890,9 +892,11 @@ class TestWriterOrderedBlock:
 
     @READ_GRAPHS
     def test_the_writers_certificates_skip_the_key_loop(self, g, monkeypatch):
+        """They skip the parsed-block reader too: their block is read from the text."""
         cert = construct_cover(g)
         text = certificate_to_json(g, cert)
-        monkeypatch.setattr(orcov.cover, "_direction_set_fault", None)  # a call raises TypeError
+        monkeypatch.setattr(orcov.cover, "_direction_set_rows", None)  # a call raises TypeError
+        monkeypatch.setattr(orcov.cover, "_direction_set_fault", None)
         assert certificate_from_json(text, g) == cert
 
     @pytest.mark.parametrize("order", sorted(KEY_ORDERS))
@@ -930,3 +934,145 @@ class TestEdgesField:
             p = rng.choice([0.05, 0.3, 0.9])
             self.check(Graph.from_edges(
                 [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p], n=n))
+
+
+def _meta_first(text, k):
+    doc = json.loads(text)
+    return json.dumps({"meta": doc.pop("meta"), **doc})
+
+
+# Layouts that the text path declines; the parsed-block reader reads them.
+DICT_PATH_FORMS = {
+    "indent-2": lambda text, k: json.dumps(json.loads(text), indent=2),
+    "compact": lambda text, k: json.dumps(json.loads(text), separators=(",", ":")),
+    "reversed-keys": _reverse_keys,
+    "meta-not-last": _meta_first,
+}
+
+
+class TestBlockTextPath:
+    """certificate_from_json reads the direction-set block of the writer's layout and of
+    json.dumps from the text (_read_block_text); every other text is parsed whole."""
+
+    @READ_GRAPHS
+    def test_json_dumps_certificates_take_the_text_path(self, g, monkeypatch):
+        cert = construct_cover(g)
+        text = json.dumps(json.loads(certificate_to_json(g, cert)))
+        monkeypatch.setattr(orcov.cover, "_direction_set_rows", None)  # a call raises TypeError
+        assert certificate_from_json(text, g) == cert
+
+    @pytest.mark.parametrize("form", sorted(DICT_PATH_FORMS))
+    @READ_GRAPHS
+    def test_other_layouts_take_the_dict_path(self, g, form, monkeypatch):
+        cert = construct_cover(g)
+        text = DICT_PATH_FORMS[form](certificate_to_json(g, cert), cert.k)
+        calls = []
+        rows = orcov.cover._direction_set_rows
+        monkeypatch.setattr(orcov.cover, "_direction_set_rows",
+                            lambda *args: calls.append(1) or rows(*args))
+        assert certificate_from_json(text, g) == cert
+        assert calls == [1]
+
+
+def _set_text(value: str):
+    """An edit that writes value in place of one drawn direction set's "[...]"."""
+    def edit(text, k, draw):
+        sets = [m.span(1) for m in re.finditer(r'"\d+->\d+": (\[[^]]*\])', text)]
+        start, end = draw(st.sampled_from(sets))
+        return text[:start] + value.replace("K1", str(k + 1)) + text[end:]
+    return edit
+
+
+def _insert_one_of(pieces: list[str]):
+    """An edit that puts a drawn piece at a drawn position."""
+    def edit(text, k, draw):
+        piece = draw(st.sampled_from(pieces))
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + piece + text[at:]
+    return edit
+
+
+def _around_the_braces(text, k, draw):
+    """A drawn piece just after the block's opening brace or before one of the last three
+    closing braces."""
+    ends = [m.start() for m in re.finditer("}", text)][-3:]
+    at = draw(st.sampled_from([text.rfind('"direction_sets": {') + 19, *ends]))
+    piece = draw(st.sampled_from([" ", "\n", "\x0b", "\x0c", "\xa0", "1", "]"]))
+    return text[:at] + piece + text[at:]
+
+
+def _in_meta(text: str, piece: str) -> str:
+    """piece put just before meta's closing brace, the second to last."""
+    end = len(text.rstrip()[:-1].rstrip()) - 1
+    return text[:end] + piece + text[end:]
+
+
+def _block(text: str) -> str:
+    """The direction-set block of a text that ends in it."""
+    return text[text.rfind('"direction_sets": {') + 18:].rstrip()[:-1].rstrip()[:-1]
+
+
+def _empty_meta_block(text: str, first: dict) -> str:
+    """The document after the keys first, its meta's block {}, and the text's block under
+    a key "x" after meta."""
+    doc = json.loads(text)
+    doc = {**first, **doc, "meta": {**doc.pop("meta"), "direction_sets": {}}}
+    return json.dumps(doc)[:-1] + ', "x": {"direction_sets": ' + _block(text) + "}}"
+
+
+def _replace_once(old: str, new: str):
+    return lambda text, k, draw: text.replace(old, new, 1)
+
+
+TEXT_EDITS = {
+    "whitespace": _insert_one_of([" ", "\n", "\t", "\r", "\x0b", "\x0c", "\xa0"]),
+    "duplicate-meta": _replace_once('"n": ', '"meta": null, "n": '),
+    "duplicate-top-level-key": _replace_once('"m": ', '"k": 1, "m": '),
+    "duplicate-in-meta": _replace_once('"coloring": ', '"direction_sets": null, "coloring": '),
+    "meta-not-last": lambda text, k, draw: text.rstrip()[:-1] + ', "x": 1}',
+    "block-after-meta": lambda text, k, draw: (
+        text.rstrip()[:-1] + ', "x": {"direction_sets": ' + _block(text) + "}}"),
+    # meta's own block empty, the text's last block under a later key
+    "block-under-a-later-key": lambda text, k, draw: _empty_meta_block(text, {}),
+    "block-under-a-repeated-key": lambda text, k, draw: _empty_meta_block(text, {"x": 1}),
+    "block-head-in-a-string": lambda text, k, draw: _in_meta(
+        text, ', "note": "\\"direction_sets\\": {\\"0->1\\": [1]}"'),
+    "block-head-in-a-key": _replace_once('"direction_sets": {', '"x\\"direction_sets": {'),
+    "escaped-quote-in-key": lambda text, k, draw: text.replace(
+        '"0->1"', draw(st.sampled_from(['"0->1\\""', '"0\\"->1"', '"0\\u002d>1"'])), 1),
+    # two keys merged into one that holds a raw NUL, where the keys joined by NUL read as
+    # the writer's
+    "raw-nul-in-key": lambda text, k, draw: re.sub(
+        r'(\d+->\d+)": \[[^]]*\], "', "\\1\0", text, count=1),
+    "leading-zero": _set_text("[01]"),
+    "space-in-set": _set_text("[ 1]"),
+    "float": _set_text("[1.0]"),
+    "true": _set_text("[true]"),
+    "empty": _set_text("[]"),
+    "above-k": _set_text("[K1]"),
+    "long-element": _set_text("[" + "9" * 4400 + "]"),
+    "nan": _set_text("[NaN]"),
+    "around-the-braces": _around_the_braces,
+    "truncated": lambda text, k, draw: text[:draw(st.integers(0, len(text) - 1))],
+    "any-character": _insert_one_of(list('{}[]",: 019\\-> ')),
+}
+
+# Petersen and K_7 certificates (k = 3 and 4), in the writer's layout and as json.dumps
+BASE_TEXTS = [(g, layout(certificate_to_json(g, construct_cover(g))))
+              for g in (petersen_graph(), complete_graph(7))
+              for layout in (str, lambda text: json.dumps(json.loads(text)))]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_the_text_path_reads_as_the_dict_path(data):
+    """Every text edit gives the same record or ParseError text with the text path on and
+    declined."""
+    g, text = data.draw(st.sampled_from(BASE_TEXTS))
+    k = json.loads(text)["k"]
+    case = data.draw(st.sampled_from(sorted(TEXT_EDITS)))
+    edited = TEXT_EDITS[case](text, k, data.draw)
+    got = _read(edited, g)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orcov.cover, "_read_block_text", lambda text, g: None)
+        assert got == _read(edited, g)
