@@ -265,6 +265,25 @@ def _edges_json(g: Graph, names: list[str]) -> str:
     return "[" + ", ".join(rows) + "]"
 
 
+def _ints_json(values: Sequence[int] | None) -> str:
+    """json.dumps(values) for None or a sequence, ints written without the json module.
+
+    As json.dumps writes them, bools are true and false and every other
+    int is int.__repr__, so an int subclass is written as its value.  A
+    sequence holding anything but ints goes to json.dumps itself.
+    """
+    if values is None:
+        return "null"
+    if not all(isinstance(v, int) for v in values):
+        import json  # no command writes such a record
+
+        return json.dumps(values)
+    text = ", ".join(
+        "true" if v is True else "false" if v is False else int.__repr__(v) for v in values
+    )
+    return f"[{text}]"
+
+
 def _direction_sets_json(
     g: Graph, direction_sets: tuple[tuple[int, ...], ...] | None, names: list[str]
 ) -> str:
@@ -276,15 +295,13 @@ def _direction_sets_json(
     """
     if direction_sets is None:
         return "null"
-    import json
-
     if list(map(len, direction_sets)) != list(map(int.bit_count, g.adj)):
         raise ValueError("direction-set rows do not match the graph's neighbours")
     # each distinct set is formatted once, and each key's "y": part once
     distinct = set(chain.from_iterable(direction_sets))
     if None in distinct:
         raise ValueError("direction-set rows must hold a set for every neighbour")
-    elements = {s: json.dumps([b + 1 for b in _bits(s)]) for s in distinct}
+    elements = {s: "[" + ", ".join([str(b + 1) for b in _bits(s)]) + "]" for s in distinct}
     tails = [name + '": ' for name in names]
     rows = []
     for x, (row, sets) in enumerate(zip(g.adj, direction_sets)):
@@ -300,11 +317,9 @@ def certificate_to_json(g: Graph, cert: CoverCertificate) -> str:
     Field order is fixed (n, m, k, edges, orientations, meta) and the
     output is byte-identical across runs; each orientation sits on its
     own line.  The text is what json.dumps gives for the same document,
-    built directly: each orientation row in one string pass and each
-    distinct direction set formatted once.
+    built directly without the json module: each orientation row in one
+    string pass and each distinct direction set formatted once.
     """
-    import json  # here and in certificate_from_json: no other command starts with it
-
     _check_shapes(g, cert.orientations)
     names = list(map(str, range(g.n)))
     meta = cert.meta
@@ -312,8 +327,8 @@ def certificate_to_json(g: Graph, cert: CoverCertificate) -> str:
         meta_json = "null"
     else:
         meta_json = (
-            f'{{"coloring": {json.dumps(meta.coloring)}, '
-            f'"family_indices": {json.dumps(meta.family_indices)}, '
+            f'{{"coloring": {_ints_json(meta.coloring)}, '
+            f'"family_indices": {_ints_json(meta.family_indices)}, '
             f'"direction_sets": {_direction_sets_json(g, meta.direction_sets, names)}}}'
         )
     lines = [
@@ -423,76 +438,80 @@ def _direction_set_fault(raw_ds: dict, k: int, text: str) -> None:
 
 
 _JSON_SPACE = " \t\n\r"
-_BLOCK_HEAD = '"direction_sets": {'
+_FIELD_KEYS = "n\0m\0k\0edges\0orientations\0meta\0coloring\0family_indices\0direction_sets"
+# The text before the first key picks the layout: the writer's or json.dumps'.  Each gives
+# the separator after a head field, the orientation list's opening, joint and close, and the
+# text after the last direction set.
+_LAYOUTS = {
+    "{\n  ": (",\n  ", ": [\n    ", ",\n    ", "\n  ]", "}}\n}"),
+    "{": (", ", ": [", ", ", "]", "}}}"),
+}
+# "1" for each true and "0" for each false of the writer's orientation rows
+_FLAG_BITS = str.maketrans("tf", "10", ":[], \nruelas")
 
 
-def _distinct_keys(pairs: list) -> dict:
-    """An object_pairs_hook that refuses a repeated key, where json.loads keeps the last."""
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        raise ValueError("repeated key")
-    return obj
+def _certificate_from_text(text: str, g: Graph) -> CoverCertificate | None:
+    """The record of a certificate in the writer's layout or json.dumps', read from the text.
 
-
-def _read_block_text(text: str, g: Graph) -> tuple[dict, tuple[tuple[int, ...], ...]] | None:
-    """The document and direction-set rows of a certificate that ends in its block, or None.
-
-    The writer's layout and json.dumps both end in
-    '"direction_sets": {"0->1": [1, 3], ...}}' and the document's "}",
-    each key followed by '": ' and each value by ", ".  Steps, any
-    failed one giving None:
-    - the block is the text from the last '"direction_sets": {' to the
-      two closing braces at the end (JSON whitespace stripped);
-    - split once on '"', its 2m keys joined by NUL are _edge_key_text's
-      (the writer's keys, in order), and every distinct separator after
-      a key fully matches ': [d, ...], ' with d = [1-9][0-9]* and the
-      empty set allowed (the last set read as if ", " followed it);
-    - json.loads of the text with the block replaced by {} holds no
-      duplicate key, its last key is meta, and meta's last is
-      direction_sets (whose value is then that {}, as below);
-    - k is an int, and each distinct set lies in [1, k].  An element
-      with more digits than k is above it, so no int() can meet the
-      digit limit.
-    Why the document is the same as json.loads(text) gives: the tail
-    after {} holds no quote, so {} is not inside a string; it is the
-    last value of an object that is the last value of the document.
-    With no duplicate keys that value is meta.direction_sets.  The
-    block is a complete object with no escape and an even number of
-    quotes, so the text parses to the same document with the block in
-    place of {}.
+    None for any other text, and for one that fails a step below; the
+    caller then parses it whole.  Steps:
+    - split once on '"', the odd parts joined by NUL are the nine field
+      keys in writer order then _edge_key_text(g)'s 2m keys, and the
+      text holds exactly as many quotes as those keys need;
+    - the first part picks the layout, and each head part must be that
+      layout's piece with the value in place: n and m are g's, the edges
+      value is _edges_json's, and meta and direction_sets open objects;
+    - the orientation list is one translate to bits, cut into rows of m,
+      and must equal the writer's text of those rows, with k their count;
+    - coloring and family_indices are null or the writer's
+      [d, d, ...] of the ints int() reads from them;
+    - each block separator fully matches ': [d, ...], ' with
+      d = [1-9][0-9]*, the empty set allowed (the last one read as if
+      ", " followed it, the layout's end and JSON whitespace after it),
+      and each distinct set lies in [1, k].  An element with more digits
+      than k is above it, so no int() can meet the digit limit there.
+    Why the record is the one json.loads(text) and the checks after it
+    give: every odd part is an expected key, which holds no backslash,
+    so every '"' opens or closes a string and the even parts are all
+    the text outside strings.  Each is the writer's piece for the value
+    read from it, so the text is the writer's text of one document, the
+    record's.  Its keys are distinct, and every value has the type the
+    checks ask for.
     """
-    import json
     import re
 
-    head = text.rfind(_BLOCK_HEAD)
-    close = text.rstrip(_JSON_SPACE)
-    if head < 0 or close[-1:] != "}":
+    m = g.m
+    parts = text.split('"')
+    layout = _LAYOUTS.get(parts[0])
+    if (not m or layout is None or len(parts) != 4 * m + 19
+            or "\0".join(parts[1::2]) != _FIELD_KEYS + "\0" + _edge_key_text(g)):
         return None
-    close = close[:-1].rstrip(_JSON_SPACE)  # ends in meta's "}"
-    start = head + len(_BLOCK_HEAD) - 1  # the block's "{"
-    block = close[start:-1].rstrip(_JSON_SPACE)
-    if close[-1:] != "}" or block[-1:] != "}":
-        return None
-    parts = (block[:-1] + ", ").split('"')
-    keys = parts[1::2]
-    if parts[0] != "{" or len(keys) != 2 * g.m or "\0".join(keys) != _edge_key_text(g):
-        return None
+    comma, opening, joint, close, end = layout
     seps = parts[2::2]
+    last = seps[-1].rstrip(_JSON_SPACE)
+    if not (seps[0] == f": {g.n}{comma}" and seps[1] == f": {m}{comma}"
+            and seps[3] == f": {_edges_json(g, list(map(str, range(g.n))))}{comma}"
+            and seps[5] == seps[8] == ": {" and last.endswith(end)):
+        return None
+    flags = seps[4].translate(_FLAG_BITS)
+    try:  # int() refuses what is not a number, and a decimal past its digit limit
+        orientations = tuple(Orientation(g.n, m, int(flags[i:i + m][::-1], 2))
+                             for i in range(0, len(flags), m))
+        lists = [None if sep == ": null, " else
+                 tuple(map(int, sep[3:-3].split(", "))) if sep[3:-3] else ()
+                 for sep in seps[6:8]]
+    except ValueError:
+        return None
+    k = len(orientations)
+    rows = joint.join(map(_orientation_json, orientations))
+    if not (seps[2] == f": {k}{comma}" and seps[4] == f"{opening}{rows}{close}{comma}"
+            and seps[6:8] == [f": {_ints_json(ints)}, " for ints in lists]):
+        return None
+    block = seps[9:]
+    block[-1] = last[:-len(end)] + ", "
     match = re.compile(r": \[((?:[1-9][0-9]*, )*[1-9][0-9]*)?\], ").fullmatch
-    found = {sep: match(sep) for sep in set(seps)}
+    found = {sep: match(sep) for sep in set(block)}
     if not all(found.values()):
-        return None
-    try:
-        doc = json.loads(text[:start] + "{}" + text[len(close) - 1:],
-                         object_pairs_hook=_distinct_keys)
-    except (ValueError, RecursionError):
-        return None
-    meta = doc.get("meta")
-    if not (next(reversed(doc), None) == "meta" and isinstance(meta, dict)
-            and next(reversed(meta), None) == "direction_sets"):
-        return None
-    k = doc.get("k")
-    if not _is_int(k):
         return None
     width = len(str(k))
     masks = {}
@@ -504,17 +523,15 @@ def _read_block_text(text: str, g: Graph) -> tuple[dict, tuple[tuple[int, ...], 
         if ints and max(ints) > k:
             return None
         masks[sep] = sum(1 << (i - 1) for i in ints)
-    it = map(masks.__getitem__, seps)
-    return doc, tuple(tuple(islice(it, row.bit_count())) for row in g.adj)
+    it = map(masks.__getitem__, block)
+    direction_sets = tuple(tuple(islice(it, row.bit_count())) for row in g.adj)
+    return CoverCertificate(k, orientations, CertificateMeta(*lists, direction_sets))
 
 
-def _meta_from_json(
-    raw: object, k: int, g: Graph, rows: tuple[tuple[int, ...], ...] | None = None
-) -> CertificateMeta | None:
+def _meta_from_json(raw: object, k: int, g: Graph) -> CertificateMeta | None:
     """Type-checked meta block; a missing or null field stays None.
 
-    rows are the direction sets _read_block_text read from the text;
-    without them the parsed block is read by _direction_set_rows, its
+    The parsed direction-set block is read by _direction_set_rows, its
     keys in any order, and only a block that fails a pass is scanned
     key by key, which raises at its first fault.
     """
@@ -523,8 +540,8 @@ def _meta_from_json(
     if not isinstance(raw, dict):
         raise ParseError("certificate meta must be an object or null")
     raw_ds = raw.get("direction_sets")
-    direction_sets = rows
-    if rows is None and raw_ds is not None:
+    direction_sets = None
+    if raw_ds is not None:
         if not isinstance(raw_ds, dict):
             raise ParseError("certificate meta.direction_sets must be an object")
         direction_sets = _direction_set_rows(raw_ds, k, g)
@@ -536,27 +553,24 @@ def certificate_from_json(text: str, g: Graph) -> CoverCertificate:
     """Parse, type-check and shape-check a certificate against g.
 
     Every malformed field raises ParseError with a one-line reason.
-    A text that ends in the writer's direction-set block has the block
-    read from the text and the rest parsed (_read_block_text); any other
-    text, and one that fails a step there, is parsed whole, its block
-    read by _direction_set_rows.  Both paths run the same checks below
-    and give the same record or message.
+    The writer's layout and json.dumps are read from the text
+    (_certificate_from_text); any other text, and one that fails a step
+    there, is parsed whole and checked below, which gives the same
+    record, or else the message.
     """
-    import json
+    cert = _certificate_from_text(text, g)
+    if cert is not None:
+        return cert
+    import json  # only here: the writer's text and json.dumps' are read without it
 
-    read = _read_block_text(text, g)
-    if read is not None:
-        doc, rows = read
-    else:
-        rows = None
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"certificate is not valid JSON: {exc}") from None
-        except ValueError:  # int() refuses a JSON integer above its digit limit
-            raise ParseError("certificate holds an integer too long to read") from None
-        except RecursionError:
-            raise ParseError("certificate nests arrays or objects too deeply to read") from None
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"certificate is not valid JSON: {exc}") from None
+    except ValueError:  # int() refuses a JSON integer above its digit limit
+        raise ParseError("certificate holds an integer too long to read") from None
+    except RecursionError:
+        raise ParseError("certificate nests arrays or objects too deeply to read") from None
     if not isinstance(doc, dict):
         raise ParseError("certificate must be a JSON object")
     for key in ("n", "m", "k", "edges", "orientations"):
@@ -590,5 +604,5 @@ def certificate_from_json(text: str, g: Graph) -> CoverCertificate:
         ):
             raise ParseError("each orientation must list m booleans")
         orientations.append(Orientation.from_dir(g.n, flags))
-    meta = _meta_from_json(doc.get("meta"), k, g, rows)
+    meta = _meta_from_json(doc.get("meta"), k, g)
     return CoverCertificate(k, tuple(orientations), meta)

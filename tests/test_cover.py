@@ -1,3 +1,4 @@
+import enum
 import hashlib
 import itertools
 import json
@@ -33,7 +34,7 @@ from orcov import (
     sigma_of_graph,
     verify_cover,
 )
-from orcov.cover import _edge_masks, _edges_json
+from orcov.cover import _edge_masks, _edges_json, _ints_json
 from orcov.families import _disjoint_members, sorted_mif_masks
 
 
@@ -661,6 +662,20 @@ def test_certificate_text(g, cert, text):
     assert certificate_from_json(text, g) == cert
 
 
+class _Index(enum.IntEnum):
+    ONE = 1
+    BIG = 2**70
+
+
+@given(st.none() | st.lists(st.integers() | st.booleans() | st.sampled_from(_Index)
+                            | st.floats() | st.text() | st.none()).map(tuple))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_int_lists_are_written_as_json_dumps_writes_them(values):
+    """meta.coloring and family_indices: bools as true and false, an int subclass as its
+    value, and a list with any other element as json.dumps writes it."""
+    assert _ints_json(values) == json.dumps(values)
+
+
 def _neighbours(g):
     """Each vertex's neighbours in ascending order, read off the edge list."""
     return [sorted({w for e in g.edges if x in e for w in e} - {x}) for x in range(g.n)]
@@ -941,37 +956,112 @@ def _meta_first(text, k):
     return json.dumps({"meta": doc.pop("meta"), **doc})
 
 
-# Layouts that the text path declines; the parsed-block reader reads them.
+def _meta_null(text, k):
+    doc = json.loads(text)
+    return json.dumps({**doc, "meta": None})
+
+
+def _compact_rows(text, k):
+    """The writer's text with each orientation row written [true,false,...]."""
+    return re.sub(r"\[(?:true|false)(?:, (?:true|false))*\]",
+                  lambda row: row[0].replace(", ", ","), text)
+
+
+# Layouts that the text path declines; json.loads and the parsed-block reader read them.
 DICT_PATH_FORMS = {
     "indent-2": lambda text, k: json.dumps(json.loads(text), indent=2),
     "compact": lambda text, k: json.dumps(json.loads(text), separators=(",", ":")),
     "reversed-keys": _reverse_keys,
     "meta-not-last": _meta_first,
+    "meta-null": _meta_null,
+    "compact-rows": _compact_rows,
 }
 
 
+def _dumps(text: str) -> str:
+    return json.dumps(json.loads(text))
+
+
+def _swap_keys(a: str, b: str):
+    return lambda text: text.replace(f'"{a}"', '"\0"').replace(f'"{b}"', f'"{a}"').replace(
+        '"\0"', f'"{b}"')
+
+
+# Head fields the writer would not write, each read as json.loads reads it
+HEAD_EDITS = {
+    **{f"{field}-{value}": lambda text, field=field, value=value: re.sub(
+        rf'"{field}": \[[^]]*\]', f'"{field}": {value}', text)
+       for field in ("coloring", "family_indices")
+       for value in ("[01]", "[-0]", "[+1]", "[1_0]", "[ 1]", "[1 ]", "[1,2]", "[\u0661]",
+                     "[true]", "[1.5]", "[1e1]", "[null]")},
+    "n-renamed": lambda text: text.replace('"n"', '"N"'),
+    "meta-renamed": lambda text: text.replace('"meta"', '"Meta"'),
+    "coloring-and-family-indices-swapped": _swap_keys("coloring", "family_indices"),
+    "edges-and-orientations-swapped": _swap_keys("edges", "orientations"),
+}
+
+
+def _from_families(g):
+    return cover_from_families(g, families_from_cover(g, construct_cover(g).orientations))
+
+
+def _no_json_loads(*args, **kwargs):
+    raise AssertionError("json.loads called")
+
+
 class TestBlockTextPath:
-    """certificate_from_json reads the direction-set block of the writer's layout and of
-    json.dumps from the text (_read_block_text); every other text is parsed whole."""
+    """certificate_from_json reads the writer's layout and json.dumps whole from the text
+    (_certificate_from_text); every other text is parsed whole by json.loads."""
+
+    @staticmethod
+    def check_text_path(g, cert, text, monkeypatch):
+        """No part of text, edges and orientation rows included, goes through json.loads."""
+        monkeypatch.setattr(json, "loads", _no_json_loads)
+        monkeypatch.setattr(orcov.cover, "_direction_set_rows", None)  # a call raises TypeError
+        assert certificate_from_json(text, g) == cert
 
     @READ_GRAPHS
     def test_json_dumps_certificates_take_the_text_path(self, g, monkeypatch):
         cert = construct_cover(g)
-        text = json.dumps(json.loads(certificate_to_json(g, cert)))
-        monkeypatch.setattr(orcov.cover, "_direction_set_rows", None)  # a call raises TypeError
-        assert certificate_from_json(text, g) == cert
+        self.check_text_path(g, cert, _dumps(certificate_to_json(g, cert)), monkeypatch)
+
+    @pytest.mark.parametrize("build, layout", [
+        (construct_cover, str),
+        # null coloring and family indices
+        (_from_families, str),
+        (_from_families, _dumps),
+    ], ids=["writer", "from-families-writer", "from-families-dumps"])
+    @READ_GRAPHS
+    def test_the_writers_certificates_take_the_text_path(self, g, build, layout, monkeypatch):
+        cert = build(g)
+        self.check_text_path(g, cert, layout(certificate_to_json(g, cert)), monkeypatch)
 
     @pytest.mark.parametrize("form", sorted(DICT_PATH_FORMS))
     @READ_GRAPHS
     def test_other_layouts_take_the_dict_path(self, g, form, monkeypatch):
         cert = construct_cover(g)
         text = DICT_PATH_FORMS[form](certificate_to_json(g, cert), cert.k)
+        assert orcov.cover._certificate_from_text(text, g) is None
         calls = []
         rows = orcov.cover._direction_set_rows
         monkeypatch.setattr(orcov.cover, "_direction_set_rows",
                             lambda *args: calls.append(1) or rows(*args))
-        assert certificate_from_json(text, g) == cert
-        assert calls == [1]
+        if form == "meta-null":
+            assert certificate_from_json(text, g) == CoverCertificate(cert.k, cert.orientations)
+            assert calls == []
+        else:
+            assert certificate_from_json(text, g) == cert
+            assert calls == [1]
+
+    @pytest.mark.parametrize("edit", sorted(HEAD_EDITS))
+    def test_heads_the_writer_would_not_write_take_the_dict_path(self, edit):
+        g = petersen_graph()
+        text = HEAD_EDITS[edit](certificate_to_json(g, construct_cover(g)))
+        assert orcov.cover._certificate_from_text(text, g) is None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(orcov.cover, "_certificate_from_text", lambda text, g: None)
+            expected = _read(text, g)
+        assert _read(text, g) == expected
 
 
 def _set_text(value: str):
@@ -1024,6 +1114,98 @@ def _replace_once(old: str, new: str):
     return lambda text, k, draw: text.replace(old, new, 1)
 
 
+def _drawn_match(pattern: str, within: str, values: list[str]):
+    """An edit that writes a drawn value in place of a drawn match of pattern inside the
+    value of the field within; {0} in a value stands for the match."""
+    def edit(text, k, draw):
+        field = re.search(FIELD_VALUE[within], text)
+        spans = [(field.start(1) + m.start(), field.start(1) + m.end())
+                 for m in re.finditer(pattern, field[1])]
+        start, end = draw(st.sampled_from(spans))
+        value = draw(st.sampled_from(values)).format(text[start:end])
+        return text[:start] + value + text[end:]
+    return edit
+
+
+# Each head field's value, up to the comma after it
+FIELD_VALUE = {
+    "n": r'"n": (\d+)', "m": r'"m": (\d+)', "k": r'"k": (\d+)',
+    "edges": r'"edges": (\[.*?\]\])',
+    "orientations": r'"orientations": (\[[^"]*\])',
+    "coloring": r'"coloring": (\[[^]]*\]|null)',
+    "family_indices": r'"family_indices": (\[[^]]*\]|null)',
+}
+ROW = r"\[(?:true|false)(?:, (?:true|false))*\]"
+
+
+def _add_row(text, k, draw):
+    """A drawn orientation row written twice, k kept or raised by one."""
+    row = draw(st.sampled_from(list(re.finditer(ROW, text))))
+    joint = ",\n    " if text.startswith("{\n") else ", "
+    text = text[:row.end()] + joint + row[0] + text[row.end():]
+    return text.replace(f'"k": {k}', f'"k": {k + 1}', draw(st.integers(0, 1)))
+
+
+def _drop_row(text, k, draw):
+    rows = list(re.finditer(ROW, text))
+    i = draw(st.integers(0, len(rows) - 1))
+    if i:
+        return text[:rows[i - 1].end()] + text[rows[i].end():]
+    return text[:rows[0].start()] + text[rows[1].start():]
+
+
+def _swap_edge(text, k, draw):
+    """A drawn edge pair [u, v] written [v, u]."""
+    field = re.search(FIELD_VALUE["edges"], text)
+    pair = draw(st.sampled_from(list(re.finditer(r"\[(\d+), (\d+)\]", field[1]))))
+    at = field.start(1) + pair.start()
+    return text[:at] + f"[{pair[2]}, {pair[1]}]" + text[at + len(pair[0]):]
+
+
+def _drop_edge(text, k, draw):
+    """A drawn edge pair cut with the separator before it, or after the first."""
+    field = re.search(FIELD_VALUE["edges"], text)
+    pair = draw(st.sampled_from(list(re.finditer(r"(, )?\[\d+, \d+\](?(1)|, )", field[1]))))
+    return text[:field.start(1) + pair.start()] + text[field.start(1) + pair.end():]
+
+
+def _head_separators(text, k, draw):
+    """Other whitespace, or none, around the colon and comma of a drawn head field."""
+    key = draw(st.sampled_from(["m", "k", "edges", "orientations", "meta"]))
+    comma = draw(st.sampled_from([",", ", ", ",\n  ", ",\n", ",\n\t", ", \n  "]))
+    colon = draw(st.sampled_from([":", ": ", ":  ", ":\n"]))
+    return re.sub(rf',\s*"{key}":\s*', f'{comma}"{key}"{colon}', text, count=1)
+
+
+def _meta_null_text(text, k, draw):
+    head = text[:text.index('"meta": ') + 8]
+    return head + "null" + ("\n}" if text.startswith("{\n") else "}")
+
+
+def _drop_field(field: str):
+    return lambda text, k, draw: re.sub(rf'"{field}": (\[[^]]*\]|null), ', "", text, count=1)
+
+
+def _end_replaced(text, k, draw):
+    """One of the last three closing braces written as a drawn piece."""
+    at = draw(st.sampled_from([m.start() for m in re.finditer("}", text)][-3:]))
+    return text[:at] + draw(st.sampled_from(["]", "", "}}", " }", "x"])) + text[at + 1:]
+
+
+def _object_opening(text, k, draw):
+    """The opening brace of meta or of its block written as a drawn piece."""
+    key = draw(st.sampled_from(["meta", "direction_sets"]))
+    piece = draw(st.sampled_from(["[", "", "{{", "{\n", "{ "]))
+    return text.replace(f'"{key}": {{', f'"{key}": {piece}', 1)
+
+
+def _last_key_past_the_end(text, k, draw):
+    """The block's last entry cut, and its key written after the end with no closing quote."""
+    cut = text.rindex(', "')
+    key = text[cut + 2:].split('"')[1]
+    return text[:cut] + text.rstrip()[-3:].lstrip() + draw(st.sampled_from(["", "\n"])) + '"' + key
+
+
 TEXT_EDITS = {
     "whitespace": _insert_one_of([" ", "\n", "\t", "\r", "\x0b", "\x0c", "\xa0"]),
     "duplicate-meta": _replace_once('"n": ', '"meta": null, "n": '),
@@ -1055,6 +1237,29 @@ TEXT_EDITS = {
     "around-the-braces": _around_the_braces,
     "truncated": lambda text, k, draw: text[:draw(st.integers(0, len(text) - 1))],
     "any-character": _insert_one_of(list('{}[]",: 019\\-> ')),
+    "last-key-past-the-end": _last_key_past_the_end,
+    "end-replaced": _end_replaced,
+    "object-opening": _object_opening,
+    # the head fields
+    "edge-swapped": _swap_edge,
+    "edge-dropped": _drop_edge,
+    "edge-not-int": _drawn_match(r"(?<=\[0, )1(?=\])", "edges", ["1.0", "true"]),
+    "flag": _drawn_match(r"true|false", "orientations", ["1", "0", "null", '"{0}"', "True"]),
+    "flag-more-or-fewer": _drawn_match(r"(?:, )?(?:true|false)", "orientations",
+                                       ["", "{0}{0}", "{0}, true"]),
+    "row-added": _add_row,
+    "row-dropped": _drop_row,
+    "n-m-k": lambda text, k, draw: _drawn_match(
+        r"\d+", draw(st.sampled_from(["n", "m", "k"])),
+        ["{0}.0", "true", "0{0}", "-0", "-{0}", "{0}0", "1e1"])(text, k, draw),
+    "coloring-or-indices": lambda text, k, draw: _drawn_match(
+        r".+", draw(st.sampled_from(["coloring", "family_indices"])),
+        ["[true]", "[1.5]", "null", "[]", "[-0]", "[01]", "[1 ]", "[1,2]", "{0}"])(text, k, draw),
+    "coloring-or-indices-deleted": lambda text, k, draw: _drop_field(
+        draw(st.sampled_from(["coloring", "family_indices"])))(text, k, draw),
+    "head-separators": _head_separators,
+    "meta-null": _meta_null_text,
+    "head-edit": lambda text, k, draw: HEAD_EDITS[draw(st.sampled_from(sorted(HEAD_EDITS)))](text),
 }
 
 # Petersen and K_7 certificates (k = 3 and 4), in the writer's layout and as json.dumps
@@ -1074,5 +1279,5 @@ def test_the_text_path_reads_as_the_dict_path(data):
     edited = TEXT_EDITS[case](text, k, data.draw)
     got = _read(edited, g)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(orcov.cover, "_read_block_text", lambda text, g: None)
+        patch.setattr(orcov.cover, "_certificate_from_text", lambda text, g: None)
         assert got == _read(edited, g)

@@ -1,6 +1,7 @@
 """Value semantics of the immutable records, and what importing orcov loads."""
 
 import copy
+import json
 import os
 import pickle
 import subprocess
@@ -188,6 +189,22 @@ def test_import_without_site_loads_only_what_runs():
     """Under python -S, where site preloads nothing, import orcov.cli loads none of these."""
     names = {"typing", "pathlib", "threading", "dataclasses", "inspect", "json"}
     assert _loaded_by(names, "import orcov.cli", "-S") == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("flags", [(), ("-S",)])
+def test_cover_commands_load_no_json(flags, tmp_path):
+    """construct-cover, and verify-cover of its certificate and of a json.dumps copy, run
+    without the json module."""
+    graph = tmp_path / "petersen.el"
+    graph.write_text("".join(f"{u} {v}\n" for u, v in petersen_graph().edges))
+    cert, dumps = tmp_path / "cert.json", tmp_path / "dumps.json"
+    main = "from orcov import cli; cli.main({!r})".format
+    construct = main(["construct-cover", str(graph), "--out", str(cert)])
+    assert _loaded_by({"json"}, construct, *flags) == (0, "3 accept\n[]\n", "")
+    dumps.write_text(json.dumps(json.loads(cert.read_text())))
+    for path in (cert, dumps):
+        verify = main(["verify-cover", str(graph), str(path)])
+        assert _loaded_by({"json"}, verify, *flags) == (0, "accept\n[]\n", "")
 
 
 @pytest.mark.parametrize("flags", [(), ("-S",)])
