@@ -247,13 +247,6 @@ def construct_cover(
 # certificate serialization
 # ---------------------------------------------------------------------------
 
-def _orientation_json(o: Orientation) -> str:
-    # bit e of o.bits is the e-th flag; "1" is replaced first because
-    # "true, " holds no "0"
-    flags = _bit_string(o.bits, o.m).replace("1", "true, ").replace("0", "false, ")
-    return f"[{flags[:-2]}]"
-
-
 def _edges_json(g: Graph, names: list[str]) -> str:
     """json.dumps(g.edges), written row by row: row u is "[u, v]" for each upper neighbour v."""
     rows = []
@@ -284,6 +277,11 @@ def _ints_json(values: Sequence[int] | None) -> str:
     return f"[{text}]"
 
 
+def _set_json(s: int) -> str:
+    """The elements of the mask s as the writer lists them: ascending, 1-based."""
+    return "[" + ", ".join([str(b + 1) for b in _bits(s)]) + "]"
+
+
 def _direction_sets_json(
     g: Graph, direction_sets: tuple[tuple[int, ...], ...] | None, names: list[str]
 ) -> str:
@@ -301,7 +299,7 @@ def _direction_sets_json(
     distinct = set(chain.from_iterable(direction_sets))
     if None in distinct:
         raise ValueError("direction-set rows must hold a set for every neighbour")
-    elements = {s: "[" + ", ".join([str(b + 1) for b in _bits(s)]) + "]" for s in distinct}
+    elements = {s: _set_json(s) for s in distinct}
     tails = [name + '": ' for name in names]
     rows = []
     for x, (row, sets) in enumerate(zip(g.adj, direction_sets)):
@@ -311,14 +309,39 @@ def _direction_sets_json(
     return "{" + ", ".join(rows) + "}"
 
 
+# The text before the first key names a layout, the writer's or json.dumps': the separator
+# after a head field; the orientation list's opening, row indent, joint and close; and the
+# text after the meta value.  The writer renders from here; the text reader compares with it.
+_WRITER = "{\n  "
+_LAYOUTS = {
+    _WRITER: (",\n  ", ": [\n", "    ", ",\n", "\n  ]", "\n}"),
+    "{": (", ", ": [", "", ", ", "]", "}"),
+}
+
+
+def _orientation_json(o: Orientation, indent: str) -> str:
+    # bit e of o.bits is the e-th flag; "1" is replaced first because
+    # "true, " holds no "0"
+    flags = _bit_string(o.bits, o.m).replace("1", "true, ").replace("0", "false, ")
+    return f"{indent}[{flags[:-2]}]"
+
+
+def _orientations_json(layout: tuple[str, ...], orientations: Sequence[Orientation]) -> str:
+    """The text between the "orientations" and "meta" keys in a layout, a row per orientation."""
+    comma, opening, indent, joint, close, _ = layout
+    rows = joint.join([_orientation_json(o, indent) for o in orientations])
+    return f"{opening}{rows}{close}{comma}"
+
+
 def certificate_to_json(g: Graph, cert: CoverCertificate) -> str:
     """Serialize a certificate against its graph.
 
     Field order is fixed (n, m, k, edges, orientations, meta) and the
     output is byte-identical across runs; each orientation sits on its
     own line.  The text is what json.dumps gives for the same document,
-    built directly without the json module: each orientation row in one
-    string pass and each distinct direction set formatted once.
+    built directly without the json module in the _LAYOUTS entry of
+    _WRITER: each orientation row in one string pass and each distinct
+    direction set formatted once.
     """
     _check_shapes(g, cert.orientations)
     names = list(map(str, range(g.n)))
@@ -331,19 +354,12 @@ def certificate_to_json(g: Graph, cert: CoverCertificate) -> str:
             f'"family_indices": {_ints_json(meta.family_indices)}, '
             f'"direction_sets": {_direction_sets_json(g, meta.direction_sets, names)}}}'
         )
-    lines = [
-        "{",
-        f'  "n": {g.n},',
-        f'  "m": {g.m},',
-        f'  "k": {cert.k},',
-        f'  "edges": {_edges_json(g, names)},',
-        '  "orientations": [',
-        ",\n".join("    " + _orientation_json(o) for o in cert.orientations),
-        "  ],",
-        f'  "meta": {meta_json}',
-        "}",
-    ]
-    return "\n".join(lines)
+    layout = _LAYOUTS[_WRITER]
+    comma, end = layout[0], layout[-1]
+    return (f'{_WRITER}"n": {g.n}{comma}"m": {g.m}{comma}"k": {cert.k}{comma}'
+            f'"edges": {_edges_json(g, names)}{comma}'
+            f'"orientations"{_orientations_json(layout, cert.orientations)}'
+            f'"meta": {meta_json}{end}')
 
 
 def _is_int(x: object) -> bool:
@@ -378,43 +394,20 @@ def _edge_key_text(g: Graph) -> str:
 def _direction_set_rows(raw_ds: dict, k: int, g: Graph) -> tuple[tuple[int, ...], ...]:
     """The direction-set rows of a parsed block in any key order; a fault raises ParseError.
 
-    Keys name directed edges of g in the writer's form, their elements
-    lie in [1, k], and every directed edge has its key.  Whole-block
-    passes, no per-key loop:
-    - keys: 2m of them, their values taken by looking up each writer
-      key (_edge_key_text), a missing one giving None;
-    - values: every value is exactly a list and every element exactly an
-      int (bool, float and None fail), so equal element tuples are equal
-      lists, and each distinct tuple is range-checked and turned into a
-      mask once;
-    - rows: the masks, in writer order, cut by the vertex degrees.
-    A block that fails a pass goes to _direction_set_fault.
+    One walk over the block in its own order raises at the first fault.
+    Each key must be one of the writer's (_edge_key_text) and map to a
+    list.  Every element must then be exactly an int (bool, float and
+    None fail) before the element tuple is looked up, since (True,) ==
+    (1,); each distinct tuple is range-checked in [1, k] and turned into
+    a mask once.  A block with no fault that lacks a key names the first
+    missing one in the writer's order.  The rows are the masks in the
+    writer's key order, cut by the vertex degrees.
     """
     text = _edge_key_text(g)
-    if len(raw_ds) != 2 * g.m:
-        _direction_set_fault(raw_ds, k, text)
-    values = list(map(raw_ds.get, text.split("\0"))) if text else []
-    if not (set(map(type, values)) <= {list}
-            and set(map(type, chain.from_iterable(values))) <= {int}):
-        _direction_set_fault(raw_ds, k, text)
-    masks = {}
-    for elems in set(map(tuple, values)):
-        if not all(0 < i <= k for i in elems):
-            _direction_set_fault(raw_ds, k, text)
-        masks[elems] = sum(1 << (i - 1) for i in set(elems))
-    it = map(masks.__getitem__, map(tuple, values))
-    return tuple(tuple(islice(it, row.bit_count())) for row in g.adj)
-
-
-def _direction_set_fault(raw_ds: dict, k: int, text: str) -> None:
-    """Raise ParseError at the first fault of a block _direction_set_rows declined.
-
-    Never returns.  text is _edge_key_text's.  Keys are scanned in the
-    block's order, each before its elements; a block with no bad key
-    misses one, and the first missing in writer order is named.
-    """
     keys = text.split("\0") if text else []
     edge_keys = set(keys)
+    only_ints = {int}.issuperset
+    masks: dict[tuple[int, ...], int] = {}
     for key, elems in raw_ds.items():
         if key not in edge_keys or type(elems) is not list:
             # int() also reads non-ASCII digits and leading zeros, so
@@ -426,6 +419,8 @@ def _direction_set_fault(raw_ds: dict, k: int, text: str) -> None:
                 raise ParseError(f"certificate direction set {key!a} must map 'x->y' to a"
                                  " list (ASCII decimal, no leading zeros)")
             raise ParseError(f"certificate direction set {key!a} names no edge of the graph")
+        if only_ints(map(type, elems)) and tuple(elems) in masks:
+            continue
         for i in elems:
             if type(i) is not int or not 0 < i <= k:
                 if type(i) is int and i > k:
@@ -433,65 +428,62 @@ def _direction_set_fault(raw_ds: dict, k: int, text: str) -> None:
                 else:
                     reason = "not a positive integer"
                 raise ParseError(f"certificate direction set {key!r} lists {i!r}, {reason}")
-    missing = next(key for key in keys if key not in raw_ds)
-    raise ParseError(f"certificate is missing direction set {missing!r}")
+        masks[tuple(elems)] = sum(1 << (i - 1) for i in set(elems))
+    if len(raw_ds) < len(keys):
+        missing = next(key for key in keys if key not in raw_ds)
+        raise ParseError(f"certificate is missing direction set {missing!r}")
+    it = map(masks.__getitem__, map(tuple, map(raw_ds.__getitem__, keys)))
+    return tuple(tuple(islice(it, row.bit_count())) for row in g.adj)
 
 
-_JSON_SPACE = " \t\n\r"
-_FIELD_KEYS = "n\0m\0k\0edges\0orientations\0meta\0coloring\0family_indices\0direction_sets"
-# The text before the first key picks the layout: the writer's or json.dumps'.  Each gives
-# the separator after a head field, the orientation list's opening, joint and close, and the
-# text after the last direction set.
-_LAYOUTS = {
-    "{\n  ": (",\n  ", ": [\n    ", ",\n    ", "\n  ]", "}}\n}"),
-    "{": (", ", ": [", ", ", "]", "}}}"),
-}
+_HEAD_KEYS = "n\0m\0k\0edges\0orientations\0meta"
+_FIELD_KEYS = _HEAD_KEYS + "\0coloring\0family_indices\0direction_sets"
 # "1" for each true and "0" for each false of the writer's orientation rows
 _FLAG_BITS = str.maketrans("tf", "10", ":[], \nruelas")
 
 
 def _certificate_from_text(text: str, g: Graph) -> CoverCertificate | None:
-    """The record of a certificate in the writer's layout or json.dumps', read from the text.
+    """The record of a certificate in a _LAYOUTS layout, read from the text.
 
-    None for any other text, and for one that fails a step below; the
-    caller then parses it whole.  Steps:
-    - split once on '"', the odd parts joined by NUL are the nine field
-      keys in writer order then _edge_key_text(g)'s 2m keys, and the
-      text holds exactly as many quotes as those keys need;
-    - the first part picks the layout, and each head part must be that
-      layout's piece with the value in place: n and m are g's, the edges
-      value is _edges_json's, and meta and direction_sets open objects;
-    - the orientation list is one translate to bits, cut into rows of m,
-      and must equal the writer's text of those rows, with k their count;
-    - coloring and family_indices are null or the writer's
-      [d, d, ...] of the ints int() reads from them;
-    - each block separator fully matches ': [d, ...], ' with
-      d = [1-9][0-9]*, the empty set allowed (the last one read as if
-      ", " followed it, the layout's end and JSON whitespace after it),
-      and each distinct set lies in [1, k].  An element with more digits
-      than k is above it, so no int() can meet the digit limit there.
+    None for any other text and for one that fails a step; the caller
+    then parses it whole.  The text before the first '"' picks the
+    layout, and the text, JSON whitespace after it dropped, must end as
+    the layout ends a null meta, null direction sets or a block: a text
+    in another indent mostly fails there, before it is split on '"'.
+    The odd parts joined by NUL must be the head keys in writer order,
+    then the meta keys if meta is an object, then _edge_key_text(g)'s
+    2m keys if direction_sets is a block.  Each even part must be the
+    layout's piece for the value read from it: n, m and the edges
+    (_edges_json) are g's; the orientation list is one translate to bits,
+    cut into rows of m, whose text (_orientations_json) it must be, with
+    k their count; coloring and family_indices are null or _ints_json of
+    the ints int() reads from them; each distinct block separator, the
+    last read as if ", " followed it, is _set_json of the ints in [1, k]
+    that int() reads from it, so it lists no other.
     Why the record is the one json.loads(text) and the checks after it
     give: every odd part is an expected key, which holds no backslash,
     so every '"' opens or closes a string and the even parts are all
-    the text outside strings.  Each is the writer's piece for the value
-    read from it, so the text is the writer's text of one document, the
+    the text outside strings.  Each is the layout's piece for the value
+    read from it, so the text is that layout's text of one document, the
     record's.  Its keys are distinct, and every value has the type the
     checks ask for.
     """
-    import re
-
     m = g.m
-    parts = text.split('"')
-    layout = _LAYOUTS.get(parts[0])
-    if (not m or layout is None or len(parts) != 4 * m + 19
-            or "\0".join(parts[1::2]) != _FIELD_KEYS + "\0" + _edge_key_text(g)):
+    layout = _LAYOUTS.get(text[:text.find('"')])
+    if not m or layout is None:
         return None
-    comma, opening, joint, close, end = layout
+    comma, end = layout[0], layout[-1]
+    text = text.rstrip(" \t\n\r")
+    if not text.endswith(("null" + end, "null}" + end, "}}" + end)):
+        return None
+    parts = text.split('"')
+    shape = len(parts)  # 13 for a null meta, 19 for null direction sets, 4m + 19 for a block
+    if "\0".join(parts[1::2]) != (_FIELD_KEYS + "\0" + _edge_key_text(g) if shape == 4 * m + 19
+                                  else {13: _HEAD_KEYS, 19: _FIELD_KEYS}.get(shape)):
+        return None
     seps = parts[2::2]
-    last = seps[-1].rstrip(_JSON_SPACE)
     if not (seps[0] == f": {g.n}{comma}" and seps[1] == f": {m}{comma}"
-            and seps[3] == f": {_edges_json(g, list(map(str, range(g.n))))}{comma}"
-            and seps[5] == seps[8] == ": {" and last.endswith(end)):
+            and seps[3] == f": {_edges_json(g, list(map(str, range(g.n))))}{comma}"):
         return None
     flags = seps[4].translate(_FLAG_BITS)
     try:  # int() refuses what is not a number, and a decimal past its digit limit
@@ -503,26 +495,29 @@ def _certificate_from_text(text: str, g: Graph) -> CoverCertificate | None:
     except ValueError:
         return None
     k = len(orientations)
-    rows = joint.join(map(_orientation_json, orientations))
-    if not (seps[2] == f": {k}{comma}" and seps[4] == f"{opening}{rows}{close}{comma}"
-            and seps[6:8] == [f": {_ints_json(ints)}, " for ints in lists]):
+    if not (seps[2] == f": {k}{comma}" and seps[4] == _orientations_json(layout, orientations)):
         return None
+    if len(seps) == 6:
+        return CoverCertificate(k, orientations) if seps[5] == ": null" + end else None
+    if not (seps[5] == ": {" and seps[6:8] == [f": {_ints_json(ints)}, " for ints in lists]):
+        return None
+    if len(seps) == 9:
+        null = seps[8] == ": null}" + end
+        return CoverCertificate(k, orientations, CertificateMeta(*lists)) if null else None
     block = seps[9:]
-    block[-1] = last[:-len(end)] + ", "
-    match = re.compile(r": \[((?:[1-9][0-9]*, )*[1-9][0-9]*)?\], ").fullmatch
-    found = {sep: match(sep) for sep in set(block)}
-    if not all(found.values()):
+    if not (seps[8] == ": {" and block[-1].endswith("}}" + end)):
         return None
-    width = len(str(k))
+    block[-1] = block[-1][:-len(end) - 2] + ", "
     masks = {}
-    for sep, elems in found.items():
-        digits = elems[1].split(", ") if elems[1] else []
-        if any(len(d) > width for d in digits):
+    for sep in set(block):
+        try:
+            ints = set(map(int, sep[3:-3].split(", "))) if sep[3:-3] else set()
+        except ValueError:
             return None
-        ints = set(map(int, digits))
-        if ints and max(ints) > k:
+        # an element outside [1, k] is left out, so the writer's text of the set differs
+        masks[sep] = sum(1 << (i - 1) for i in ints if 0 < i <= k)
+        if sep != f": {_set_json(masks[sep])}, ":
             return None
-        masks[sep] = sum(1 << (i - 1) for i in ints)
     it = map(masks.__getitem__, block)
     direction_sets = tuple(tuple(islice(it, row.bit_count())) for row in g.adj)
     return CoverCertificate(k, orientations, CertificateMeta(*lists, direction_sets))
@@ -531,9 +526,8 @@ def _certificate_from_text(text: str, g: Graph) -> CoverCertificate | None:
 def _meta_from_json(raw: object, k: int, g: Graph) -> CertificateMeta | None:
     """Type-checked meta block; a missing or null field stays None.
 
-    The parsed direction-set block is read by _direction_set_rows, its
-    keys in any order, and only a block that fails a pass is scanned
-    key by key, which raises at its first fault.
+    The parsed direction-set block is read by _direction_set_rows: one
+    walk in the block's key order, which raises at its first fault.
     """
     if raw is None:
         return None
@@ -553,10 +547,10 @@ def certificate_from_json(text: str, g: Graph) -> CoverCertificate:
     """Parse, type-check and shape-check a certificate against g.
 
     Every malformed field raises ParseError with a one-line reason.
-    The writer's layout and json.dumps are read from the text
-    (_certificate_from_text); any other text, and one that fails a step
-    there, is parsed whole and checked below, which gives the same
-    record, or else the message.
+    The layouts of _LAYOUTS, the writer's and json.dumps', are read
+    from the text (_certificate_from_text); any other text, and one that
+    fails a step there, is parsed whole and checked below, which gives
+    the same record, or else the message.
     """
     cert = _certificate_from_text(text, g)
     if cert is not None:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orcov.graphs
+from orcov import oracle
 from orcov import (
     CapacityError,
     CertificateMeta,
@@ -484,6 +485,63 @@ def test_golden_certificate(g, digest):
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
 
+def _odd_cycle(g: Graph) -> list[int] | None:
+    """A shortest odd cycle of g, its vertices in cycle order, found on the adjacency bits."""
+    def extend(path: list[int], length: int) -> list[int] | None:
+        if len(path) == length:
+            return path if g.adj[path[-1]] >> path[0] & 1 else None
+        for v in range(path[0] + 1, g.n):  # path[0] is the cycle's smallest vertex
+            if g.adj[path[-1]] >> v & 1 and v not in path:
+                found = extend(path + [v], length)
+                if found:
+                    return found
+        return None
+    for length in range(3, g.n + 1, 2):
+        for start in range(g.n):
+            found = extend([start], length)
+            if found:
+                return found
+    return None
+
+
+def _clique(g: Graph, size: int) -> list[int] | None:
+    """A clique of g on size vertices, grown vertex by vertex on the adjacency bits."""
+    def extend(clique: list[int], candidates: int) -> list[int] | None:
+        if len(clique) == size:
+            return clique
+        for v in range(g.n):
+            if candidates >> v & 1:
+                found = extend(clique + [v], candidates & g.adj[v] & -(2 << v))
+                if found:
+                    return found
+        return None
+    return extend([], (1 << g.n) - 1)
+
+
+@pytest.mark.parametrize("g", [g for g, _ in GOLDEN_CERTIFICATES] + [
+    complete_graph(8), _shuffled_multipartite(4, 3, seed=5),
+], ids=["K12", "K6x3", "petersen", "gnp20", "gnp30", "tiny-K8", "tiny-4-partite"])
+def test_a_small_subgraph_needs_as_many_orientations(g):
+    """The certificate's k is minimal: a cover of g restricts to one of each subgraph H, so
+    sigma(g) >= sigma(H), and the oracle refutes k - 1 on a small H.  H is an odd cycle for
+    k = 3 and K_5 for k = 4, found here on g's adjacency bits, with no colouring, family or
+    cover code.  The golden certificates and the cover-dense shapes at tiny size have k <= 4.
+    k = 5 would need a subgraph with sigma >= 5, the smallest complete one K_13, which the
+    oracle has not refuted at k = 4; k >= 5 rests on the paper's theorem, and this test
+    claims nothing there."""
+    k = construct_cover(g).k
+    if k == 3:
+        vertices = _odd_cycle(g)
+        pairs = [(i, (i + 1) % len(vertices)) for i in range(len(vertices))]
+    else:
+        assert k == 4
+        vertices = _clique(g, 5)
+        pairs = list(itertools.combinations(range(5), 2))
+    assert all(g.adj[vertices[a]] >> vertices[b] & 1 for a, b in pairs)
+    h = Graph.from_edges(pairs, n=len(vertices))
+    assert oracle.brute_sigma(h, oracle.SearchBudget(max_edges=h.m, max_k=k)) == k
+
+
 class TestRoundTrip:
     def test_cover_family_round_trip(self):
         rng = random.Random(23)
@@ -660,6 +718,29 @@ CERTIFICATE_TEXT = [
 def test_certificate_text(g, cert, text):
     assert certificate_to_json(g, cert) == text
     assert certificate_from_json(text, g) == cert
+
+
+def _written(g):
+    cert = construct_cover(g)
+    return g, cert, certificate_to_json(g, cert)
+
+
+# CERTIFICATE_TEXT but m0, whose graph has no edges, and the golden certificates
+LAYOUT_CASES = ([case for case in CERTIFICATE_TEXT if case[0].m]
+                + [_written(g) for g, _ in GOLDEN_CERTIFICATES])
+
+
+@pytest.mark.parametrize("g, cert, text", LAYOUT_CASES, ids=[
+    "no-meta", "no-direction-sets", "empty-sets", "key-order", "k0",
+    "K12", "K6x3", "petersen", "gnp20", "gnp30"])
+def test_the_writer_and_the_text_reader_share_one_layout(g, cert, text, monkeypatch):
+    """The writer renders its layout from _LAYOUTS, which the text reader compares against,
+    so every text it writes for a graph with edges, and its json.dumps copy, reads back
+    from the text alone."""
+    dumped = _dumps(text)
+    monkeypatch.setattr(json, "loads", _no_json_loads)
+    assert orcov.cover._certificate_from_text(text, g) == cert
+    assert orcov.cover._certificate_from_text(dumped, g) == cert
 
 
 class _Index(enum.IntEnum):
@@ -870,10 +951,10 @@ READ_GRAPHS = pytest.mark.parametrize("g", [
 
 
 class TestWriterOrderedBlock:
-    """A direction-set block is read in whole-block passes whatever its key order; only a
-    block that fails a pass goes to the key loop, _direction_set_fault, which raises at
-    the first fault.  Each edit gives the outcome pinned in WRITER_ORDER_EDITS, the one the
-    key loop alone gave, in the writer's key order and in any other."""
+    """A parsed direction-set block is read by one key walk, _direction_set_rows, in the
+    block's own key order; it raises at the first fault.  Each edit gives the outcome pinned
+    in WRITER_ORDER_EDITS, the one the per-key reader gave, in the writer's key order and in
+    any other."""
 
     @staticmethod
     def check(case: str, reorder=None) -> None:
@@ -907,20 +988,20 @@ class TestWriterOrderedBlock:
 
     @READ_GRAPHS
     def test_the_writers_certificates_skip_the_key_loop(self, g, monkeypatch):
-        """They skip the parsed-block reader too: their block is read from the text."""
+        """The writer's text and its json.dumps copy never reach the parsed-block reader:
+        their block is read from the text."""
         cert = construct_cover(g)
         text = certificate_to_json(g, cert)
         monkeypatch.setattr(orcov.cover, "_direction_set_rows", None)  # a call raises TypeError
-        monkeypatch.setattr(orcov.cover, "_direction_set_fault", None)
         assert certificate_from_json(text, g) == cert
+        assert certificate_from_json(_dumps(text), g) == cert
 
     @pytest.mark.parametrize("order", sorted(KEY_ORDERS))
     @READ_GRAPHS
-    def test_other_key_orders_skip_the_key_loop(self, g, order, monkeypatch):
+    def test_other_key_orders_read_back_the_record(self, g, order):
         cert = construct_cover(g)
         text = KEY_ORDERS[order](certificate_to_json(g, cert), cert.k)
         assert list(json.loads(text)["meta"]["direction_sets"]) != _writer_keys(g)
-        monkeypatch.setattr(orcov.cover, "_direction_set_fault", None)  # a call raises TypeError
         assert certificate_from_json(text, g) == cert
 
 
@@ -956,11 +1037,6 @@ def _meta_first(text, k):
     return json.dumps({"meta": doc.pop("meta"), **doc})
 
 
-def _meta_null(text, k):
-    doc = json.loads(text)
-    return json.dumps({**doc, "meta": None})
-
-
 def _compact_rows(text, k):
     """The writer's text with each orientation row written [true,false,...]."""
     return re.sub(r"\[(?:true|false)(?:, (?:true|false))*\]",
@@ -973,7 +1049,6 @@ DICT_PATH_FORMS = {
     "compact": lambda text, k: json.dumps(json.loads(text), separators=(",", ":")),
     "reversed-keys": _reverse_keys,
     "meta-not-last": _meta_first,
-    "meta-null": _meta_null,
     "compact-rows": _compact_rows,
 }
 
@@ -1005,6 +1080,17 @@ def _from_families(g):
     return cover_from_families(g, families_from_cover(g, construct_cover(g).orientations))
 
 
+def _without_meta(g):
+    cert = construct_cover(g)
+    return CoverCertificate(cert.k, cert.orientations)
+
+
+def _without_direction_sets(g):
+    cert = construct_cover(g)
+    return CoverCertificate(cert.k, cert.orientations,
+                            CertificateMeta(cert.meta.coloring, cert.meta.family_indices))
+
+
 def _no_json_loads(*args, **kwargs):
     raise AssertionError("json.loads called")
 
@@ -1030,7 +1116,13 @@ class TestBlockTextPath:
         # null coloring and family indices
         (_from_families, str),
         (_from_families, _dumps),
-    ], ids=["writer", "from-families-writer", "from-families-dumps"])
+        # null meta, and null direction sets
+        (_without_meta, str),
+        (_without_meta, _dumps),
+        (_without_direction_sets, str),
+        (_without_direction_sets, _dumps),
+    ], ids=["writer", "from-families-writer", "from-families-dumps", "no-meta-writer",
+            "no-meta-dumps", "no-direction-sets-writer", "no-direction-sets-dumps"])
     @READ_GRAPHS
     def test_the_writers_certificates_take_the_text_path(self, g, build, layout, monkeypatch):
         cert = build(g)
@@ -1046,22 +1138,36 @@ class TestBlockTextPath:
         rows = orcov.cover._direction_set_rows
         monkeypatch.setattr(orcov.cover, "_direction_set_rows",
                             lambda *args: calls.append(1) or rows(*args))
-        if form == "meta-null":
-            assert certificate_from_json(text, g) == CoverCertificate(cert.k, cert.orientations)
-            assert calls == []
-        else:
-            assert certificate_from_json(text, g) == cert
-            assert calls == [1]
+        assert certificate_from_json(text, g) == cert
+        assert calls == [1]
 
-    @pytest.mark.parametrize("edit", sorted(HEAD_EDITS))
-    def test_heads_the_writer_would_not_write_take_the_dict_path(self, edit):
-        g = petersen_graph()
-        text = HEAD_EDITS[edit](certificate_to_json(g, construct_cover(g)))
+    @staticmethod
+    def check_dict_path(g, text):
+        """The text path declines text, which reads as the dict path alone reads it."""
         assert orcov.cover._certificate_from_text(text, g) is None
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(orcov.cover, "_certificate_from_text", lambda text, g: None)
             expected = _read(text, g)
         assert _read(text, g) == expected
+
+    @pytest.mark.parametrize("edit", sorted(HEAD_EDITS))
+    def test_heads_the_writer_would_not_write_take_the_dict_path(self, edit):
+        g = petersen_graph()
+        self.check_dict_path(g, HEAD_EDITS[edit](certificate_to_json(g, construct_cover(g))))
+
+    @pytest.mark.parametrize("value", ["1null", "{}null", "{} null", "null null", "-null"])
+    @pytest.mark.parametrize("build, key", [(_without_meta, "meta"),
+                                            (_without_direction_sets, "direction_sets")],
+                             ids=["meta", "direction-sets"])
+    @pytest.mark.parametrize("layout", [str, _dumps], ids=["writer", "dumps"])
+    def test_a_null_the_writer_would_not_write_takes_the_dict_path(self, layout, build, key,
+                                                                   value):
+        """The text still ends as a null meta or null direction sets end."""
+        g = petersen_graph()
+        text = layout(certificate_to_json(g, build(g))).replace(f'"{key}": null',
+                                                                f'"{key}": {value}')
+        assert f'"{key}": {value}' in text
+        self.check_dict_path(g, text)
 
 
 def _set_text(value: str):
@@ -1268,16 +1374,41 @@ BASE_TEXTS = [(g, layout(certificate_to_json(g, construct_cover(g))))
               for layout in (str, lambda text: json.dumps(json.loads(text)))]
 
 
-@given(st.data())
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-def test_the_text_path_reads_as_the_dict_path(data):
-    """Every text edit gives the same record or ParseError text with the text path on and
-    declined."""
-    g, text = data.draw(st.sampled_from(BASE_TEXTS))
+# The same certificates with a null meta or null direction sets, and the edits that need
+# neither a block nor the coloring and family_indices fields
+BLOCKLESS_TEXTS = [(g, layout(certificate_to_json(g, build(g))))
+                   for g in (petersen_graph(), complete_graph(7))
+                   for build in (_without_meta, _without_direction_sets)
+                   for layout in (str, _dumps)]
+BLOCKLESS_EDITS = [
+    "whitespace", "duplicate-meta", "duplicate-top-level-key", "duplicate-in-meta",
+    "meta-not-last", "truncated", "any-character", "end-replaced", "object-opening",
+    "edge-swapped", "edge-dropped", "edge-not-int", "flag", "flag-more-or-fewer", "row-added",
+    "row-dropped", "n-m-k", "coloring-or-indices-deleted", "head-separators", "meta-null",
+    "head-edit",
+]
+
+
+def _check_both_paths(data, texts, edits) -> None:
+    """A drawn edit of a drawn text gives the same record or ParseError text with the text
+    path on and declined."""
+    g, text = data.draw(st.sampled_from(texts))
     k = json.loads(text)["k"]
-    case = data.draw(st.sampled_from(sorted(TEXT_EDITS)))
+    case = data.draw(st.sampled_from(sorted(edits)))
     edited = TEXT_EDITS[case](text, k, data.draw)
     got = _read(edited, g)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(orcov.cover, "_certificate_from_text", lambda text, g: None)
         assert got == _read(edited, g)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_the_text_path_reads_as_the_dict_path(data):
+    _check_both_paths(data, BASE_TEXTS, TEXT_EDITS)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_the_text_path_reads_blockless_texts_as_the_dict_path(data):
+    _check_both_paths(data, BLOCKLESS_TEXTS, BLOCKLESS_EDITS)
