@@ -11,7 +11,9 @@ that avoid some member of a family (_avoiders), which is the upward
 closure reversed.  Maximal intersecting families are
 listed by one pure-Python walk (_mif_walk); their counts lambda(k),
 the Hosten-Morris numbers, come from an independent up-set
-decomposition (_mif_count).
+decomposition: _mif_terms yields the terms of lambda(k)'s sum from
+up-sets built level by level with their blockers (_upsets), and
+_mif_count adds them up.
 """
 
 from __future__ import annotations
@@ -284,50 +286,65 @@ def _mif_walk(k: int, reverse_pairs: bool = False) -> list[int]:
     return found
 
 
-def _mif_count(k: int) -> int:
-    """lambda(k) by up-set decomposition, sharing no search with _mif_walk.
+def _upsets(j: int) -> list[tuple[int, int]]:
+    """Every up-set U on [j] as a 2^j-bit member vector, with its blocker.
+
+    blocker(U) is the family of the sets that meet every member of U.
+    The up-sets on [0] are {} and {empty set}, whose blockers are
+    {empty set} and {}.  An up-set on [i+1] is a pair a <= b of up-sets
+    on [i]: a | b << 2^i holds a's members, and b's members with i+1
+    added.  A set without i+1 meets every member iff it meets every
+    member of b (a <= b), and a set with i+1 iff its part in [i] meets
+    every member of a, so the blocker is blocker(b) | blocker(a) << 2^i.
+    """
+    level = [(0, 1), (1, 0)]
+    for i in range(j):
+        half = 1 << i
+        level = [(a | b << half, bb | ba << half) for b, bb in level for a, ba in level if not a & ~b]
+    return level
+
+
+def _mif_terms(k: int) -> Iterator[int]:
+    """The terms of lambda(k)'s up-set sum, one per up-set on [k-2], each at least 1.
 
     A maximal intersecting family over [k] is fixed by its members
     without k, which form an intersecting up-set on [k-1], and every
     such up-set arises.  With m = k - 2, an up-set on [m+1] splits into
     U0 (members without m+1) and U1 (the others, m+1 removed); it is
-    intersecting iff U0 is contained in U1 and in blocker(U1), the sets
-    that meet every member of U1.  So lambda(k) is the sum over up-sets
-    U1 on [m] of the number of up-sets inside P = U1 & blocker(U1),
-    i.e. of antichains of the poset P.
+    intersecting iff U0 is contained in U1 and in blocker(U1).  So the
+    term of U1 is the number of up-sets inside P = U1 & blocker(U1),
+    i.e. of antichains of the poset P, the empty one included.  The
+    up-sets U1 = a | b << 2^(m-1) on [m] are never stored: each term
+    is read off the pair a <= b of up-sets on [m-1] and their blockers,
+    P = (a & blocker(b)) | (b & blocker(a)) << 2^(m-1), in _upsets order.
     """
-    if k == 1:
-        return 1
-    m = k - 2
-    size = 1 << m
-    width = (1 << size) - 1
-    sup, _ = _closure_tables(m)
-    # Up-sets on [j+1] are the pairs U0 <= U1 of up-sets on [j].
-    upsets = [0, 1]
-    for j in range(m):
-        half = 1 << j
-        upsets = [a | b << half for b in upsets for a in upsets if not a & ~b]
+    if k < 3:
+        # lambda(1) = 1; over [0] both up-sets have P = {}, one antichain each
+        yield from [1] * k
+        return
+    sup = _closure_tables(k - 2)[0]
 
-    memo = {0: 1}
-
+    @functools.cache
     def antichains(p: int) -> int:
         # Antichains without x plus those with x.  x is the lowest mask in
         # P, hence minimal in P, so the members of P comparable with x are
         # its supersets.
-        value = memo.get(p)
-        if value is None:
-            x = (p & -p).bit_length() - 1
-            value = antichains(p ^ (1 << x)) + antichains(p & ~sup[x])
-            memo[p] = value
-        return value
+        if not p:
+            return 1
+        x = (p & -p).bit_length() - 1
+        return antichains(p ^ (1 << x)) + antichains(p & ~sup[x])
 
-    total = 0
-    for u1 in upsets:
-        # S meets every member of the up-set U1 iff [m] \ S is not in U1;
-        # reversing the 2^m bits maps position S to [m] \ S.
-        blocker = width ^ int(_bit_string(u1, size), 2)
-        total += antichains(u1 & blocker)
-    return total
+    level = _upsets(k - 3)
+    half = 1 << (k - 3)
+    for b, bb in level:
+        for a, ba in level:
+            if not a & ~b:
+                yield antichains((a & bb) | (b & ba) << half)
+
+
+def _mif_count(k: int) -> int:
+    """lambda(k): the sum of _mif_terms(k), sharing no search with _mif_walk."""
+    return sum(_mif_terms(k))
 
 
 # an alias, not a decorator: _mif_count stays uncached, so timing it times a count

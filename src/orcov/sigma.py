@@ -11,11 +11,13 @@ path.  All logarithms are base 2.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 from .errors import CapacityError
 from .families import (
     KMAX_HARD,
     LITERATURE_LAMBDA,
+    _mif_terms,
     hosten_morris,
     lambda_provenance,
 )
@@ -58,16 +60,23 @@ class EstimateResult(_Value):
 def sigma_complete(n: int, literature_table: bool = False) -> SigmaResult:
     """sigma(K_n): smallest k with lambda(k) >= n.
 
-    Rejects n < 2 (K_1 has no edges, so its covering number is
-    undefined).
+    For k <= KMAX_HARD each lambda(k) is summed from _mif_terms and the
+    sum stops at the first partial sum that reaches n: every term is a
+    positive count, so that partial sum proves lambda(k) >= n, and a sum
+    that never reaches n is lambda(k) itself.  Rejects n < 2 (K_1 has no
+    edges, so its covering number is undefined).
     """
     if n < 2:
         raise ValueError("sigma(K_n) requires n >= 2; K_1 has no edges")
     top = max(LITERATURE_LAMBDA) if literature_table else KMAX_HARD
     for k in range(1, top + 1):
-        lam = hosten_morris(k, literature_table=literature_table)
-        if lam >= n:
-            return SigmaResult(value=k, chi=n, witness_k=k, provenance=lambda_provenance(k))
+        if k <= KMAX_HARD:
+            sums = accumulate(_mif_terms(k))
+        else:
+            sums = (hosten_morris(k, literature_table=literature_table),)
+        for lam in sums:
+            if lam >= n:
+                return SigmaResult(value=k, chi=n, witness_k=k, provenance=lambda_provenance(k))
     raise CapacityError(f"sigma(K_n) supported up to n = lambda({top}) = {lam}; got n={n}")
 
 

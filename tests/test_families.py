@@ -20,12 +20,15 @@ from orcov.families import (
     _avoiders,
     _closure_tables,
     _mif_count,
+    _mif_terms,
     _mif_walk,
+    _upsets,
     family_lines,
     format_family,
     format_subset,
     lambda_provenance,
 )
+from orcov.graphs import _bit_string
 
 LAMBDA_SMALL = {1: 1, 2: 2, 3: 4, 4: 12, 5: 81, 6: 2646}
 
@@ -207,6 +210,28 @@ class TestEnumeration:
 
     def test_counter_counts(self):
         assert [_mif_count(k) for k in range(1, 7)] == list(LAMBDA_SMALL.values())
+
+    # the number of up-sets on [j], j = 0..5 (Dedekind numbers)
+    UPSETS = [2, 3, 6, 20, 168, 7581]
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_one_positive_term_per_upset(self, k):
+        terms = list(_mif_terms(k))
+        assert len(terms) == self.UPSETS[k - 2]
+        assert min(terms) >= 1
+        assert sum(terms) == _mif_count(k)
+
+    @pytest.mark.parametrize("j", range(6))
+    def test_carried_blocker_is_the_reversed_complement(self, j):
+        # S meets every member of an up-set U iff [j] \ S is not in U,
+        # and reversing the 2^j bits maps position S to [j] \ S
+        level = _upsets(j)
+        width = (1 << (1 << j)) - 1
+        assert len({u for u, _ in level}) == len(level) == self.UPSETS[j]
+        for u, blocker in level:
+            assert blocker == width ^ int(_bit_string(u, 1 << j), 2)
+            if j:
+                assert upward_closure(SetFamily(j, u)).member == u
 
     @pytest.mark.parametrize("k", sorted(LAMBDA_SMALL))
     def test_walk_matches_counter(self, k):

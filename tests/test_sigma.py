@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+import orcov.sigma
 from conftest import k4_minus_edge, random_graph, relabeled
 
 from orcov import (
@@ -66,6 +67,45 @@ class TestSigmaComplete:
         assert res.value == 8
         with pytest.raises(CapacityError):
             sigma_complete(10**21, literature_table=True)
+
+    @pytest.mark.parametrize("literature_table", [False, True])
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_early_stop_matches_the_full_count(self, k, literature_table):
+        """Stopping lambda(k)'s sum once it reaches n changes no answer.
+
+        The reference is min{k : lambda(k) >= n} over the full counts,
+        at both ends of (lambda(k-1), lambda(k)] and a seeded sample.
+        """
+        low = hosten_morris(k - 1) if k > 1 else 1
+        high = hosten_morris(k)
+        rng = random.Random(k)
+        ns = {low, low + 1, high, high + 1, *(rng.randint(low, high) for _ in range(5))}
+        for n in sorted(n for n in ns if n >= 2):
+            want = min(j for j in range(1, 10) if hosten_morris(j, literature_table=True) >= n)
+            if want > 7 and not literature_table:
+                with pytest.raises(CapacityError) as err:
+                    sigma_complete(n)
+                assert str(err.value) == f"sigma(K_n) supported up to n = lambda(7) = {high}; got n={n}"
+                continue
+            res = sigma_complete(n, literature_table=literature_table)
+            assert (res.value, res.witness_k, res.chi) == (want, want, n)
+            assert res.provenance == ("literature" if want > 7 else "computed")
+
+    def test_the_last_sum_stops_once_it_reaches_n(self, monkeypatch):
+        terms = orcov.sigma._mif_terms
+        used = []
+
+        def counted(k):
+            for term in terms(k):
+                used.append(k)
+                yield term
+
+        monkeypatch.setattr(orcov.sigma, "_mif_terms", counted)
+        assert sigma_complete(2647).value == 7
+        assert 0 < used.count(7) < 7581
+        used.clear()
+        assert sigma_complete(hosten_morris(7)).value == 7
+        assert used.count(7) == 7581
 
     def test_non_decreasing(self):
         values = [sigma_complete(n).value for n in range(2, 200)]
