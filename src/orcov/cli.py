@@ -32,7 +32,8 @@ from .graphs import (
     Graph,
     Orientation,
     _check_vertex_bound,
-    _edge_list_pairs,
+    _edge_list_graph,
+    _edge_list_rows,
     chromatic_number,
     parse_graph6,
 )
@@ -126,23 +127,24 @@ def _load_graph(args: SimpleNamespace) -> Graph:
     """The graph of args.graph in args.format (sniffed for "auto"), for every graph command.
 
     A command with --max-chi-vertices holds an edge list to that bound
-    after the parse and before any rows exist; graph6 (n <= 62) is built
-    first and meets the bound in the library, before any other refusal.
-    brute-sigma refuses an edge list there too, in the search's order:
-    its budget fields, then no edges, then more distinct pairs than
-    --max-edges ("0 1" and "1 0" are one edge).
+    after the parse, whose rows stop growing past it, and before the
+    rows are padded to n; graph6 (n <= 62) is built first and meets the
+    bound in the library, before any other refusal.  brute-sigma refuses
+    an edge list there too, in the search's order: its budget fields,
+    then no edges, then more distinct pairs than --max-edges ("0 1" and
+    "1 0" are one edge).
     """
     text = _read_source(args.graph)
     fmt = sniff_format(text) if args.format == "auto" else args.format
     if fmt == "graph6":
         return parse_graph6(text)
-    edges, n = _edge_list_pairs(text)
-    if hasattr(args, "max_chi_vertices"):
-        _check_vertex_bound(n, args.max_chi_vertices)
+    bound = getattr(args, "max_chi_vertices", None)
+    adj, n, m = _edge_list_rows(text, bound)
+    if bound is not None:
+        _check_vertex_bound(n, bound)
     if hasattr(args, "max_edges"):
-        pairs = {(u, v) if u < v else (v, u) for u, v in edges}
-        _check_search_size(len(pairs), _search_budget(args))
-    return Graph.from_edges(edges, n)
+        _check_search_size(m, _search_budget(args))
+    return _edge_list_graph(adj, n, m)
 
 
 def _search_budget(args: SimpleNamespace) -> SearchBudget:
@@ -361,7 +363,8 @@ def _run_command(args: SimpleNamespace) -> int:
         text = certificate_to_json(g, cert)
         if args.out:
             with open(args.out, "w", encoding="ascii") as f:
-                f.write(text + "\n")
+                f.write(text)
+                f.write("\n")
         if args.json:
             _write_line(text)
             return EXIT_OK

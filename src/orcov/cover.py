@@ -27,6 +27,7 @@ from .graphs import (
     _bits,
     _set,
     _transpose,
+    _upper_bits,
     exact_coloring,
 )
 from .sigma import sigma_complete
@@ -116,13 +117,19 @@ def _direction_sets_by_vertex(
     Canonical edge order visits every vertex's neighbours in ascending
     order (all (u, x) with u < x come before all (x, v)), so the first
     neighbour stored for a set is its smallest, and each dict lists its
-    sets in ascending order of that neighbour.
+    sets in ascending order of that neighbour.  The edges are walked row
+    by row, in that order.
     """
     full = (1 << len(orientations)) - 1
+    masks = iter(_edge_masks(g.m, orientations))
     first: list[dict[int, int]] = [{} for _ in range(g.n)]
-    for (u, v), s in zip(g.edges, _edge_masks(g.m, orientations)):
-        first[u].setdefault(s, v)
-        first[v].setdefault(full ^ s, u)
+    for u, row in enumerate(g.adj):
+        at_u = first[u].setdefault
+        # zip reads its arguments left to right, so it takes one mask per
+        # upper neighbour of u and leaves the rest for the next row
+        for v, s in zip(_upper_bits(row, u), masks):
+            at_u(s, v)
+            first[v].setdefault(full ^ s, u)
     return first
 
 
@@ -193,19 +200,20 @@ def cover_from_families(g: Graph, fa: FamilyAssignment) -> CoverCertificate:
     # (S and T are disjoint); forward[e] is that mask of [k] for edge e.
     forward: list[int] = []
     full = (1 << k) - 1
-    for u, v in g.edges:
-        key = (members[u], members[v])
-        pair = chosen.get(key)
-        if pair is None:
-            pair = chosen[key] = _disjoint_pair(k, *key, avoid[key[1]])
+    for u, row in enumerate(g.adj):
+        for v in _upper_bits(row, u):
+            key = (members[u], members[v])
+            pair = chosen.get(key)
             if pair is None:
-                raise ValueError(
-                    f"condition 1 violated at edge ({u}, {v}): no disjoint direction sets"
-                )
-        s, t = pair
-        rows[u].append(s)
-        rows[v].append(t)
-        forward.append(full & ~t)
+                pair = chosen[key] = _disjoint_pair(k, *key, avoid[key[1]])
+                if pair is None:
+                    raise ValueError(
+                        f"condition 1 violated at edge ({u}, {v}): no disjoint direction sets"
+                    )
+            s, t = pair
+            rows[u].append(s)
+            rows[v].append(t)
+            forward.append(full & ~t)
     # condition 2 once per distinct family, named at the first vertex holding it
     for m in dict.fromkeys(members):
         pair = _disjoint_pair(k, m, m, avoid[m])

@@ -1,10 +1,10 @@
 """Simple undirected graphs, orientations, parsers, and exact coloring.
 
 Graphs are immutable: vertices are 0..n-1 and a graph is its tuple of
-bitmask adjacency rows.  The edge list is derived from the rows on
-construction, in canonical order (lexicographically sorted pairs
-(u, v) with u < v).  Orientations are indexed against that canonical
-edge order, which makes certificates bit-exact and diffable.
+bitmask adjacency rows.  The edge list is derived from the rows when
+asked for, in canonical order (lexicographically sorted pairs (u, v)
+with u < v).  Orientations are indexed against that canonical edge
+order, which makes certificates bit-exact and diffable.
 """
 
 from __future__ import annotations
@@ -134,43 +134,29 @@ def _rows(pairs: Iterable[tuple[int, int]], n: int) -> tuple[int, ...]:
     return tuple(adj)
 
 
+def _upper_bits(row: int, u: int) -> list[int]:
+    """The bits v > u of row u, ascending: the far ends of u's edges in canonical order."""
+    return _bits(row >> (u + 1) << (u + 1))
+
+
 def _upper_edges(adj: Sequence[int]) -> tuple[tuple[int, int], ...]:
     """(u, v) for every bit v > u of row u: the canonical edge order (empty rows skipped)."""
-    return tuple(
-        (u, v) for u in compress(range(len(adj)), adj) for v in _bits(adj[u] >> (u + 1) << (u + 1))
-    )
-
-
-def _loop_free_edges(n: int, adj: Sequence[int]) -> tuple[tuple[int, int], ...] | None:
-    """The upper edges of n rows in range that hold 2 * len(edges) bits, else None.
-
-    Raises ValueError for n < 1 or a row count other than n.  The bit
-    count catches a self-loop; a bit without its mirror can hide behind
-    another stray bit, so rows not symmetric by construction still need
-    the mirror walk.
-    """
-    if n < 1:
-        raise ValueError("graph needs at least one vertex")
-    if len(adj) != n:
-        raise ValueError("adjacency row count does not match n")
-    if min(adj) < 0 or max(adj) >> n:
-        return None
-    edges = _upper_edges(adj)
-    return edges if sum(map(int.bit_count, adj)) == 2 * len(edges) else None
+    return tuple((u, v) for u in compress(range(len(adj)), adj) for v in _upper_bits(adj[u], u))
 
 
 class Graph(_Value):
     """Simple undirected graph with bitmask adjacency rows.
 
     Invariants (checked on construction): adjacency is symmetric and
-    has no self-loops.  `edges` is derived from the rows: the sorted
-    list of adjacent pairs (u, v) with u < v.
+    has no self-loops.  m is the number of edges, half the rows' bits;
+    `edges` is built from the rows on each access: the sorted pairs
+    (u, v) with u < v.
     """
 
-    __slots__ = ("n", "adj", "edges")
+    __slots__ = ("n", "adj", "m")
     n: int
     adj: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
+    m: int
 
     def __init__(self, n: int, adj: tuple[int, ...]) -> None:
         # Rows in range are symmetric and loop-free iff every upper bit
@@ -179,8 +165,13 @@ class Graph(_Value):
         # is linear in the bits; a transpose would cost n * n digits even for
         # a sparse graph.  Only a failure pays for the row-by-row scan that
         # names the first offending row or pair.
-        edges = _loop_free_edges(n, adj)
-        if edges is None or not all(adj[v] >> u & 1 for u, v in edges):
+        if n < 1:
+            raise ValueError("graph needs at least one vertex")
+        if len(adj) != n:
+            raise ValueError("adjacency row count does not match n")
+        edges = _upper_edges(adj) if min(adj) >= 0 and not max(adj) >> n else None
+        if (edges is None or sum(map(int.bit_count, adj)) != 2 * len(edges)
+                or not all(adj[v] >> u & 1 for u, v in edges)):
             for u, row in enumerate(adj):
                 if row < 0 or row >> n:
                     raise ValueError(f"adjacency row of vertex {u} addresses vertices >= n")
@@ -192,11 +183,19 @@ class Graph(_Value):
                         raise ValueError(f"asymmetric adjacency between {u} and {v}")
         _set(self, "n", n)
         _set(self, "adj", adj)
-        _set(self, "edges", edges)
+        _set(self, "m", len(edges))
+
+    @classmethod
+    def _of_rows(cls, n: int, adj: tuple[int, ...], m: int) -> "Graph":
+        """The graph of n rows in range, symmetric and loop-free by construction, with m edges."""
+        g = cls.__new__(cls)
+        g.__setstate__((n, adj, m))
+        return g
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The canonical edge tuple, built from the rows on each access."""
+        return _upper_edges(self.adj)
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]], n: int) -> "Graph":
@@ -220,13 +219,10 @@ class Graph(_Value):
                 raise CapacityError(f"cannot allocate adjacency rows for n={n} vertices") from None
             raise
         # _rows sets both bits of every pair, so its rows need no mirror
-        # walk; a self-loop is the one fault they can hold
-        edges = _loop_free_edges(n, adj)
-        if edges is None:
+        # walk; a self-loop, a bit on the diagonal, is the one fault they can hold
+        if n < 1 or any(row >> u & 1 for u, row in enumerate(adj)):
             return cls(n, adj)  # names the fault
-        g = cls.__new__(cls)
-        g.__setstate__((n, adj, edges))
-        return g
+        return cls._of_rows(n, adj, sum(map(int.bit_count, adj)) >> 1)
 
     def degree(self, u: int) -> int:
         return self.adj[u].bit_count()
@@ -278,7 +274,12 @@ class Coloring(_Value):
 def is_proper_coloring(g: Graph, colors: Sequence[int]) -> bool:
     if len(colors) != g.n:
         return False
-    return all(colors[u] != colors[v] for u, v in g.edges)
+    for u, row in enumerate(g.adj):
+        color = colors[u]
+        for v in _upper_bits(row, u):
+            if colors[v] == color:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +315,22 @@ def parse_edge_list(text: str) -> Graph:
     Duplicate edges collapse; self-loops are rejected with their line
     number.  ASCII text only; integers are decimal digits with an optional '-'.
     """
-    return Graph.from_edges(*_edge_list_pairs(text))
+    return _edge_list_graph(*_edge_list_rows(text))
 
 
-def _edge_list_pairs(text: str) -> tuple[list[tuple[int, int]], int]:
-    """The checked (u, v) pairs of an edge list and its vertex count.
+def _edge_list_rows(text: str, bound: int | None = None) -> tuple[list[int] | None, int, int]:
+    """The adjacency rows of an edge list's lines, its vertex count and its distinct pairs.
 
-    The count is the header's, or 1 + the largest endpoint.  Every error
-    of parse_edge_list except the row allocation comes from here, so a
-    caller can bound the vertex count before any row exists.
+    The count is the header's, or 1 + the largest endpoint.  Each line
+    read sets its two row bits, and the rows grow to 1 + the largest
+    endpoint read so far, not to the header's count (_edge_list_graph
+    pads them).  The rows are None where they stopped short: at an
+    endpoint >= bound, if one is given, after which the pair count is
+    partial, as the caller refuses the vertex count first; or where they
+    could not be allocated, after which the pairs past them are counted
+    apart.  Every error of parse_edge_list except the row allocation
+    comes from here, so a caller can bound the vertex and pair counts
+    before the rows are padded.
     """
     if not text.isascii():
         # str.split would take U+00A0 and the like for whitespace
@@ -334,11 +342,13 @@ def _edge_list_pairs(text: str) -> tuple[list[tuple[int, int]], int]:
     # saves about a fifth of the parse
     plain = "_" not in text and "+" not in text
     pinned: int | None = None
-    edges: list[tuple[int, int]] = []
-    # every token of an accepted edge line -> its endpoint: such a token
-    # is decimal, non-negative and below the header count, which is fixed
-    # once an edge is read, so a line of two known tokens with different
-    # values needs no further check
+    adj: list[int] = []
+    top = -1  # the largest endpoint read
+    past: set[tuple[int, int]] = set()  # the pairs beyond rows that could not grow
+    # every token of a line whose bits are set -> its endpoint: such a
+    # token is decimal, non-negative and below the header count, which is
+    # fixed once an edge is read, so a line of two known tokens with
+    # different values needs no further check
     checked: dict[str, int] = {}
     known = checked.get
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -347,11 +357,12 @@ def _edge_list_pairs(text: str) -> tuple[list[tuple[int, int]], int]:
             u = known(toks[0])
             v = known(toks[1])
             if u != v and u is not None and v is not None:
-                edges.append((u, v))
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
                 continue
         elif not toks:
             continue
-        if toks[0] == "n" and pinned is None and not edges:
+        if toks[0] == "n" and pinned is None and top < 0:
             if len(toks) != 2:
                 raise ParseError(f"line {lineno}: header must be 'n <count>'")
             try:
@@ -377,14 +388,41 @@ def _edge_list_pairs(text: str) -> tuple[list[tuple[int, int]], int]:
             raise ParseError(f"line {lineno}: self-loop {u} {v}")
         if pinned is not None and (u >= pinned or v >= pinned):
             raise ParseError(f"line {lineno}: endpoint {max(u, v)} out of range for n={pinned}")
-        edges.append((u, v))
+        if u >= len(adj) or v >= len(adj):
+            top = max(top, u, v)
+            if bound is not None and top >= bound:  # the caller refuses n: the rows stop
+                continue
+            if not past:
+                try:
+                    adj += [0] * (top + 1 - len(adj))
+                except (MemoryError, OverflowError):
+                    pass
+            if top >= len(adj):  # out of memory: the rows stop, and pairs past them count apart
+                past.add((u, v) if u < v else (v, u))
+                continue
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
         checked[toks[0]] = u
         checked[toks[1]] = v
-    if pinned is not None:
-        return edges, pinned
-    if not edges:
+    if pinned is None and top < 0:
         raise ParseError("empty edge-list input")
-    return edges, 1 + max(map(max, edges))
+    m = (sum(map(int.bit_count, adj)) >> 1) + len(past)
+    return adj if len(adj) > top else None, top + 1 if pinned is None else pinned, m
+
+
+def _edge_list_graph(adj: list[int] | None, n: int, m: int) -> Graph:
+    """The graph of _edge_list_rows' rows, padded to n; CapacityError where they cannot be.
+
+    The parser sets both bits of a pair and refuses a self-loop and an
+    endpoint >= n, so the rows need no check.
+    """
+    if adj is not None:
+        try:
+            adj += [0] * (n - len(adj))
+            return Graph._of_rows(n, tuple(adj), m)
+        except (MemoryError, OverflowError):
+            pass
+    raise CapacityError(f"cannot allocate adjacency rows for n={n} vertices")
 
 
 _G6_HEADER = ">>graph6<<"
@@ -597,7 +635,12 @@ def _degree_rows(g: Graph) -> list[int]:
     """
     order = sorted(range(g.n), key=lambda v: (g.adj[v].bit_count(), -v))
     rank = sorted(range(g.n), key=order.__getitem__)  # the inverse of order
-    return list(_rows(((rank[u], rank[v]) for u, v in g.edges), g.n))
+    rows = [0] * g.n
+    for u, row in enumerate(g.adj):
+        bit = 1 << rank[u]
+        for v in _bits(row):
+            rows[rank[v]] |= bit
+    return rows
 
 
 def proper_coloring(g: Graph, t: int) -> Coloring | None:

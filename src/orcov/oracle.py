@@ -156,9 +156,10 @@ def brute_chromatic(g: Graph) -> int:
     """Exact chromatic number by enumerating all color assignments."""
     if g.n > 8:
         raise CapacityError("the exhaustive coloring filter supports n <= 8")
+    edges = g.edges
     for t in range(1, g.n + 1):
         for assignment in itertools.product(range(t), repeat=g.n):
-            for u, v in g.edges:
+            for u, v in edges:
                 if assignment[u] == assignment[v]:
                     break
             else:

@@ -255,7 +255,11 @@ def reference_neighbor_lists(g: Graph) -> list[list[int]]:
 
 
 def reference_edge_list_pairs(text: str) -> tuple[list[tuple[int, int]], int]:
-    """graphs._edge_list_pairs before its checked-token memo: every line checked in full."""
+    """The pairs and vertex count of an edge list, every line checked in full.
+
+    graphs._edge_list_rows gives the same errors from one pass that sets
+    row bits and skips the checks of a line of known tokens.
+    """
     if not text.isascii():
         # str.split would take U+00A0 and the like for whitespace
         i = next(i for i, ch in enumerate(text) if not ch.isascii())
@@ -300,3 +304,17 @@ def reference_edge_list_pairs(text: str) -> tuple[list[tuple[int, int]], int]:
     if not edges:
         raise ParseError("empty edge-list input")
     return edges, 1 + max(map(max, edges))
+
+
+def reference_edge_list_rows(text: str) -> tuple[list[int], int, int]:
+    """graphs._edge_list_rows(text) without a vertex bound, from reference_edge_list_pairs.
+
+    The rows of 1 + the largest endpoint (not padded to a header's n), the
+    vertex count and the number of distinct pairs.
+    """
+    pairs, n = reference_edge_list_pairs(text)
+    rows = [0] * (1 + max(map(max, pairs), default=-1))
+    for u, v in pairs:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows, n, len({(min(u, v), max(u, v)) for u, v in pairs})

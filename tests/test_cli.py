@@ -314,7 +314,7 @@ class TestFormats:
         ("n 100000000000000000000\n", 10**20),
     ], ids=["header", "endpoint", "edgeless", "unallocatable"])
     def test_vertex_bound_before_rows(self, capsys, tmp_path, command, text, n):
-        """The bound is held to the header or the largest endpoint, before any rows exist."""
+        """The bound is held to the header or the largest endpoint; the rows never grow past it."""
         p = tmp_path / "wide.el"
         p.write_text(text)
         tracemalloc.start()
@@ -795,16 +795,27 @@ class TestBruteSigmaCli:
     ], ids=["parse", "budget-fields", "edgeless", "edge-count"])
     def test_refused_before_any_rows(self, capsys, tmp_path, monkeypatch, text, options, result):
         """An edge list is refused in the search's order (parse, budget fields, no edges,
-        distinct pairs over the budget) before Graph.from_edges builds a row."""
+        distinct pairs over the budget) before its rows are padded to n."""
         p = tmp_path / "refused.el"
         p.write_text(text)
 
-        def build(edges, n):
-            raise AssertionError("rows were built")
+        def build(adj, n, m):
+            raise AssertionError("rows were padded")
 
-        monkeypatch.setattr(Graph, "from_edges", build)
+        monkeypatch.setattr(cli, "_edge_list_graph", build)
         code, out, err = run(capsys, "brute-sigma", str(p), *options)
         assert (code, err) == result and out == ""
+
+    def test_pairs_past_unallocatable_rows_count(self, capsys, tmp_path):
+        """Pairs beyond rows that cannot be allocated still count toward --max-edges, which
+        refuses first."""
+        p = tmp_path / "far.el"
+        far = 10**20
+        p.write_text(f"0 1\n0 {far}\n{far} 0\n1 {far}\n")
+        assert run(capsys, "brute-sigma", str(p), "--max-edges", "2") == (
+            3, "", "error: graph has 3 edges; the search budget allows 2\n")
+        assert run(capsys, "brute-sigma", str(p), "--max-edges", "3") == (
+            3, "", f"error: cannot allocate adjacency rows for n={far + 1} vertices\n")
 
     def test_a_repeated_pair_is_one_edge(self, capsys, tmp_path):
         p = tmp_path / "k2.el"

@@ -5,15 +5,17 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from conftest import relabeled  # noqa: E402
+from conftest import reference_edge_list_pairs, relabeled  # noqa: E402
 
 from orcov import (  # noqa: E402
     CapacityError,
     Graph,
+    ParseError,
     brute_chromatic,
     chromatic_number,
     encode_graph6,
     exact_coloring,
+    parse_edge_list,
     parse_graph6,
     proper_coloring,
 )
@@ -148,6 +150,78 @@ def test_in_range_float_endpoint_is_a_type_error():
     """A float is no row index: Python's own TypeError."""
     with pytest.raises(TypeError):
         Graph.from_edges([(0, 1.0)], n=2)
+
+
+# a token of an endpoint: plain or with leading zeros, else signed or with a '_'
+TOKEN_FORMS = ["{}"] * 6 + ["0{}", "00{}"]
+FAULTY_TOKEN_FORMS = TOKEN_FORMS * 3 + ["+{}", "-{}", "{}_0"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """An edge list of at most 8 vertices in any of the forms the parser must read or refuse.
+
+    A text has an optional header; pairs that repeat and reverse; blank
+    and whitespace-only lines; space or tab separators, LF or CRLF line
+    ends; tokens with leading zeros.  Half of the texts may also hold
+    one kind of fault: a faulty header, signed tokens or ones with a
+    '_', self-loops, endpoints past the header's n, lines of the wrong
+    shape or a non-ASCII character.
+    """
+    fault = draw(st.sampled_from([None] * 6 + ["header", "token", "loop", "past", "shape",
+                                               "ascii"]))
+    n = draw(st.integers(1, 8))
+    lines = []
+    if draw(st.booleans()):
+        counts = [n, n + 2] + ([max(1, n - 2), 0, -1, "+3", "03", "1_0", "x"]
+                               if fault == "header" else [])
+        lines.append(f"n {draw(st.sampled_from(counts))}")
+    kinds = ["pair"] * 4 + ["again", "blank"] + (["shape"] if fault == "shape" else [])
+    top = n + 1 if fault == "past" else n - 1
+    forms = st.sampled_from(FAULTY_TOKEN_FORMS if fault == "token" else TOKEN_FORMS)
+    pairs = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "pair" and (top > 0 or fault == "loop"):
+            u = draw(st.integers(0, top))
+            v = draw(st.integers(0, top) if fault == "loop" else
+                     st.integers(0, top).filter(u.__ne__))
+            pair = u, v
+        elif kind == "again" and pairs:
+            u, v = draw(st.sampled_from(pairs))
+            pair = (v, u) if draw(st.booleans()) else (u, v)
+        elif kind == "shape":
+            lines.append(draw(st.sampled_from(["0", "0 1 2", "n 3", "x 1", "1 y", " 0\t1 "])))
+            continue
+        else:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "  \t "])))
+            continue
+        pairs.append(pair)
+        u, v = (draw(forms).format(x) for x in pair)
+        lines.append(u + draw(st.sampled_from([" ", "\t", "  ", " \t"])) + v)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    if fault == "ascii":
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(["\u00a0", "\u0663", "\u00e9"])) + text[i:]
+    return text
+
+
+def graph_fields(build):
+    """(n, adj, m, edges) of the graph build makes, or the text of its ParseError."""
+    try:
+        g = build()
+    except ParseError as exc:
+        return str(exc)
+    return g.n, g.adj, g.m, g.edges
+
+
+@settings(PROPERTY, max_examples=400)
+@given(edge_list_texts())
+def test_one_pass_parser_matches_the_reference(text):
+    """parse_edge_list gives the graph of the fully checked pairs, or the same error."""
+    assert graph_fields(lambda: parse_edge_list(text)) == graph_fields(
+        lambda: Graph.from_edges(*reference_edge_list_pairs(text)))
 
 
 @PROPERTY

@@ -9,7 +9,7 @@ from conftest import (
     assert_equal_graphs,
     graph_from_mask,
     reference_dsatur,
-    reference_edge_list_pairs,
+    reference_edge_list_rows,
     reference_neighbor_lists,
     reference_priorities,
     relabeled,
@@ -39,7 +39,8 @@ from orcov.graphs import (
     _canonical_rows,
     _degree_rows,
     _dsatur,
-    _edge_list_pairs,
+    _edge_list_graph,
+    _edge_list_rows,
     _greedy_clique,
     _transpose,
     is_proper_coloring,
@@ -61,6 +62,8 @@ class TestParseEdgeList:
     def test_header_pins_vertex_count(self):
         g = parse_edge_list("n 5\n0 1")
         assert (g.n, g.m) == (5, 1)
+        # the rows reach the largest endpoint; the graph pads them to n
+        assert _unbounded_rows("n 5\n0 1") == ([0b10, 0b01], 5, 1)
 
     def test_self_loop_rejected_with_line_number(self):
         with pytest.raises(ParseError, match="line 1.*self-loop"):
@@ -116,6 +119,29 @@ class TestParseEdgeList:
     def test_header_only_gives_edgeless_graph(self):
         g = parse_edge_list("n 3")
         assert (g.n, g.m) == (3, 0)
+        assert _unbounded_rows("n 3") == ([], 3, 0)
+
+    def test_rows_stop_at_the_bound(self):
+        """Past the bound the rows are None, and the vertex count is still the largest
+        endpoint's; a later fault is still found."""
+        text = "0 1\n40 2\n2 40\n3 4\n50 1\n1 0\n"
+        assert _edge_list_rows(text, 32)[:2] == (None, 51)
+        assert _edge_list_rows(text, 51) == _unbounded_rows(text)
+        assert _unbounded_rows(text)[1:] == (51, 4)
+        with pytest.raises(ParseError, match="line 7: self-loop 9 9"):
+            _edge_list_rows(text + "9 9\n", 32)
+        assert _edge_list_rows("n 60\n0 1\n", 32) == ([0b10, 0b01], 60, 1)
+
+    def test_rows_stop_where_they_cannot_be_allocated(self):
+        text = "0 1\n0 100000000000000000000\n1 100000000000000000000\n1 2\n"
+        assert _unbounded_rows(text) == (None, 10**20 + 1, 4)
+        with pytest.raises(CapacityError, match=f"rows for n={10**20 + 1} vertices"):
+            _edge_list_graph(*_unbounded_rows(text))
+
+    def test_rows_are_padded_to_the_header(self):
+        g = _edge_list_graph([0b10, 0b01], 4, 1)
+        assert (g.n, g.adj, g.m, g.edges) == (4, (0b10, 0b01, 0, 0), 1, ((0, 1),))
+        assert g == Graph(4, (0b10, 0b01, 0, 0))
 
 
 class TestGraph6:
@@ -427,6 +453,16 @@ def test_coloring_of_the_wrong_length_is_not_proper():
     assert not is_proper_coloring(g, [0, 1, 0, 1])
 
 
+def test_a_clash_on_any_edge_is_not_proper():
+    for g in (path_graph(2), cycle_graph(5), petersen_graph(), complete_graph(4)):
+        proper = list(exact_coloring(g).colors)
+        assert is_proper_coloring(g, proper)
+        for u, v in g.edges:
+            colors = proper.copy()
+            colors[v] = colors[u]
+            assert not is_proper_coloring(g, colors), (g, u, v)
+
+
 def test_bits_matches_shift_loop():
     rng = random.Random(6)
     masks = [0, 1, 2, 1 << 200, (1 << 1200) - 1, (1 << 1200) - 2]
@@ -520,7 +556,11 @@ def _faulty_edge_list(rng: random.Random) -> str:
     return "\n".join(lines) + rng.choice(["", "\n", "\n\n"])
 
 
-def _pairs_or_error(parse, text):
+def _unbounded_rows(text):
+    return _edge_list_rows(text)
+
+
+def _rows_or_error(parse, text):
     try:
         return parse(text)
     except ParseError as exc:
@@ -532,8 +572,8 @@ def test_edge_list_pairs_match_the_reference_on_faulty_texts():
     outcomes = set()
     for _ in range(3000):
         text = _faulty_edge_list(rng)
-        want = _pairs_or_error(reference_edge_list_pairs, text)
-        assert _pairs_or_error(_edge_list_pairs, text) == want, text
+        want = _rows_or_error(reference_edge_list_rows, text)
+        assert _rows_or_error(_unbounded_rows, text) == want, text
         outcomes.add(want if isinstance(want, str) else "ok")
     # every fault above reached its message, and clean texts parsed
     kinds = {re.sub(r"line \d+: |[ '\d].*", "", o) for o in outcomes}
@@ -549,10 +589,10 @@ def test_edge_list_pairs_match_the_reference_on_faulty_texts():
     ("0 1\n1 1_0\n", "line 2: non-integer token '1_0'"),
     ("0 1\n1 -0\n1 -1\n", "line 3: negative endpoint"),
     ("0 1\nn 4\n", "line 2: non-integer token 'n'"),
-    ("0 1\n1 2\n\n  \n2 0\n1 0\n", ([(0, 1), (1, 2), (2, 0), (1, 0)], 3)),
-    ("n 4\n0 1\n0 1\n1 0\n", ([(0, 1), (0, 1), (1, 0)], 4)),
+    ("0 1\n1 2\n\n  \n2 0\n1 0\n", ([0b110, 0b101, 0b011], 3, 3)),
+    ("n 4\n0 1\n0 1\n1 0\n", ([0b10, 0b01], 4, 1)),
 ])
 def test_edge_list_faults_behind_known_tokens(text, want):
     """A line of known tokens skips only checks those tokens have passed."""
-    assert _pairs_or_error(_edge_list_pairs, text) == want
-    assert _pairs_or_error(reference_edge_list_pairs, text) == want
+    assert _rows_or_error(_unbounded_rows, text) == want
+    assert _rows_or_error(reference_edge_list_rows, text) == want

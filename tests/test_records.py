@@ -4,6 +4,7 @@ import copy
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -25,22 +26,28 @@ from orcov import (
     SigmaResult,
     certificate_from_json,
     certificate_to_json,
+    complete_graph,
     construct_cover,
+    cycle_graph,
+    parse_edge_list,
+    path_graph,
     petersen_graph,
+    wheel_graph,
 )
+from orcov.graphs import _upper_edges
 
 F10, F12 = SetFamily(2, 0b1010), SetFamily(2, 0b1100)
 ONE_EDGE = (Orientation(2, 1, 1),)
 
 # name: (make a record, make it with one field changed, a record of another
 # class with the same field values, repr text recorded before the records
-# stopped being dataclasses)
+# stopped being dataclasses; Graph's since it holds m in place of its edges)
 RECORDS = {
     "Graph": (
         lambda: Graph(2, (2, 1)),
         lambda: Graph(3, (2, 1, 0)),
-        CertificateMeta(2, (2, 1), ((0, 1),)),
-        "Graph(n=2, adj=(2, 1), edges=((0, 1),))",
+        CertificateMeta(2, (2, 1), 1),
+        "Graph(n=2, adj=(2, 1), m=1)",
     ),
     "Orientation": (
         lambda: Orientation(3, 2, 1),
@@ -156,6 +163,64 @@ def test_keyword_construction_with_defaults():
     assert SearchBudget() == SearchBudget(max_edges=8, max_k=3, timeout=300.0)
     assert Graph(n=1, adj=(0,)).edges == ()
     assert CoverCertificate(k=0, orientations=()).meta is None
+
+
+NAMED_GRAPHS = {
+    "K1": lambda: complete_graph(1), "K7": lambda: complete_graph(7),
+    "C5": lambda: cycle_graph(5), "P1": lambda: path_graph(1), "P6": lambda: path_graph(6),
+    "W6": lambda: wheel_graph(6), "petersen": petersen_graph,
+}
+
+
+def _literal_edges(g):
+    return tuple((u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u] >> v & 1)
+
+
+def _seeded_graphs():
+    rng = random.Random(33)
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        p = rng.random()
+        yield Graph.from_edges(
+            [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p], n=n)
+
+
+@pytest.mark.parametrize("make", NAMED_GRAPHS.values(), ids=NAMED_GRAPHS)
+def test_graph_edges_are_built_from_the_rows(make):
+    g = make()
+    assert g.edges == _upper_edges(g.adj) == _literal_edges(g)
+    assert g.m == len(g.edges) == sum(map(int.bit_count, g.adj)) // 2
+
+
+def test_seeded_graph_edges_are_built_from_the_rows():
+    for g in _seeded_graphs():
+        assert g.edges == _upper_edges(g.adj) == _literal_edges(g)
+        assert g.m == len(g.edges)
+        assert parse_edge_list(f"n {g.n}\n" + "".join(f"{v} {u}\n" for u, v in g.edges)) == g
+
+
+@pytest.mark.parametrize("adj, message", [
+    ((0b100, 0b000), "adjacency row of vertex 0 addresses vertices >= n"),
+    ((0b01, 0b00), "self-loop at vertex 0"),
+    ((0b10, 0b00), "asymmetric adjacency between 0 and 1"),
+], ids=["out-of-range", "self-loop", "asymmetric"])
+def test_graph_called_directly_checks_its_rows(adj, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Graph(2, adj)
+
+
+def test_graph_value_semantics_over_n_adj_and_m():
+    g = petersen_graph()
+    assert g.__slots__ == ("n", "adj", "m")
+    assert hash(g) == hash((g.n, g.adj, g.m))
+    assert g == Graph(g.n, g.adj) == parse_edge_list(
+        "".join(f"{v} {u}\n" for u, v in reversed(g.edges)))
+    assert g != Graph(11, g.adj + (0,))
+    clone = pickle.loads(pickle.dumps(g))
+    assert (clone.n, clone.adj, clone.m, clone.edges) == (g.n, g.adj, g.m, g.edges)
+    assert clone == g and hash(clone) == hash(g)
+    with pytest.raises(AttributeError):
+        g.edges = ()
 
 
 @pytest.mark.parametrize("g", [petersen_graph(), Graph.from_edges([(1, 2), (2, 4)], n=6)],
