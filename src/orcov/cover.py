@@ -259,10 +259,10 @@ def _edges_json(g: Graph, names: list[str]) -> str:
     """json.dumps(g.edges), written row by row: row u is "[u, v]" for each upper neighbour v."""
     rows = []
     for u, row in enumerate(g.adj):
-        upper = row >> (u + 1) << (u + 1)
-        if upper:
-            vs = map(names.__getitem__, _bits(upper))
-            rows.append(f"[{names[u]}, " + f"], [{names[u]}, ".join(vs) + "]")
+        vs = _upper_bits(row, u)
+        if vs:
+            head = f"[{names[u]}, "
+            rows.append(head + f"], {head}".join(map(names.__getitem__, vs)) + "]")
     return "[" + ", ".join(rows) + "]"
 
 
@@ -444,30 +444,30 @@ def _direction_set_rows(raw_ds: dict, k: int, g: Graph) -> tuple[tuple[int, ...]
     return tuple(tuple(islice(it, row.bit_count())) for row in g.adj)
 
 
-_HEAD_KEYS = "n\0m\0k\0edges\0orientations\0meta"
-_FIELD_KEYS = _HEAD_KEYS + "\0coloring\0family_indices\0direction_sets"
+_FIELD_KEYS = "n\0m\0k\0edges\0orientations\0meta\0coloring\0family_indices\0direction_sets"
 # "1" for each true and "0" for each false of the writer's orientation rows
 _FLAG_BITS = str.maketrans("tf", "10", ":[], \nruelas")
 
 
 def _certificate_from_text(text: str, g: Graph) -> CoverCertificate | None:
-    """The record of a certificate in a _LAYOUTS layout, read from the text.
+    """The record of a construct_cover certificate in a _LAYOUTS layout, read from the text.
 
     None for any other text and for one that fails a step; the caller
     then parses it whole.  The text before the first '"' picks the
     layout, and the text, JSON whitespace after it dropped, must end as
-    the layout ends a null meta, null direction sets or a block: a text
-    in another indent mostly fails there, before it is split on '"'.
-    The odd parts joined by NUL must be the head keys in writer order,
-    then the meta keys if meta is an object, then _edge_key_text(g)'s
-    2m keys if direction_sets is a block.  Each even part must be the
-    layout's piece for the value read from it: n, m and the edges
-    (_edges_json) are g's; the orientation list is one translate to bits,
-    cut into rows of m, whose text (_orientations_json) it must be, with
-    k their count; coloring and family_indices are null or _ints_json of
-    the ints int() reads from them; each distinct block separator, the
-    last read as if ", " followed it, is _set_json of the ints in [1, k]
-    that int() reads from it, so it lists no other.
+    the layout ends a direction-set block: a text in another indent
+    mostly fails there, before it is split on '"'.  The 4m + 19 parts
+    of the split must hold, in their odd places joined by NUL, the head
+    and meta keys in writer order and then _edge_key_text(g)'s 2m keys.
+    Each even part must be the layout's piece for the value read from
+    it: n, m and the edges (_edges_json) are g's; the orientation list
+    is one translate to bits, cut into rows of m, whose text
+    (_orientations_json) it must be, with k their count; coloring and
+    family_indices are _ints_json of the ints int() reads from them;
+    each distinct block separator, the last read as if ", " followed it,
+    is _set_json of the ints in [1, k] that int() reads from it, so it
+    lists no other.  int() reads no null and no empty list, so a text
+    with either is declined, and so is k = 0, whose sets are all empty.
     Why the record is the one json.loads(text) and the checks after it
     give: every odd part is an expected key, which holds no backslash,
     so every '"' opens or closes a string and the even parts are all
@@ -482,12 +482,11 @@ def _certificate_from_text(text: str, g: Graph) -> CoverCertificate | None:
         return None
     comma, end = layout[0], layout[-1]
     text = text.rstrip(" \t\n\r")
-    if not text.endswith(("null" + end, "null}" + end, "}}" + end)):
+    if not text.endswith("}}" + end):
         return None
     parts = text.split('"')
-    shape = len(parts)  # 13 for a null meta, 19 for null direction sets, 4m + 19 for a block
-    if "\0".join(parts[1::2]) != (_FIELD_KEYS + "\0" + _edge_key_text(g) if shape == 4 * m + 19
-                                  else {13: _HEAD_KEYS, 19: _FIELD_KEYS}.get(shape)):
+    keys = _FIELD_KEYS + "\0" + _edge_key_text(g)
+    if len(parts) != 4 * m + 19 or "\0".join(parts[1::2]) != keys:
         return None
     seps = parts[2::2]
     if not (seps[0] == f": {g.n}{comma}" and seps[1] == f": {m}{comma}"
@@ -497,29 +496,20 @@ def _certificate_from_text(text: str, g: Graph) -> CoverCertificate | None:
     try:  # int() refuses what is not a number, and a decimal past its digit limit
         orientations = tuple(Orientation(g.n, m, int(flags[i:i + m][::-1], 2))
                              for i in range(0, len(flags), m))
-        lists = [None if sep == ": null, " else
-                 tuple(map(int, sep[3:-3].split(", "))) if sep[3:-3] else ()
-                 for sep in seps[6:8]]
+        lists = [tuple(map(int, sep[3:-3].split(", "))) for sep in seps[6:8]]
     except ValueError:
         return None
     k = len(orientations)
-    if not (seps[2] == f": {k}{comma}" and seps[4] == _orientations_json(layout, orientations)):
+    if not (seps[2] == f": {k}{comma}" and seps[4] == _orientations_json(layout, orientations)
+            and seps[5] == seps[8] == ": {"
+            and seps[6:8] == [f": {_ints_json(ints)}, " for ints in lists]):
         return None
-    if len(seps) == 6:
-        return CoverCertificate(k, orientations) if seps[5] == ": null" + end else None
-    if not (seps[5] == ": {" and seps[6:8] == [f": {_ints_json(ints)}, " for ints in lists]):
-        return None
-    if len(seps) == 9:
-        null = seps[8] == ": null}" + end
-        return CoverCertificate(k, orientations, CertificateMeta(*lists)) if null else None
     block = seps[9:]
-    if not (seps[8] == ": {" and block[-1].endswith("}}" + end)):
-        return None
     block[-1] = block[-1][:-len(end) - 2] + ", "
     masks = {}
     for sep in set(block):
         try:
-            ints = set(map(int, sep[3:-3].split(", "))) if sep[3:-3] else set()
+            ints = set(map(int, sep[3:-3].split(", ")))
         except ValueError:
             return None
         # an element outside [1, k] is left out, so the writer's text of the set differs
@@ -555,10 +545,12 @@ def certificate_from_json(text: str, g: Graph) -> CoverCertificate:
     """Parse, type-check and shape-check a certificate against g.
 
     Every malformed field raises ParseError with a one-line reason.
-    The layouts of _LAYOUTS, the writer's and json.dumps', are read
-    from the text (_certificate_from_text); any other text, and one that
-    fails a step there, is parsed whole and checked below, which gives
-    the same record, or else the message.
+    What construct_cover writes, a full meta block of non-empty decimal
+    lists, in the layouts of _LAYOUTS, the writer's and json.dumps', is
+    read from the text (_certificate_from_text).  Any other text (a null
+    meta, coloring or direction-set block, an empty list, another
+    layout), and one that fails a step there, is parsed whole and
+    checked below, which gives the same record, or else the message.
     """
     cert = _certificate_from_text(text, g)
     if cert is not None:

@@ -139,11 +139,6 @@ def _upper_bits(row: int, u: int) -> list[int]:
     return _bits(row >> (u + 1) << (u + 1))
 
 
-def _upper_edges(adj: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """(u, v) for every bit v > u of row u: the canonical edge order (empty rows skipped)."""
-    return tuple((u, v) for u in compress(range(len(adj)), adj) for v in _upper_bits(adj[u], u))
-
-
 class Graph(_Value):
     """Simple undirected graph with bitmask adjacency rows.
 
@@ -159,31 +154,22 @@ class Graph(_Value):
     m: int
 
     def __init__(self, n: int, adj: tuple[int, ...]) -> None:
-        # Rows in range are symmetric and loop-free iff every upper bit
-        # (u, v) has its mirror (v, u) and the rows hold 2 * len(edges) bits:
-        # the mirrors fill that count, leaving no diagonal or stray bit.  This
-        # is linear in the bits; a transpose would cost n * n digits even for
-        # a sparse graph.  Only a failure pays for the row-by-row scan that
-        # names the first offending row or pair.
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         if len(adj) != n:
             raise ValueError("adjacency row count does not match n")
-        edges = _upper_edges(adj) if min(adj) >= 0 and not max(adj) >> n else None
-        if (edges is None or sum(map(int.bit_count, adj)) != 2 * len(edges)
-                or not all(adj[v] >> u & 1 for u, v in edges)):
-            for u, row in enumerate(adj):
-                if row < 0 or row >> n:
-                    raise ValueError(f"adjacency row of vertex {u} addresses vertices >= n")
-                if (row >> u) & 1:
-                    raise ValueError(f"self-loop at vertex {u}")
-            for u, row in enumerate(adj):
-                for v in _bits(row):
-                    if not (adj[v] >> u) & 1:
-                        raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        for u, row in enumerate(adj):
+            if row < 0 or row >> n:
+                raise ValueError(f"adjacency row of vertex {u} addresses vertices >= n")
+            if (row >> u) & 1:
+                raise ValueError(f"self-loop at vertex {u}")
+        for u, row in enumerate(adj):
+            for v in _bits(row):
+                if not (adj[v] >> u) & 1:
+                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
         _set(self, "n", n)
         _set(self, "adj", adj)
-        _set(self, "m", len(edges))
+        _set(self, "m", sum(map(int.bit_count, adj)) >> 1)
 
     @classmethod
     def _of_rows(cls, n: int, adj: tuple[int, ...], m: int) -> "Graph":
@@ -194,8 +180,12 @@ class Graph(_Value):
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """The canonical edge tuple, built from the rows on each access."""
-        return _upper_edges(self.adj)
+        """The canonical edge tuple, built from the rows on each access.
+
+        (u, v) for every bit v > u of row u, empty rows skipped.
+        """
+        adj = self.adj
+        return tuple((u, v) for u in compress(range(self.n), adj) for v in _upper_bits(adj[u], u))
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]], n: int) -> "Graph":

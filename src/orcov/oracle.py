@@ -81,7 +81,7 @@ def brute_mifs(k: int) -> tuple[SetFamily, ...]:
 
 
 def _neighbor_lists(g: Graph) -> list[list[int]]:
-    return [[y for y in range(g.n) if g.adj[x] >> y & 1] for x in range(g.n)]
+    return [[y for y in range(row.bit_length()) if row >> y & 1] for row in g.adj]
 
 
 def _covers(nbrs: list[list[int]], n: int, rowset: list[list[int]]) -> bool:

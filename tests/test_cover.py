@@ -477,9 +477,10 @@ GOLDEN_CERTIFICATES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "g, digest", GOLDEN_CERTIFICATES, ids=["K12", "K6x3", "petersen", "gnp20", "gnp30"]
-)
+GOLDEN_IDS = ["K12", "K6x3", "petersen", "gnp20", "gnp30"]
+
+
+@pytest.mark.parametrize("g, digest", GOLDEN_CERTIFICATES, ids=GOLDEN_IDS)
 def test_golden_certificate(g, digest):
     text = certificate_to_json(g, construct_cover(g))
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
@@ -725,22 +726,26 @@ def _written(g):
     return g, cert, certificate_to_json(g, cert)
 
 
-# CERTIFICATE_TEXT but m0, whose graph has no edges, and the golden certificates
-LAYOUT_CASES = ([case for case in CERTIFICATE_TEXT if case[0].m]
-                + [_written(g) for g, _ in GOLDEN_CERTIFICATES])
-
-
-@pytest.mark.parametrize("g, cert, text", LAYOUT_CASES, ids=[
-    "no-meta", "no-direction-sets", "empty-sets", "key-order", "k0",
-    "K12", "K6x3", "petersen", "gnp20", "gnp30"])
+@pytest.mark.parametrize("g, cert, text", [_written(g) for g, _ in GOLDEN_CERTIFICATES],
+                         ids=GOLDEN_IDS)
 def test_the_writer_and_the_text_reader_share_one_layout(g, cert, text, monkeypatch):
     """The writer renders its layout from _LAYOUTS, which the text reader compares against,
-    so every text it writes for a graph with edges, and its json.dumps copy, reads back
-    from the text alone."""
+    so every certificate construct_cover writes, and its json.dumps copy, reads back from
+    the text alone."""
     dumped = _dumps(text)
     monkeypatch.setattr(json, "loads", _no_json_loads)
     assert orcov.cover._certificate_from_text(text, g) == cert
     assert orcov.cover._certificate_from_text(dumped, g) == cert
+
+
+@pytest.mark.parametrize("g, cert, text", [case for case in CERTIFICATE_TEXT if case[0].m],
+                         ids=["no-meta", "no-direction-sets", "empty-sets", "key-order", "k0"])
+def test_the_text_reader_declines_what_only_the_library_writes(g, cert, text):
+    """No command writes a null meta, coloring or direction-set block, an empty list or
+    set, or k = 0: the text path declines those texts and json.loads reads them back."""
+    for layout in (str, _dumps):
+        assert orcov.cover._certificate_from_text(layout(text), g) is None
+        assert certificate_from_json(layout(text), g) == cert
 
 
 class _Index(enum.IntEnum):
@@ -943,11 +948,13 @@ WRITER_ORDER_EDITS = {
 
 KEY_ORDERS = {"reversed": _reverse_keys, "shuffled": _shuffle_keys}
 
-READ_GRAPHS = pytest.mark.parametrize("g", [
-    petersen_graph(),
-    Graph.from_edges(petersen_graph().edges + ((11, 12),), n=14),  # 10 and 13 isolated
-    _shuffled_multipartite(6, 5, 11),
-], ids=["petersen", "isolated-vertices", "multipartite"])
+_READ_GRAPHS = {
+    "petersen": petersen_graph(),
+    # 10 and 13 isolated
+    "isolated-vertices": Graph.from_edges(petersen_graph().edges + ((11, 12),), n=14),
+    "multipartite": _shuffled_multipartite(6, 5, 11),
+}
+READ_GRAPHS = pytest.mark.parametrize("g", _READ_GRAPHS.values(), ids=_READ_GRAPHS)
 
 
 class TestWriterOrderedBlock:
@@ -1095,9 +1102,20 @@ def _no_json_loads(*args, **kwargs):
     raise AssertionError("json.loads called")
 
 
+# The graphs whose construct_cover certificates the tests read: the golden ones, the read
+# ones and the cover-dense shapes at tiny size
+WRITTEN_GRAPHS = {
+    **dict(zip(GOLDEN_IDS, [g for g, _ in GOLDEN_CERTIFICATES])),
+    **_READ_GRAPHS,
+    "tiny-K8": complete_graph(8),
+    "tiny-4-partite": _shuffled_multipartite(4, 3, seed=5),
+}
+
+
 class TestBlockTextPath:
-    """certificate_from_json reads the writer's layout and json.dumps whole from the text
-    (_certificate_from_text); every other text is parsed whole by json.loads."""
+    """certificate_from_json reads what construct_cover writes, in the writer's layout and as
+    json.dumps, whole from the text (_certificate_from_text); every other text is parsed
+    whole by json.loads."""
 
     @staticmethod
     def check_text_path(g, cert, text, monkeypatch):
@@ -1106,13 +1124,13 @@ class TestBlockTextPath:
         monkeypatch.setattr(orcov.cover, "_direction_set_rows", None)  # a call raises TypeError
         assert certificate_from_json(text, g) == cert
 
-    @READ_GRAPHS
-    def test_json_dumps_certificates_take_the_text_path(self, g, monkeypatch):
+    @pytest.mark.parametrize("layout", [str, _dumps], ids=["writer", "dumps"])
+    @pytest.mark.parametrize("g", WRITTEN_GRAPHS.values(), ids=WRITTEN_GRAPHS)
+    def test_the_writers_certificates_take_the_text_path(self, g, layout, monkeypatch):
         cert = construct_cover(g)
-        self.check_text_path(g, cert, _dumps(certificate_to_json(g, cert)), monkeypatch)
+        self.check_text_path(g, cert, layout(certificate_to_json(g, cert)), monkeypatch)
 
     @pytest.mark.parametrize("build, layout", [
-        (construct_cover, str),
         # null coloring and family indices
         (_from_families, str),
         (_from_families, _dumps),
@@ -1121,12 +1139,15 @@ class TestBlockTextPath:
         (_without_meta, _dumps),
         (_without_direction_sets, str),
         (_without_direction_sets, _dumps),
-    ], ids=["writer", "from-families-writer", "from-families-dumps", "no-meta-writer",
+    ], ids=["from-families-writer", "from-families-dumps", "no-meta-writer",
             "no-meta-dumps", "no-direction-sets-writer", "no-direction-sets-dumps"])
     @READ_GRAPHS
-    def test_the_writers_certificates_take_the_text_path(self, g, build, layout, monkeypatch):
+    def test_the_library_certificates_take_the_dict_path(self, g, build, layout):
+        """No command writes these records; json.loads reads them back."""
         cert = build(g)
-        self.check_text_path(g, cert, layout(certificate_to_json(g, cert)), monkeypatch)
+        text = layout(certificate_to_json(g, cert))
+        assert orcov.cover._certificate_from_text(text, g) is None
+        assert certificate_from_json(text, g) == cert
 
     @pytest.mark.parametrize("form", sorted(DICT_PATH_FORMS))
     @READ_GRAPHS
@@ -1389,9 +1410,9 @@ BLOCKLESS_EDITS = [
 ]
 
 
-def _check_both_paths(data, texts, edits) -> None:
+def _check_both_paths(data, texts, edits) -> tuple[Graph, str]:
     """A drawn edit of a drawn text gives the same record or ParseError text with the text
-    path on and declined."""
+    path on and declined; the graph and the edited text are returned."""
     g, text = data.draw(st.sampled_from(texts))
     k = json.loads(text)["k"]
     case = data.draw(st.sampled_from(sorted(edits)))
@@ -1400,6 +1421,7 @@ def _check_both_paths(data, texts, edits) -> None:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(orcov.cover, "_certificate_from_text", lambda text, g: None)
         assert got == _read(edited, g)
+    return g, edited
 
 
 @given(st.data())
@@ -1411,4 +1433,6 @@ def test_the_text_path_reads_as_the_dict_path(data):
 @given(st.data())
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 def test_the_text_path_reads_blockless_texts_as_the_dict_path(data):
-    _check_both_paths(data, BLOCKLESS_TEXTS, BLOCKLESS_EDITS)
+    """The text path reads no text without a direction-set block, so it declines each edit."""
+    g, edited = _check_both_paths(data, BLOCKLESS_TEXTS, BLOCKLESS_EDITS)
+    assert orcov.cover._certificate_from_text(edited, g) is None

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -8,12 +9,14 @@ from conftest import (
     graph_from_mask,
     iso_class_masks,
     k4_minus_edge,
+    reference_neighbor_lists,
     relabeled,
 )
 
 from orcov import (
     BudgetError,
     CapacityError,
+    Graph,
     SearchBudget,
     SetFamily,
     brute_chromatic,
@@ -24,6 +27,7 @@ from orcov import (
     cycle_graph,
     enumerate_mifs,
     path_graph,
+    petersen_graph,
     sigma_of_graph,
     wheel_graph,
 )
@@ -68,8 +72,6 @@ class TestBruteSigma:
             assert brute_sigma(g, SearchBudget(max_k=sigma - 1)) is None
 
     def test_edge_budget(self):
-        from orcov import petersen_graph
-
         with pytest.raises(BudgetError, match="edges"):
             brute_sigma(petersen_graph())  # 15 edges > default 8
 
@@ -115,6 +117,14 @@ class TestBruteSigma:
             rng.shuffle(perm)
             assert brute_sigma(relabeled(g, perm)) == base
 
+    def test_a_wide_graph_with_one_edge(self):
+        """The literal check after the search walks each row's own bits, not all n of them
+        per row, so one edge among 200,000 vertices is answered in well under a second."""
+        g = Graph.from_edges([(0, 1)], n=200_000)
+        start = time.perf_counter()
+        assert brute_sigma(g) == 2
+        assert time.perf_counter() - start < 10
+
     def test_budget_fields_validated(self):
         with pytest.raises(ValueError):
             SearchBudget(max_k=0)
@@ -122,6 +132,14 @@ class TestBruteSigma:
             SearchBudget(timeout=0)
         with pytest.raises(ValueError):
             SearchBudget(timeout=float("nan"))
+
+
+@pytest.mark.parametrize("g", [
+    complete_graph(1), complete_graph(7), cycle_graph(5), path_graph(1), path_graph(6),
+    wheel_graph(6), petersen_graph(), Graph.from_edges([(1, 3), (0, 1)], n=9),
+], ids=["K1", "K7", "C5", "P1", "P6", "W6", "petersen", "isolated-vertices"])
+def test_neighbor_lists_match_the_reference(g):
+    assert oracle._neighbor_lists(g) == reference_neighbor_lists(g)
 
 
 class TestVerifierAgreement:

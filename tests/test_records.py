@@ -34,7 +34,6 @@ from orcov import (
     petersen_graph,
     wheel_graph,
 )
-from orcov.graphs import _upper_edges
 
 F10, F12 = SetFamily(2, 0b1010), SetFamily(2, 0b1100)
 ONE_EDGE = (Orientation(2, 1, 1),)
@@ -188,13 +187,13 @@ def _seeded_graphs():
 @pytest.mark.parametrize("make", NAMED_GRAPHS.values(), ids=NAMED_GRAPHS)
 def test_graph_edges_are_built_from_the_rows(make):
     g = make()
-    assert g.edges == _upper_edges(g.adj) == _literal_edges(g)
+    assert g.edges == _literal_edges(g)
     assert g.m == len(g.edges) == sum(map(int.bit_count, g.adj)) // 2
 
 
 def test_seeded_graph_edges_are_built_from_the_rows():
     for g in _seeded_graphs():
-        assert g.edges == _upper_edges(g.adj) == _literal_edges(g)
+        assert g.edges == _literal_edges(g)
         assert g.m == len(g.edges)
         assert parse_edge_list(f"n {g.n}\n" + "".join(f"{v} {u}\n" for u, v in g.edges)) == g
 
@@ -203,7 +202,11 @@ def test_seeded_graph_edges_are_built_from_the_rows():
     ((0b100, 0b000), "adjacency row of vertex 0 addresses vertices >= n"),
     ((0b01, 0b00), "self-loop at vertex 0"),
     ((0b10, 0b00), "asymmetric adjacency between 0 and 1"),
-], ids=["out-of-range", "self-loop", "asymmetric"])
+    # every row's range and diagonal are checked before any mirror
+    ((0b10, 0b110), "adjacency row of vertex 1 addresses vertices >= n"),
+    ((0b10, 0b10), "self-loop at vertex 1"),
+], ids=["out-of-range", "self-loop", "asymmetric", "out-of-range-after-asymmetric",
+        "self-loop-after-asymmetric"])
 def test_graph_called_directly_checks_its_rows(adj, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         Graph(2, adj)
