@@ -426,7 +426,3 @@ def run() -> None:
         if stream is not None:  # None where the file was closed at start
             stream.flush()
     os._exit(code)
-
-
-if __name__ == "__main__":
-    run()

@@ -176,6 +176,48 @@ def families_from_cover(
     ))
 
 
+def _orient(
+    g: Graph, k: int, colors: Sequence[int], families: Sequence[SetFamily]
+) -> tuple[tuple[Orientation, ...], tuple[tuple[int, ...], ...]]:
+    """cover_from_families' orientations and direction-set rows, x holding families[colors[x]]."""
+    count = len(families)
+    avoid = list(map(_avoiders, families))
+    rows: list[list[int]] = [[] for _ in range(g.n)]  # canonical edge order fills them sorted
+    chosen: dict[int, tuple[int, int]] = {}  # the pair of colours cu, cv at cu * count + cv
+    # Orientation i directs uv as u -> v unless i is in T = S_(v,u)
+    # (S and T are disjoint); forward[e] is that mask of [k] for edge e.
+    forward: list[int] = []
+    full = (1 << k) - 1
+    for u, row in enumerate(g.adj):
+        cu = colors[u]
+        for v in _upper_bits(row, u):
+            cv = colors[v]
+            pair = chosen.get(key := cu * count + cv)
+            if pair is None:
+                pair = chosen[key] = _disjoint_pair(
+                    k, families[cu].member, families[cv].member, avoid[cv])
+                if pair is None:
+                    raise ValueError(
+                        f"condition 1 violated at edge ({u}, {v}): no disjoint direction sets"
+                    )
+            s, t = pair
+            rows[u].append(s)
+            rows[v].append(t)
+            forward.append(full & ~t)
+    # condition 2 once per family, named at the first vertex of its colour
+    for c, f in enumerate(families):
+        pair = _disjoint_pair(k, f.member, f.member, avoid[c])
+        if pair is not None:
+            s, t = map(format_subset, pair)
+            raise ValueError(
+                f"condition 2 violated at vertex {colors.index(c)}: "
+                f"members {s} and {t} are disjoint"
+            )
+    # bit e of orientation i is bit i of forward[e]
+    orientations = tuple(Orientation(g.n, g.m, bits) for bits in _transpose(forward, k))
+    return orientations, tuple(map(tuple, rows))
+
+
 def cover_from_families(g: Graph, fa: FamilyAssignment) -> CoverCertificate:
     """Build a k-orientation cover from a family assignment, or raise ValueError.
 
@@ -185,48 +227,16 @@ def cover_from_families(g: Graph, fa: FamilyAssignment) -> CoverCertificate:
     edges are checked first, then all vertices, and the first failure
     raises with its witness.  Each edge uv gets deterministic disjoint
     direction sets (_disjoint_pair's smallest-mask choices, memoised
-    per pair of member vectors, each family's avoiders computed once);
-    orientation i then directs uv by membership of i, and slots claimed
-    by neither set default to low -> high.
+    per colour pair, each family's avoiders computed once); orientation
+    i then directs uv by membership of i, and slots claimed by neither
+    set default to low -> high.  The distinct families, numbered in
+    first-vertex order, are _orient's colours.
     """
     if len(fa.per_vertex) != g.n:
         raise ValueError("assignment size does not match vertex count")
-    k = fa.k
-    members = [f.member for f in fa.per_vertex]
-    avoid = {f.member: _avoiders(f) for f in set(fa.per_vertex)}
-    rows: list[list[int]] = [[] for _ in range(g.n)]  # canonical edge order fills them sorted
-    chosen: dict[tuple[int, int], tuple[int, int]] = {}
-    # Orientation i directs uv as u -> v unless i is in T = S_(v,u)
-    # (S and T are disjoint); forward[e] is that mask of [k] for edge e.
-    forward: list[int] = []
-    full = (1 << k) - 1
-    for u, row in enumerate(g.adj):
-        for v in _upper_bits(row, u):
-            key = (members[u], members[v])
-            pair = chosen.get(key)
-            if pair is None:
-                pair = chosen[key] = _disjoint_pair(k, *key, avoid[key[1]])
-                if pair is None:
-                    raise ValueError(
-                        f"condition 1 violated at edge ({u}, {v}): no disjoint direction sets"
-                    )
-            s, t = pair
-            rows[u].append(s)
-            rows[v].append(t)
-            forward.append(full & ~t)
-    # condition 2 once per distinct family, named at the first vertex holding it
-    for m in dict.fromkeys(members):
-        pair = _disjoint_pair(k, m, m, avoid[m])
-        if pair is not None:
-            s, t = map(format_subset, pair)
-            raise ValueError(
-                f"condition 2 violated at vertex {members.index(m)}: "
-                f"members {s} and {t} are disjoint"
-            )
-    # bit e of orientation i is bit i of forward[e]
-    orientations = tuple(Orientation(g.n, g.m, bits) for bits in _transpose(forward, k))
-    meta = CertificateMeta(direction_sets=tuple(map(tuple, rows)))
-    return CoverCertificate(k, orientations, meta)
+    number = {f: c for c, f in enumerate(dict.fromkeys(fa.per_vertex))}
+    orientations, rows = _orient(g, fa.k, [number[f] for f in fa.per_vertex], list(number))
+    return CoverCertificate(fa.k, orientations, CertificateMeta(direction_sets=rows))
 
 
 def construct_cover(
@@ -234,9 +244,9 @@ def construct_cover(
 ) -> CoverCertificate:
     """Minimum orientation covering of g, with provenance metadata.
 
-    Colors g once with chi colors (exact_coloring), assigns color class
-    c the c-th maximal intersecting family over [sigma(K_chi)] in
-    canonical order, and converts the assignment to orientations.  The
+    Colors g once with chi colors (exact_coloring) and builds the cover
+    by colour classes (_orient): class c holds the c-th maximal
+    intersecting family over [sigma(K_chi)] in canonical order.  The
     certificate has exactly sigma(g) orientations and passes
     verify_cover.  The vertex bound comes before the edgeless refusal.
     """
@@ -245,10 +255,9 @@ def construct_cover(
         raise ValueError("cover construction requires a non-empty graph")
     k = sigma_complete(coloring.t).value
     families = [SetFamily(k, member) for member in sorted_mif_masks(k)[: coloring.t]]
-    fa = FamilyAssignment(k, tuple(families[c] for c in coloring.colors))
-    cert = cover_from_families(g, fa)
-    meta = CertificateMeta(coloring.colors, tuple(range(coloring.t)), cert.meta.direction_sets)
-    return CoverCertificate(k, cert.orientations, meta)
+    orientations, direction_sets = _orient(g, k, coloring.colors, families)
+    meta = CertificateMeta(coloring.colors, tuple(range(coloring.t)), direction_sets)
+    return CoverCertificate(k, orientations, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +276,16 @@ def _edges_json(g: Graph, names: list[str]) -> str:
 
 
 def _ints_json(values: Sequence[int] | None) -> str:
-    """json.dumps(values) for None or a sequence, ints written without the json module.
+    """json.dumps(values) for None or a sequence of ints, bools excluded, without the json module.
 
-    As json.dumps writes them, bools are true and false and every other
-    int is int.__repr__, so an int subclass is written as its value.  A
-    sequence holding anything but ints goes to json.dumps itself.
+    An int subclass is written as its value, as json.dumps does; any
+    other element raises ValueError, as both readers would refuse it.
     """
     if values is None:
         return "null"
-    if not all(isinstance(v, int) for v in values):
-        import json  # no command writes such a record
-
-        return json.dumps(values)
-    text = ", ".join(
-        "true" if v is True else "false" if v is False else int.__repr__(v) for v in values
-    )
-    return f"[{text}]"
+    if not all(map(_is_int, values)):
+        raise ValueError("certificate meta lists must hold integers and no bools")
+    return "[" + ", ".join(map(int.__repr__, values)) + "]"
 
 
 def _set_json(s: int) -> str:

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 from conftest import all_labeled_graphs, random_graph, reference_counterexample
@@ -32,6 +33,8 @@ from orcov import (
     families_from_cover,
     path_graph,
     petersen_graph,
+    proper_coloring,
+    sigma_complete,
     sigma_of_graph,
     verify_cover,
 )
@@ -298,6 +301,23 @@ class TestCoverFromFamilies:
             cover_from_families(g, FamilyAssignment(2, (same, same)))
 
 
+def test_distinct_families_on_every_vertex_keep_the_pair_memo_small():
+    """A path through all 2,646 maximal intersecting families over [6], each on its own
+    vertex: 2,645 edges meet 2,645 of the 2646^2 family pairs, so the memo holds only the
+    pairs met, not a slot per pair (56.8 MB as a flat list of that size)."""
+    masks = sorted_mif_masks(6)
+    g = path_graph(len(masks))
+    fa = FamilyAssignment(6, tuple(SetFamily(6, m) for m in masks))
+    tracemalloc.start()
+    try:
+        cert = cover_from_families(g, fa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+    assert verify_cover(g, cert.orientations) is None
+
+
 class TestConstructCover:
     def test_k2(self):
         g = complete_graph(2)
@@ -482,8 +502,19 @@ GOLDEN_IDS = ["K12", "K6x3", "petersen", "gnp20", "gnp30"]
 
 @pytest.mark.parametrize("g, digest", GOLDEN_CERTIFICATES, ids=GOLDEN_IDS)
 def test_golden_certificate(g, digest):
+    """construct_cover's certificate, and the one the benchmark's traced replay composes from
+    the public steps: the colouring at chi, the catalog's first chi families spread over the
+    vertices, cover_from_families, and the meta rebuilt with the colouring and range(chi)."""
     text = certificate_to_json(g, construct_cover(g))
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+    chi = chromatic_number(g)
+    k = sigma_complete(chi).value
+    colors = proper_coloring(g, chi).colors
+    catalog = enumerate_mifs(k).families
+    assigned = cover_from_families(g, FamilyAssignment(k, tuple(catalog[c] for c in colors)))
+    meta = CertificateMeta(colors, tuple(range(chi)), assigned.meta.direction_sets)
+    composed = certificate_to_json(g, CoverCertificate(assigned.k, assigned.orientations, meta))
+    assert hashlib.sha256(composed.encode("ascii")).hexdigest() == digest
 
 
 def _odd_cycle(g: Graph) -> list[int] | None:
@@ -753,13 +784,20 @@ class _Index(enum.IntEnum):
     BIG = 2**70
 
 
-@given(st.none() | st.lists(st.integers() | st.booleans() | st.sampled_from(_Index)
-                            | st.floats() | st.text() | st.none()).map(tuple))
+@given(st.none() | st.lists(st.integers() | st.sampled_from(_Index)).map(tuple))
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_int_lists_are_written_as_json_dumps_writes_them(values):
-    """meta.coloring and family_indices: bools as true and false, an int subclass as its
-    value, and a list with any other element as json.dumps writes it."""
+    """meta.coloring and family_indices: null, or ints with an int subclass as its value."""
     assert _ints_json(values) == json.dumps(values)
+
+
+@pytest.mark.parametrize("element", [True, False, 1.0, float("nan"), float("inf"), "1", None])
+def test_int_lists_holding_anything_else_are_refused(element):
+    """Both readers refuse such a list, and NaN and Infinity are not JSON at all, so the
+    writer raises a one-line ValueError instead of writing it."""
+    with pytest.raises(ValueError) as exc:
+        _ints_json((0, element, 2))
+    assert "\n" not in str(exc.value)
 
 
 def _neighbours(g):
