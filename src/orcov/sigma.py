@@ -62,9 +62,11 @@ def sigma_complete(n: int, literature_table: bool = False) -> SigmaResult:
 
     For k <= KMAX_HARD each lambda(k) is summed from _mif_terms and the
     sum stops at the first partial sum that reaches n: every term is a
-    positive count, so that partial sum proves lambda(k) >= n, and a sum
-    that never reaches n is lambda(k) itself.  Rejects n < 2 (K_1 has no
-    edges, so its covering number is undefined).
+    positive count (an antichain count times the size of a symmetry
+    class), so that partial sum proves lambda(k) >= n, and a sum that
+    never reaches n is lambda(k) itself; n = 2647 stops after 30 of
+    lambda(7)'s 1,568 terms.  Rejects n < 2 (K_1 has no edges, so its
+    covering number is undefined).
     """
     if n < 2:
         raise ValueError("sigma(K_n) requires n >= 2; K_1 has no edges")

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import random
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from orcov import Graph
 from orcov.errors import ParseError
+from orcov.families import _closure_tables, _upsets
 from orcov.graphs import DEFAULT_CHI_VERTEX_BOUND, _int_error, _is_decimal
 
 
@@ -248,6 +250,35 @@ def reference_priorities(g: Graph) -> dict[str, list[int]]:
     for rank, v in enumerate(sorted(range(g.n), key=lambda v: (g.adj[v].bit_count(), -v))):
         degree[v] = rank
     return {"canonical": list(range(g.n - 1, -1, -1)), "degree": degree}
+
+
+def reference_mif_terms(k: int) -> Iterator[int]:
+    """The unweighted terms of lambda(k)'s up-set sum, one per up-set on [k-2].
+
+    The loop that families._mif_terms ran before it took one up-set b
+    per symmetry class, weighted by the size of the class, kept as its
+    reference: for every pair a <= b of up-sets on [k-3], in _upsets
+    order with b outermost, the antichain count of
+    P(a, b) = (a & blocker(b)) | (b & blocker(a)) << 2^(k-3).
+    """
+    if k < 3:
+        yield from [1] * k
+        return
+    sup = _closure_tables(k - 2)[0]
+
+    @functools.cache
+    def antichains(p: int) -> int:
+        if not p:
+            return 1
+        x = (p & -p).bit_length() - 1
+        return antichains(p ^ (1 << x)) + antichains(p & ~sup[x])
+
+    level = _upsets(k - 3)
+    half = 1 << (k - 3)
+    for b, bb in level:
+        for a, ba in level:
+            if not a & ~b:
+                yield antichains((a & bb) | (b & ba) << half)
 
 
 def reference_neighbor_lists(g: Graph) -> list[list[int]]:

@@ -15,6 +15,7 @@ from orcov import (
     upward_closure,
 )
 import orcov
+from conftest import reference_mif_terms
 from orcov.families import (
     LITERATURE_LAMBDA,
     _avoiders,
@@ -22,15 +23,23 @@ from orcov.families import (
     _mif_count,
     _mif_terms,
     _mif_walk,
+    _swap,
+    _transpositions,
+    _upset_orbits,
     _upsets,
     family_lines,
     format_family,
     format_subset,
     lambda_provenance,
 )
-from orcov.graphs import _bit_string
+from orcov.graphs import _bit_string, _bits
 
 LAMBDA_SMALL = {1: 1, 2: 2, 3: 4, 4: 12, 5: 81, 6: 2646}
+
+
+def permuted(u: int, perm) -> int:
+    """The member vector u over [j] with element e renamed perm[e], mask by mask."""
+    return sum(1 << sum(1 << perm[e] for e in _bits(s)) for s in _bits(u))
 
 
 def star(k: int, i: int) -> SetFamily:
@@ -211,15 +220,82 @@ class TestEnumeration:
     def test_counter_counts(self):
         assert [_mif_count(k) for k in range(1, 7)] == list(LAMBDA_SMALL.values())
 
-    # the number of up-sets on [j], j = 0..5 (Dedekind numbers)
+    # the number of up-sets on [j], j = 0..5 (Dedekind numbers), and of
+    # their S_j-orbits
     UPSETS = [2, 3, 6, 20, 168, 7581]
+    ORBITS = [2, 3, 5, 10, 30, 210]
+    # the number of orbit-weighted terms of lambda(k), k = 2..7
+    TERMS = [2, 3, 6, 17, 90, 1568]
 
     @pytest.mark.parametrize("k", range(2, 8))
-    def test_one_positive_term_per_upset(self, k):
+    def test_one_positive_term_per_orbit_pair(self, k):
+        # one term per pair a <= b of up-sets on [k-3] with b the first of
+        # its orbit, where the unweighted reference has one per up-set on
+        # [k-2]; both sum to the walk's count (k = 7: test_acceptance's
+        # criterion 01 checks _mif_count(7) against the walk)
         terms = list(_mif_terms(k))
-        assert len(terms) == self.UPSETS[k - 2]
+        pairs = k
+        if k >= 3:
+            level = _upsets(k - 3)
+            pairs = sum(not a & ~b for b, _, _ in _upset_orbits(k - 3, level) for a, _ in level)
+        assert len(terms) == pairs == self.TERMS[k - 2]
         assert min(terms) >= 1
-        assert sum(terms) == _mif_count(k)
+        reference = list(reference_mif_terms(k))
+        assert len(reference) == self.UPSETS[k - 2]
+        assert min(reference) >= 1
+        assert sum(terms) == sum(reference) == _mif_count(k)
+        if k in LAMBDA_SMALL:
+            assert sum(terms) == len(_mif_walk(k)) == LAMBDA_SMALL[k]
+
+    @pytest.mark.parametrize("k", range(3, 8))
+    def test_every_upset_of_an_orbit_sums_the_same_terms(self, k):
+        # the weighting's premise, on the unweighted reference: each b in
+        # one orbit has the same sum over its a <= b, and b's weighted
+        # terms are |orbit(b)| times that sum
+        level = _upsets(k - 3)
+        reference = reference_mif_terms(k)
+        per_b = {b: sum(next(reference) for a, _ in level if not a & ~b) for b, _ in level}
+        terms = _mif_terms(k)
+        for b, _, orbit in _upset_orbits(k - 3, level):
+            assert {per_b[u] for u in orbit} == {per_b[b]}
+            assert sum(next(terms) for a, _ in level if not a & ~b) == len(orbit) * per_b[b]
+        assert next(terms, None) is None
+
+    def test_lambda_8_is_the_literature_value(self):
+        # the orbit-weighted sum at k = 8: 268,989 terms, about 2 s and 150 MB
+        assert _mif_count(8) == LITERATURE_LAMBDA[8]
+
+    @pytest.mark.parametrize("j", range(6))
+    def test_upset_orbits_partition_the_upsets(self, j):
+        level = _upsets(j)
+        orbits = list(_upset_orbits(j, level))
+        assert len(orbits) == self.ORBITS[j]
+        assert sum(len(orbit) for _, _, orbit in orbits) == self.UPSETS[j]
+        assert set().union(*(orbit for _, _, orbit in orbits)) == {u for u, _ in level}
+        blockers = dict(level)
+        order = {u: i for i, (u, _) in enumerate(level)}
+        for b, bb, orbit in orbits:
+            assert bb == blockers[b]
+            assert order[b] == min(order[u] for u in orbit)
+
+    @pytest.mark.parametrize("j", range(6))
+    def test_each_delta_swap_is_its_transposition(self, j):
+        upsets = {u for u, _ in _upsets(j)}
+        swaps = _transpositions(j)
+        assert len(swaps) == max(j - 1, 0)
+        for i, (m, d) in enumerate(swaps):
+            perm = list(range(j))
+            perm[i], perm[i + 1] = i + 1, i
+            for u in upsets:
+                w = _swap(u, m, d)
+                assert w == permuted(u, perm)
+                assert w in upsets
+                assert _swap(w, m, d) == u
+
+    @pytest.mark.parametrize("j", range(5))
+    def test_each_orbit_is_the_image_under_every_permutation(self, j):
+        for b, _, orbit in _upset_orbits(j, _upsets(j)):
+            assert orbit == {permuted(b, perm) for perm in itertools.permutations(range(j))}
 
     @pytest.mark.parametrize("j", range(6))
     def test_carried_blocker_is_the_reversed_complement(self, j):
