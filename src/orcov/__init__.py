@@ -33,7 +33,6 @@ from .families import (
 from .graphs import (
     Coloring,
     Graph,
-    Orientation,
     chromatic_number,
     complete_graph,
     cycle_graph,
@@ -71,7 +70,6 @@ __all__ = [
     "KMAX_HARD",
     "LITERATURE_LAMBDA",
     "MifCatalog",
-    "Orientation",
     "ParseError",
     "SearchBudget",
     "SetFamily",

@@ -30,7 +30,6 @@ from .families import (
 from .graphs import (
     DEFAULT_CHI_VERTEX_BOUND,
     Graph,
-    Orientation,
     _check_vertex_bound,
     _edge_list_graph,
     _edge_list_rows,
@@ -151,7 +150,7 @@ def _search_budget(args: SimpleNamespace) -> SearchBudget:
     return SearchBudget(max_edges=args.max_edges, max_k=args.max_k, timeout=args.timeout)
 
 
-def _print_verdict(g: Graph, orientations: Sequence[Orientation], accept: str) -> int:
+def _print_verdict(g: Graph, orientations: Sequence[int], accept: str) -> int:
     """Print the accept line or the counterexample verify_cover finds; return the exit code."""
     verdict = verify_cover(g, orientations)
     if verdict is None:

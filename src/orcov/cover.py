@@ -8,6 +8,11 @@ edge (x, y) collects the orientation indices sending x to y, and a
 valid cover makes every vertex's collection of direction sets an
 intersecting family.  Minimum covers are built by coloring the graph
 and handing each color class its own maximal intersecting family.
+
+An orientation is an m-bit int over the graph's canonical edge order
+(CoverCertificate).  The three entry points that take orientations
+from a caller, verify_cover, families_from_cover and
+certificate_to_json, each check them once (_check_shapes).
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from .families import SetFamily, _avoiders, _disjoint_pair, format_subset, sorte
 from .graphs import (
     DEFAULT_CHI_VERTEX_BOUND,
     Graph,
-    Orientation,
     _Value,
     _bit_string,
     _bits,
@@ -72,17 +76,21 @@ class CertificateMeta(_Value):
 
 
 class CoverCertificate(_Value):
-    """k orientations plus optional construction metadata."""
+    """k orientations plus optional construction metadata.
+
+    An orientation of g is an m-bit int: bit e is set iff canonical edge
+    e = (u, v) of g (u < v, the order of g.edges) is directed u -> v.
+    """
 
     __slots__ = ("k", "orientations", "meta")
     k: int
-    orientations: tuple[Orientation, ...]
+    orientations: tuple[int, ...]
     meta: CertificateMeta | None
 
     def __init__(
         self,
         k: int,
-        orientations: tuple[Orientation, ...],
+        orientations: tuple[int, ...],
         meta: CertificateMeta | None = None,
     ) -> None:
         if k != len(orientations):
@@ -92,25 +100,25 @@ class CoverCertificate(_Value):
         _set(self, "meta", meta)
 
 
-def _check_shapes(g: Graph, orientations: Sequence[Orientation]) -> None:
-    for o in orientations:
-        if o.n != g.n or o.m != g.m:
-            raise ValueError(
-                f"orientation shape ({o.n}, {o.m}) does not match graph ({g.n}, {g.m})"
-            )
+def _check_shapes(g: Graph, orientations: Sequence[int]) -> None:
+    """Raise ValueError unless every orientation is an int (bool excluded) in [0, 2^m)."""
+    bound = 1 << g.m
+    for i, o in enumerate(orientations):
+        if not (_is_int(o) and 0 <= o < bound):
+            raise ValueError(f"orientation {i} is not an int in [0, 2^m) for m = {g.m}")
 
 
-def _edge_masks(m: int, orientations: Sequence[Orientation]) -> list[int]:
+def _edge_masks(m: int, orientations: Sequence[int]) -> list[int]:
     """Per canonical edge e = (u, v), the set of orientations directing it u -> v.
 
-    Bit i of mask[e] is bit e of orientations[i].bits, so mask[e] is the
+    Bit i of mask[e] is bit e of orientations[i], so mask[e] is the
     direction set S_(u,v) and its complement in [k] is S_(v,u).
     """
-    return _transpose([o.bits for o in orientations], m)
+    return _transpose(list(orientations), m)
 
 
 def _direction_sets_by_vertex(
-    g: Graph, orientations: Sequence[Orientation]
+    g: Graph, orientations: Sequence[int]
 ) -> list[dict[int, int]]:
     """Per vertex x, each distinct direction set S_(x,y) -> its smallest y.
 
@@ -134,7 +142,7 @@ def _direction_sets_by_vertex(
 
 
 def verify_cover(
-    g: Graph, orientations: Sequence[Orientation]
+    g: Graph, orientations: Sequence[int]
 ) -> tuple[int, int, int] | None:
     """None iff the orientations cover g; else the smallest bad triple.
 
@@ -160,7 +168,7 @@ def verify_cover(
 
 
 def families_from_cover(
-    g: Graph, orientations: Sequence[Orientation]
+    g: Graph, orientations: Sequence[int]
 ) -> FamilyAssignment:
     """Direction-set families of a cover: A_v = {S_(v,w) : vw an edge}.
 
@@ -178,7 +186,7 @@ def families_from_cover(
 
 def _orient(
     g: Graph, k: int, colors: Sequence[int], families: Sequence[SetFamily]
-) -> tuple[tuple[Orientation, ...], tuple[tuple[int, ...], ...]]:
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """cover_from_families' orientations and direction-set rows, x holding families[colors[x]]."""
     count = len(families)
     avoid = list(map(_avoiders, families))
@@ -214,8 +222,7 @@ def _orient(
                 f"members {s} and {t} are disjoint"
             )
     # bit e of orientation i is bit i of forward[e]
-    orientations = tuple(Orientation(g.n, g.m, bits) for bits in _transpose(forward, k))
-    return orientations, tuple(map(tuple, rows))
+    return tuple(_transpose(forward, k)), tuple(map(tuple, rows))
 
 
 def cover_from_families(g: Graph, fa: FamilyAssignment) -> CoverCertificate:
@@ -330,17 +337,17 @@ _LAYOUTS = {
 }
 
 
-def _orientation_json(o: Orientation, indent: str) -> str:
-    # bit e of o.bits is the e-th flag; "1" is replaced first because
+def _orientation_json(bits: int, m: int, indent: str) -> str:
+    # bit e of bits is the e-th flag; "1" is replaced first because
     # "true, " holds no "0"
-    flags = _bit_string(o.bits, o.m).replace("1", "true, ").replace("0", "false, ")
+    flags = _bit_string(bits, m).replace("1", "true, ").replace("0", "false, ")
     return f"{indent}[{flags[:-2]}]"
 
 
-def _orientations_json(layout: tuple[str, ...], orientations: Sequence[Orientation]) -> str:
+def _orientations_json(layout: tuple[str, ...], orientations: Sequence[int], m: int) -> str:
     """The text between the "orientations" and "meta" keys in a layout, a row per orientation."""
     comma, opening, indent, joint, close, _ = layout
-    rows = joint.join([_orientation_json(o, indent) for o in orientations])
+    rows = joint.join([_orientation_json(o, m, indent) for o in orientations])
     return f"{opening}{rows}{close}{comma}"
 
 
@@ -369,7 +376,7 @@ def certificate_to_json(g: Graph, cert: CoverCertificate) -> str:
     comma, end = layout[0], layout[-1]
     return (f'{_WRITER}"n": {g.n}{comma}"m": {g.m}{comma}"k": {cert.k}{comma}'
             f'"edges": {_edges_json(g, names)}{comma}'
-            f'"orientations"{_orientations_json(layout, cert.orientations)}'
+            f'"orientations"{_orientations_json(layout, cert.orientations, g.m)}'
             f'"meta": {meta_json}{end}')
 
 
@@ -450,6 +457,8 @@ def _direction_set_rows(raw_ds: dict, k: int, g: Graph) -> tuple[tuple[int, ...]
 _FIELD_KEYS = "n\0m\0k\0edges\0orientations\0meta\0coloring\0family_indices\0direction_sets"
 # "1" for each true and "0" for each false of the writer's orientation rows
 _FLAG_BITS = str.maketrans("tf", "10", ":[], \nruelas")
+# "1" for each True and "0" for each False of a parsed orientation row as bytes
+_FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _certificate_from_text(text: str, g: Graph) -> CoverCertificate | None:
@@ -497,13 +506,12 @@ def _certificate_from_text(text: str, g: Graph) -> CoverCertificate | None:
         return None
     flags = seps[4].translate(_FLAG_BITS)
     try:  # int() refuses what is not a number, and a decimal past its digit limit
-        orientations = tuple(Orientation(g.n, m, int(flags[i:i + m][::-1], 2))
-                             for i in range(0, len(flags), m))
+        orientations = tuple(int(flags[i:i + m][::-1], 2) for i in range(0, len(flags), m))
         lists = [tuple(map(int, sep[3:-3].split(", "))) for sep in seps[6:8]]
     except ValueError:
         return None
     k = len(orientations)
-    if not (seps[2] == f": {k}{comma}" and seps[4] == _orientations_json(layout, orientations)
+    if not (seps[2] == f": {k}{comma}" and seps[4] == _orientations_json(layout, orientations, m)
             and seps[5] == seps[8] == ": {"
             and seps[6:8] == [f": {_ints_json(ints)}, " for ints in lists]):
         return None
@@ -600,6 +608,7 @@ def certificate_from_json(text: str, g: Graph) -> CoverCertificate:
             or not set(map(type, flags)) <= {bool}
         ):
             raise ParseError("each orientation must list m booleans")
-        orientations.append(Orientation.from_dir(g.n, flags))
+        # bit e is flag e, so the digits are the flags last first
+        orientations.append(int(bytes(flags)[::-1].translate(_FLAG_DIGITS) or b"0", 2))
     meta = _meta_from_json(doc.get("meta"), k, g)
     return CoverCertificate(k, tuple(orientations), meta)

@@ -1,10 +1,10 @@
-"""Simple undirected graphs, orientations, parsers, and exact coloring.
+"""Simple undirected graphs, parsers, and exact coloring.
 
 Graphs are immutable: vertices are 0..n-1 and a graph is its tuple of
 bitmask adjacency rows.  The edge list is derived from the rows when
 asked for, in canonical order (lexicographically sorted pairs (u, v)
-with u < v).  Orientations are indexed against that canonical edge
-order, which makes certificates bit-exact and diffable.
+with u < v).  An orientation (orcov.cover) is an m-bit mask over that
+canonical edge order, which makes certificates bit-exact and diffable.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from .errors import CapacityError, ParseError
 DEFAULT_CHI_VERTEX_BOUND = 32
 
 
-# '0'/'1' digits <-> 0/1 byte values
+# '0'/'1' digits -> 0/1 byte values
 _FLAG_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-_FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _bit_string(mask: int, width: int) -> str:
@@ -218,32 +217,6 @@ class Graph(_Value):
         return self.adj[u].bit_count()
 
 
-class Orientation(_Value):
-    """One direction per edge of a graph with the same shape (n, m).
-
-    Edge e = (u, v) with u < v in the owning graph's canonical order is
-    oriented u -> v iff bit e of `bits` is set.
-    """
-
-    __slots__ = ("n", "m", "bits")
-    n: int
-    m: int
-    bits: int
-
-    def __init__(self, n: int, m: int, bits: int) -> None:
-        if m < 0 or bits < 0 or bits >> m:
-            raise ValueError("orientation bits exceed edge count")
-        _set(self, "n", n)
-        _set(self, "m", m)
-        _set(self, "bits", bits)
-
-    @classmethod
-    def from_dir(cls, n: int, dir_flags: Sequence[bool]) -> "Orientation":
-        """Orientation whose edge e points u -> v iff dir_flags[e] is true."""
-        digits = bytes(map(bool, dir_flags))[::-1].translate(_FLAG_DIGITS)
-        return cls(n, len(dir_flags), int(digits or b"0", 2))
-
-
 class Coloring(_Value):
     """Proper vertex coloring using color indices 0..t-1, all occupied."""
 
@@ -328,8 +301,10 @@ def _edge_list_rows(text: str, bound: int | None = None) -> tuple[list[int] | No
         lineno = len(text[: i + 1].splitlines())
         raise ParseError(f"line {lineno}: non-ASCII character {text[i]!a}")
     # int() also reads '+' and '_'; in a text without them, a token int()
-    # accepts is already decimal, and skipping the per-token check there
-    # saves about a fifth of the parse
+    # accepts is already decimal, and the per-token check is skipped.  The
+    # token memo below leaves an accepted list few tokens to check; the skip
+    # pays on the lines past a vertex bound, whose tokens are never
+    # memoised, and saves about a sixth of such a parse
     plain = "_" not in text and "+" not in text
     pinned: int | None = None
     adj: list[int] = []

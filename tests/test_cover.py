@@ -19,7 +19,6 @@ from orcov import (
     CoverCertificate,
     FamilyAssignment,
     Graph,
-    Orientation,
     ParseError,
     SetFamily,
     certificate_from_json,
@@ -43,7 +42,9 @@ from orcov.families import _disjoint_members, sorted_mif_masks
 
 
 def orient(g, *flags):
-    return Orientation.from_dir(g.n, list(flags))
+    """The orientation of g that sends canonical edge e u -> v iff flags[e] is true."""
+    assert len(flags) == g.m
+    return sum(1 << e for e, flag in enumerate(flags) if flag)
 
 
 def transitive_rotation_covers_k3():
@@ -81,30 +82,21 @@ class TestVerify:
         for perm in itertools.permutations(cover):
             assert verify_cover(g, list(perm)) is None
 
-    def test_shape_mismatch(self):
-        g = complete_graph(3)
-        with pytest.raises(ValueError, match="shape"):
-            verify_cover(g, [Orientation(2, 1, 0)])
-
     def test_empty_cover_rejected_on_first_edge(self):
         g = path_graph(3)
         assert verify_cover(g, []) == (0, 1, 1)
 
 
-def _flags(o):
-    return [bool(o.bits >> e & 1) for e in range(o.m)]
-
-
-def _flip(o, e):
-    return Orientation(o.n, o.m, o.bits ^ 1 << e)
+def _flags(o, m):
+    return [bool(o >> e & 1) for e in range(m)]
 
 
 def _reference_families(g, orientations):
     """A_v = {S_(v,w)}, each S read off the orientations one edge at a time."""
     member = [0] * g.n
     for e, (u, v) in enumerate(g.edges):
-        forward = sum(1 << i for i, o in enumerate(orientations) if o.bits >> e & 1)
-        backward = sum(1 << i for i, o in enumerate(orientations) if not o.bits >> e & 1)
+        forward = sum(1 << i for i, o in enumerate(orientations) if o >> e & 1)
+        backward = sum(1 << i for i, o in enumerate(orientations) if not o >> e & 1)
         member[u] |= 1 << forward
         member[v] |= 1 << backward
     return [SetFamily(len(orientations), mv) for mv in member]
@@ -118,19 +110,19 @@ class TestVerifyAgainstReference:
         for _ in range(120):
             g = random_graph(rng, n_max=8)
             k = rng.randint(0, 5)
-            yield g, [Orientation(g.n, g.m, rng.getrandbits(g.m)) for _ in range(k)]
+            yield g, [rng.getrandbits(g.m) for _ in range(k)]
             cover = list(construct_cover(g).orientations)
             while len(cover) < 5 and rng.random() < 0.5:
-                cover.append(Orientation(g.n, g.m, rng.getrandbits(g.m)))
+                cover.append(rng.getrandbits(g.m))
             rng.shuffle(cover)
             yield g, cover
             i, e = rng.randrange(len(cover)), rng.randrange(g.m)
-            yield g, [_flip(o, e) if j == i else o for j, o in enumerate(cover)]
+            yield g, [o ^ 1 << e if j == i else o for j, o in enumerate(cover)]
 
     def test_counterexample_matches_triple_by_triple(self):
         rejected = 0
         for g, cover in self.cases():
-            want = reference_counterexample(g.n, g.edges, [_flags(o) for o in cover])
+            want = reference_counterexample(g.n, g.edges, [_flags(o, g.m) for o in cover])
             assert verify_cover(g, cover) == want
             rejected += want is not None
         assert 100 < rejected < 360  # both verdicts are exercised
@@ -147,15 +139,15 @@ class TestVerifyAgainstReference:
         rng = random.Random(99)
         for _ in range(20):
             i, e = rng.randrange(len(cover)), rng.randrange(g.m)
-            bad = [_flip(o, e) if j == i else o for j, o in enumerate(cover)]
-            want = reference_counterexample(g.n, g.edges, [_flags(o) for o in bad])
+            bad = [o ^ 1 << e if j == i else o for j, o in enumerate(cover)]
+            want = reference_counterexample(g.n, g.edges, [_flags(o, g.m) for o in bad])
             assert verify_cover(g, bad) == want
 
 
 class TestEdgeMasks:
     def test_out_rows_from_masks(self):
         g = complete_graph(3)  # edges 01, 02, 12
-        o = Orientation(3, 3, 0b011)  # 0->1, 0->2, 2->1
+        o = 0b011  # 0->1, 0->2, 2->1
         assert _edge_masks(g.m, [o]) == [1, 1, 0]
         rows = [0] * g.n  # out-neighbour rows read back from the masks
         for (u, v), s in zip(g.edges, _edge_masks(g.m, [o])):
@@ -167,14 +159,10 @@ class TestEdgeMasks:
 
     def test_bit_i_is_orientation_i(self):
         g = complete_graph(3)
-        cover = [Orientation(3, 3, 0b011), Orientation(3, 3, 0b100), Orientation(3, 3, 0)]
+        cover = [0b011, 0b100, 0]
         assert _edge_masks(g.m, cover) == [0b001, 0b001, 0b010]
         assert _edge_masks(g.m, []) == [0, 0, 0]
-        assert _edge_masks(0, [Orientation(1, 0, 0)]) == []
-
-    def test_families_shape_checked(self):
-        with pytest.raises(ValueError, match="shape"):
-            families_from_cover(complete_graph(3), [Orientation(3, 2, 0)])
+        assert _edge_masks(0, [0]) == []
 
 
 class TestFamiliesFromCover:
@@ -280,8 +268,7 @@ class TestCoverFromFamilies:
         )
         cert = cover_from_families(g, fa)
         assert cert.k == 2
-        assert cert.orientations[0].bits == 1  # edge 0->1 in orientation 1
-        assert cert.orientations[1].bits == 0  # edge 1->0 in orientation 2
+        assert cert.orientations == (1, 0)  # edge 0->1 in orientation 1, 1->0 in 2
         assert verify_cover(g, cert.orientations) is None
 
     def test_three_stars_cover_k3(self):
@@ -591,7 +578,7 @@ class TestRoundTrip:
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: FamilyAssignment(3, (SetFamily.from_sets(2, [{1}]),)),
                  "family ground set does not match assignment k", id="assignment-k"),
-    pytest.param(lambda: CoverCertificate(2, (Orientation(2, 1, 0),)),
+    pytest.param(lambda: CoverCertificate(2, (0,)),
                  "k does not match the number of orientations", id="certificate-k"),
     pytest.param(lambda: cover_from_families(
                      complete_graph(3), FamilyAssignment(2, (SetFamily.from_sets(2, [{1}]),) * 2)),
@@ -601,6 +588,22 @@ def test_record_error_message(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+def _written_without_meta(g, orientations):
+    return certificate_to_json(g, CoverCertificate(len(orientations), tuple(orientations)))
+
+
+@pytest.mark.parametrize("entry", [verify_cover, families_from_cover, _written_without_meta],
+                         ids=["verify", "families", "to-json"])
+@pytest.mark.parametrize("bad", [True, -1, 1.0, "1", 1 << 3],
+                         ids=["bool", "negative", "float", "str", "past-m-bits"])
+def test_each_entry_point_checks_orientations_are_m_bit_ints(entry, bad):
+    # K_3 has m = 3, so 1 << 3 is the first int too wide for it
+    g = complete_graph(3)
+    with pytest.raises(ValueError) as exc:
+        entry(g, [0b101, bad])
+    assert str(exc.value) == "orientation 1 is not an int in [0, 2^m) for m = 3"
 
 
 # Edits of a K_2 certificate document, and the message each one gives.
@@ -693,17 +696,15 @@ class TestCertificateJson:
             certificate_from_json(text, complete_graph(2))
         assert str(exc.value) == "certificate nests arrays or objects too deeply to read"
 
-    def test_orientations_with_leading_zeros_round_trip(self):
-        g = path_graph(40)
+    @pytest.mark.parametrize("m", [1, 39, 63, 64, 65, 500])
+    def test_orientations_with_leading_zeros_round_trip(self, m):
+        # a null meta takes the json.loads path, which reads each row's flags last first
+        g = path_graph(m + 1)
         rng = random.Random(3)
-        cover = tuple(Orientation(g.n, g.m, rng.getrandbits(g.m) >> s) for s in (0, 5, 20, 39))
+        cover = tuple(rng.getrandbits(m) >> s for s in (0, 5, 20, 39))
         cert = CoverCertificate(len(cover), cover)
         loaded = certificate_from_json(certificate_to_json(g, cert), g)
         assert loaded == cert
-
-
-def _path3_orientation(bits):
-    return Orientation(3, 2, bits)
 
 
 # certificate_to_json text recorded with the json.dumps serialiser it
@@ -711,24 +712,24 @@ def _path3_orientation(bits):
 # empty sets and keys whose numeric order differs from their string
 # order, orientations whose high edges are 0, no orientations, no edges.
 CERTIFICATE_TEXT = [
-    (path_graph(3), CoverCertificate(2, (_path3_orientation(0b01), _path3_orientation(0b00))),
+    (path_graph(3), CoverCertificate(2, (0b01, 0b00)),
      '{\n  "n": 3,\n  "m": 2,\n  "k": 2,\n  "edges": [[0, 1], [1, 2]],\n  "orientations": [\n'
      '    [true, false],\n    [false, false]\n  ],\n  "meta": null\n}'),
     (path_graph(3), CoverCertificate(
-        2, (_path3_orientation(0b01), _path3_orientation(0b00)),
+        2, (0b01, 0b00),
         CertificateMeta(coloring=(0, 1, 0), family_indices=(0, 1))),
      '{\n  "n": 3,\n  "m": 2,\n  "k": 2,\n  "edges": [[0, 1], [1, 2]],\n  "orientations": [\n'
      '    [true, false],\n    [false, false]\n  ],\n'
      '  "meta": {"coloring": [0, 1, 0], "family_indices": [0, 1], "direction_sets": null}\n}'),
     (path_graph(3), CoverCertificate(
-        3, (_path3_orientation(0b00), _path3_orientation(0b01), _path3_orientation(0b00)),
+        3, (0b00, 0b01, 0b00),
         CertificateMeta(direction_sets=((0b101,), (0, 0b111), (0,)))),
      '{\n  "n": 3,\n  "m": 2,\n  "k": 3,\n  "edges": [[0, 1], [1, 2]],\n  "orientations": [\n'
      '    [false, false],\n    [true, false],\n    [false, false]\n  ],\n'
      '  "meta": {"coloring": null, "family_indices": null, "direction_sets": '
      '{"0->1": [1, 3], "1->0": [], "1->2": [1, 2, 3], "2->1": []}}\n}'),
     (Graph.from_edges([(1, 9), (2, 10)], n=11), CoverCertificate(
-        1, (Orientation(11, 2, 0b10),),
+        1, (0b10,),
         CertificateMeta(coloring=(), direction_sets=(
             (), (0,), (0,), (), (), (), (), (), (), (1,), (1,)))),
      '{\n  "n": 11,\n  "m": 2,\n  "k": 1,\n  "edges": [[1, 9], [2, 10]],\n  "orientations": [\n'
@@ -737,7 +738,7 @@ CERTIFICATE_TEXT = [
     (path_graph(3), CoverCertificate(0, ()),
      '{\n  "n": 3,\n  "m": 2,\n  "k": 0,\n  "edges": [[0, 1], [1, 2]],\n  "orientations": [\n'
      '\n  ],\n  "meta": null\n}'),
-    (path_graph(1), CoverCertificate(1, (Orientation(1, 0, 0),)),
+    (path_graph(1), CoverCertificate(1, (0,)),
      '{\n  "n": 1,\n  "m": 0,\n  "k": 1,\n  "edges": [],\n  "orientations": [\n'
      '    []\n  ],\n  "meta": null\n}'),
 ]
@@ -897,7 +898,7 @@ class TestMissingDirectionSets:
     @pytest.mark.parametrize("n", [1, 3])
     def test_an_empty_map_on_an_edgeless_graph(self, n):
         g = Graph.from_edges([], n=n)
-        cert = CoverCertificate(1, (Orientation(n, 0, 0),), CertificateMeta(
+        cert = CoverCertificate(1, (0,), CertificateMeta(
             direction_sets=((),) * n))
         text = certificate_to_json(g, cert)
         assert '"direction_sets": {}' in text

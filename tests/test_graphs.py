@@ -19,7 +19,6 @@ from orcov import (
     CapacityError,
     Coloring,
     Graph,
-    Orientation,
     ParseError,
     chromatic_number,
     complete_graph,
@@ -31,7 +30,6 @@ from orcov import (
     path_graph,
     petersen_graph,
     proper_coloring,
-    verify_cover,
     wheel_graph,
 )
 from orcov.graphs import (
@@ -350,28 +348,6 @@ class TestColoring:
             Coloring((0, 2), 3)  # color 1 unused
         with pytest.raises(ValueError):
             Coloring((), 0)
-
-
-class TestOrientation:
-    def test_dir_round_trip(self):
-        assert Orientation.from_dir(3, [True, False, True]).bits == 0b101
-
-    def test_dir_with_leading_zeros_and_no_edges(self):
-        assert Orientation.from_dir(5, [False, True, False, False]).bits == 0b0010
-        assert Orientation.from_dir(5, [False] * 4).bits == 0
-        assert Orientation.from_dir(1, []) == Orientation(1, 0, 0)
-        assert Orientation.from_dir(3, [1, 0, 2]).bits == 0b101  # truthy flags
-        rng = random.Random(8)
-        for m in (1, 63, 64, 65, 500):
-            bits = rng.getrandbits(m) >> rng.randrange(m)
-            flags = [bool(bits >> e & 1) for e in range(m)]
-            assert Orientation.from_dir(2, flags) == Orientation(2, m, bits)
-
-    def test_shape_checked(self):
-        with pytest.raises(ValueError):
-            Orientation(3, 2, 0b100)
-        with pytest.raises(ValueError):
-            verify_cover(complete_graph(3), [Orientation(3, 2, 0)])
 
 
 # int() refuses more digits than sys.get_int_max_str_digits() (4300 by default)

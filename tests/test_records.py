@@ -20,7 +20,6 @@ from orcov import (
     FamilyAssignment,
     Graph,
     MifCatalog,
-    Orientation,
     SearchBudget,
     SetFamily,
     SigmaResult,
@@ -36,7 +35,7 @@ from orcov import (
 )
 
 F10, F12 = SetFamily(2, 0b1010), SetFamily(2, 0b1100)
-ONE_EDGE = (Orientation(2, 1, 1),)
+ONE_EDGE = (1,)
 
 # name: (make a record, make it with one field changed, a record of another
 # class with the same field values, repr text recorded before the records
@@ -47,12 +46,6 @@ RECORDS = {
         lambda: Graph(3, (2, 1, 0)),
         CertificateMeta(2, (2, 1), 1),
         "Graph(n=2, adj=(2, 1), m=1)",
-    ),
-    "Orientation": (
-        lambda: Orientation(3, 2, 1),
-        lambda: Orientation(3, 2, 3),
-        SearchBudget(3, 2, 1),
-        "Orientation(n=3, m=2, bits=1)",
     ),
     "Coloring": (
         lambda: Coloring((0, 1, 0), 2),
@@ -88,7 +81,7 @@ RECORDS = {
         lambda: CoverCertificate(1, ONE_EDGE),
         lambda: CoverCertificate(1, ONE_EDGE, CertificateMeta()),
         CertificateMeta(1, ONE_EDGE, None),
-        "CoverCertificate(k=1, orientations=(Orientation(n=2, m=1, bits=1),), meta=None)",
+        "CoverCertificate(k=1, orientations=(1,), meta=None)",
     ),
     "SigmaResult": (
         lambda: SigmaResult(value=3, chi=3, witness_k=3, provenance="computed"),
