@@ -26,7 +26,6 @@ from .families import (
     enumerate_mifs,
     hosten_morris,
     is_intersecting,
-    is_maximal_intersecting,
     sorted_mif_masks,
     upward_closure,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "families_from_cover",
     "hosten_morris",
     "is_intersecting",
-    "is_maximal_intersecting",
     "lambda_asymptote",
     "parse_edge_list",
     "parse_graph6",

@@ -15,6 +15,7 @@ from collections.abc import Iterable, Sequence
 from types import SimpleNamespace
 
 from .cover import (
+    _meta_fault,
     certificate_from_json,
     certificate_to_json,
     construct_cover,
@@ -371,6 +372,9 @@ def _run_command(args: SimpleNamespace) -> int:
     if cmd == "verify-cover":
         g = _load_graph(args)
         cert = certificate_from_json(_read_source(args.certificate), g)
+        fault = _meta_fault(g, cert)
+        if fault is not None:
+            raise ParseError(fault)
         return _print_verdict(g, cert.orientations, "accept")
     if cmd == "brute-sigma":
         g = _load_graph(args)

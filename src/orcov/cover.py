@@ -33,6 +33,7 @@ from .graphs import (
     _transpose,
     _upper_bits,
     exact_coloring,
+    is_proper_coloring,
 )
 from .sigma import sigma_complete
 
@@ -550,6 +551,24 @@ def _meta_from_json(raw: object, k: int, g: Graph) -> CertificateMeta | None:
         direction_sets = _direction_set_rows(raw_ds, k, g)
     coloring = _int_tuple(raw, "coloring")
     return CertificateMeta(coloring, _int_tuple(raw, "family_indices"), direction_sets)
+
+
+def _meta_fault(g: Graph, cert: CoverCertificate) -> str | None:
+    """The first false claim that cert's meta block makes about g, or None.
+
+    The readers check only the block's form; this checks its claims, on
+    the record either reader returns.  A coloring that is not null must
+    give each of g's n vertices a colour, and no edge may join two
+    vertices of one colour.
+    """
+    coloring = cert.meta.coloring if cert.meta is not None else None
+    if coloring is None:
+        return None
+    if len(coloring) != g.n:
+        return f"certificate meta.coloring has {len(coloring)} entries for {g.n} vertices"
+    if not is_proper_coloring(g, coloring):
+        return "certificate meta.coloring gives two adjacent vertices one colour"
+    return None
 
 
 def certificate_from_json(text: str, g: Graph) -> CoverCertificate:

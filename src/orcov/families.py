@@ -91,11 +91,6 @@ def family_lines(k: int, members: Sequence[int]) -> Iterator[bytes]:
         yield join(map(getitem, rows, join(map(int.to_bytes, members[i:i + batch], width, order))))
 
 
-def format_family(k: int, member: int) -> str:
-    """A 2^k-bit member vector as concatenated brace lists, ascending: its family_lines line."""
-    return next(family_lines(k, [member]))[:-1].decode("ascii")
-
-
 class SetFamily(_Value):
     """Family of subsets of [k], stored as a 2^k-bit member vector."""
 
@@ -123,33 +118,16 @@ class SetFamily(_Value):
             member |= 1 << s
         return cls(k, member)
 
-    @classmethod
-    def from_sets(cls, k: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
-        """Build from element collections, e.g. from_sets(2, [{1}, {1, 2}])."""
-        masks = []
-        for elems in sets:
-            s = 0
-            for i in elems:
-                if not 1 <= i <= k:
-                    raise ValueError(f"element {i} outside [1, {k}]")
-                s |= 1 << (i - 1)
-            masks.append(s)
-        return cls.from_masks(k, masks)
-
     @property
     def size(self) -> int:
         return self.member.bit_count()
-
-    def members(self) -> Iterator[int]:
-        """Member subset masks in ascending order."""
-        return iter(_bits(self.member))
 
     def __contains__(self, mask: int) -> bool:
         return 0 <= mask < (1 << self.k) and bool((self.member >> mask) & 1)
 
     def format(self) -> str:
-        """Members as concatenated brace lists in ascending mask order."""
-        return format_family(self.k, self.member)
+        """Members as concatenated brace lists in ascending mask order: its family_lines line."""
+        return next(family_lines(self.k, [self.member]))[:-1].decode("ascii")
 
 
 class MifCatalog(_Value):
@@ -202,11 +180,6 @@ def _disjoint_pair(k: int, mu: int, mv: int, avoid_v: int) -> tuple[int, int] | 
 def is_intersecting(f: SetFamily) -> bool:
     """True iff every pair of members (a set with itself included) meets."""
     return _disjoint_members(f, f) is None
-
-
-def is_maximal_intersecting(f: SetFamily) -> bool:
-    """Intersecting of the extremal size 2^(k-1)."""
-    return f.size == 1 << (f.k - 1) and is_intersecting(f)
 
 
 def upward_closure(f: SetFamily) -> SetFamily:

@@ -118,21 +118,6 @@ class _Value:
             _set(self, name, value)
 
 
-def _rows(pairs: Iterable[tuple[int, int]], n: int) -> tuple[int, ...]:
-    """Adjacency rows of n vertices from (u, v) pairs; raises on any endpoint outside 0..n-1.
-
-    Both rows of a pair are read before either shift, so an endpoint >= n
-    fails as a row index before it can size a shift, and a negative one
-    in -n..-1 fails as a shift count.
-    """
-    adj = [0] * n
-    for u, v in pairs:
-        row = adj[v]
-        adj[u] |= 1 << v
-        adj[v] = row | 1 << u
-    return tuple(adj)
-
-
 def _upper_bits(row: int, u: int) -> list[int]:
     """The bits v > u of row u, ascending: the far ends of u's edges in canonical order."""
     return _bits(row >> (u + 1) << (u + 1))
@@ -190,28 +175,31 @@ class Graph(_Value):
     def from_edges(cls, edges: Iterable[tuple[int, int]], n: int) -> "Graph":
         """Build a graph on n vertices from (u, v) pairs; duplicates collapse.
 
-        Self-loops are left to the row checks of Graph.  The rows are built
-        once, by _rows, which fails on every endpoint outside 0..n-1; only
-        a failed build pays for the endpoint scans that name the fault.
+        The endpoint scans come first, so the build meets only endpoints
+        in 0..n-1; self-loops are left to the row checks of Graph.  Both
+        rows of a pair are read before either shift, so a non-int endpoint
+        fails as a row index wherever it sits in the pair.
         """
         pairs = list(edges)
+        if min(map(min, pairs), default=0) < 0:
+            u, v = next((u, v) for u, v in pairs if u < 0 or v < 0)
+            raise ValueError(f"negative endpoint in edge ({u}, {v})")
+        top = max(map(max, pairs), default=-1)
+        if pairs and top >= n:
+            raise ValueError(f"endpoint {top} out of range for n={n}")
         try:
-            adj = _rows(pairs, n)
-        except (IndexError, ValueError, TypeError, MemoryError, OverflowError) as exc:
-            if min(map(min, pairs), default=0) < 0:
-                u, v = next((u, v) for u, v in pairs if u < 0 or v < 0)
-                raise ValueError(f"negative endpoint in edge ({u}, {v})") from None
-            top = max(map(max, pairs), default=-1)
-            if top >= n:
-                raise ValueError(f"endpoint {top} out of range for n={n}") from None
-            if isinstance(exc, (MemoryError, OverflowError)):
-                raise CapacityError(f"cannot allocate adjacency rows for n={n} vertices") from None
-            raise
-        # _rows sets both bits of every pair, so its rows need no mirror
-        # walk; a self-loop, a bit on the diagonal, is the one fault they can hold
+            adj = [0] * n
+            for u, v in pairs:
+                row = adj[v]
+                adj[u] |= 1 << v
+                adj[v] = row | 1 << u
+        except (MemoryError, OverflowError):
+            raise CapacityError(f"cannot allocate adjacency rows for n={n} vertices") from None
+        # both bits of every pair are set, so the rows need no mirror walk;
+        # a self-loop, a bit on the diagonal, is the one fault they can hold
         if n < 1 or any(row >> u & 1 for u, row in enumerate(adj)):
-            return cls(n, adj)  # names the fault
-        return cls._of_rows(n, adj, sum(map(int.bit_count, adj)) >> 1)
+            return cls(n, tuple(adj))  # names the fault
+        return cls._of_rows(n, tuple(adj), sum(map(int.bit_count, adj)) >> 1)
 
     def degree(self, u: int) -> int:
         return self.adj[u].bit_count()
@@ -235,14 +223,17 @@ class Coloring(_Value):
 
 
 def is_proper_coloring(g: Graph, colors: Sequence[int]) -> bool:
+    """True iff colors has one entry per vertex of g and no edge joins two of one colour.
+
+    One mask per colour class, then one AND per row: row u meets the
+    class of u's own colour iff an edge of u stays inside that class.
+    """
     if len(colors) != g.n:
         return False
-    for u, row in enumerate(g.adj):
-        color = colors[u]
-        for v in _upper_bits(row, u):
-            if colors[v] == color:
-                return False
-    return True
+    classes: dict[int, int] = {}
+    for u, c in enumerate(colors):
+        classes[c] = classes.get(c, 0) | 1 << u
+    return not any(row & classes[c] for row, c in zip(g.adj, colors))
 
 
 # ---------------------------------------------------------------------------

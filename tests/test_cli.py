@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 from conftest import reference_commands, reference_counterexample, reference_parser
-from test_cover import GOLDEN_CERTIFICATES, MISSHAPEN_CERTIFICATES
+from test_cover import GOLDEN_CERTIFICATES, GOLDEN_IDS, MISSHAPEN_CERTIFICATES
 from test_families import brace_lists
 from test_graphs import INT_DIGIT_LIMIT, LONG_TOKENS
 
@@ -418,14 +418,16 @@ class TestCover:
         assert run(capsys, "verify-cover", k3_file, "-") == (
             2, "", "error: stdin: line 4: non-ASCII byte 0xe2\n")
 
-    def test_out_file_holds_the_golden_certificate(self, capsys, tmp_path):
-        g, digest = GOLDEN_CERTIFICATES[0]
+    @pytest.mark.parametrize("g, digest", GOLDEN_CERTIFICATES, ids=GOLDEN_IDS)
+    def test_out_file_holds_the_golden_certificate(self, capsys, tmp_path, g, digest):
+        """The file is the golden certificate, and verify-cover accepts it, its meta included."""
         graph = tmp_path / "g.el"
         graph.write_text(f"n {g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges))
         cert = tmp_path / "cert.json"
         assert run(capsys, "construct-cover", str(graph), "--out", str(cert))[0] == 0
         data = cert.read_bytes()
         assert data.endswith(b"}\n") and hashlib.sha256(data[:-1]).hexdigest() == digest
+        assert run(capsys, "verify-cover", str(graph), str(cert)) == (0, "accept\n", "")
 
     @pytest.mark.parametrize("argv", [
         ("construct-cover", "{graph}", "--out", "{tmp}/missing/cert.json"),
@@ -739,6 +741,61 @@ class TestMalformedCertificate:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+
+
+class TestColoringClaim:
+    """verify-cover checks meta.coloring against the graph: a false claim is exit 2."""
+
+    WRITTEN = '"coloring": [0, 1, 2, 0]'
+
+    @pytest.fixture
+    def pendant_triangle(self, capsys, tmp_path):
+        """A triangle with a pendant edge, and construct-cover's certificate of it."""
+        graph = tmp_path / "g.el"
+        graph.write_text("0 1\n1 2\n2 0\n2 3\n")
+        code, out, _ = run(capsys, "construct-cover", str(graph), "--json")
+        assert code == 0 and out.count(self.WRITTEN) == 1
+        return str(graph), out
+
+    @pytest.mark.parametrize("layout", ["writer", "indent-2"])
+    @pytest.mark.parametrize("coloring, message", [
+        ("[0, 0, 0, 0]", "gives two adjacent vertices one colour"),
+        ("[0, 1, 1, 0]", "gives two adjacent vertices one colour"),
+        ("[0, 1, 2]", "has 3 entries for 4 vertices"),
+        ("[0, 1, 2, 0, 1]", "has 5 entries for 4 vertices"),
+    ], ids=["all-zero", "one-edge", "short", "long"])
+    def test_false_claim_exit_2(self, capsys, tmp_path, pendant_triangle, coloring, message,
+                                layout):
+        graph, text = pendant_triangle
+        text = text.replace(self.WRITTEN, f'"coloring": {coloring}')
+        if layout == "indent-2":
+            text = json.dumps(json.loads(text), indent=2)
+        cert = tmp_path / "cert.json"
+        cert.write_text(text)
+        assert run(capsys, "verify-cover", graph, str(cert)) == (
+            2, "", f"error: certificate meta.coloring {message}\n")
+
+    def test_written_claim_accepted(self, capsys, tmp_path, pendant_triangle):
+        graph, text = pendant_triangle
+        cert = tmp_path / "cert.json"
+        for copy in (text, json.dumps(json.loads(text), indent=2)):
+            cert.write_text(copy)
+            assert run(capsys, "verify-cover", graph, str(cert)) == (0, "accept\n", "")
+
+    def test_null_coloring_of_cover_from_families_read(self, capsys, tmp_path):
+        """cover_from_families records no colouring, so there is no claim to check."""
+        g = orcov.petersen_graph()
+        catalog = orcov.sorted_mif_masks(3)
+        fa = orcov.FamilyAssignment(3, tuple(
+            orcov.SetFamily(3, catalog[c]) for c in orcov.exact_coloring(g).colors))
+        cert = orcov.cover_from_families(g, fa)
+        assert cert.meta.coloring is None
+        graph = tmp_path / "g.el"
+        graph.write_text("".join(f"{u} {v}\n" for u, v in g.edges))
+        path = tmp_path / "cert.json"
+        path.write_text(orcov.certificate_to_json(g, cert))
+        assert '"coloring": null' in path.read_text()
+        assert run(capsys, "verify-cover", str(graph), str(path)) == (0, "accept\n", "")
 
 
 class TestCollector:

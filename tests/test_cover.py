@@ -39,6 +39,7 @@ from orcov import (
 )
 from orcov.cover import _edge_masks, _edges_json, _ints_json
 from orcov.families import _disjoint_members, sorted_mif_masks
+from orcov.graphs import _bits
 
 
 def orient(g, *flags):
@@ -169,8 +170,8 @@ class TestFamiliesFromCover:
     def test_k2_example(self):
         g = complete_graph(2)
         fa = families_from_cover(g, [orient(g, True), orient(g, False)])
-        assert fa.per_vertex[0] == SetFamily.from_sets(2, [{1}])
-        assert fa.per_vertex[1] == SetFamily.from_sets(2, [{2}])
+        assert fa.per_vertex[0] == SetFamily.from_masks(2, [0b01])
+        assert fa.per_vertex[1] == SetFamily.from_masks(2, [0b10])
 
     def test_valid_cover_gives_intersecting_families(self):
         g, cover = transitive_rotation_covers_k3()
@@ -199,14 +200,14 @@ class TestValidateAssignment:
 
     def test_same_star_on_an_edge_is_condition_1(self):
         g = complete_graph(2)
-        s1 = SetFamily.from_sets(2, [{1}, {1, 2}])
+        s1 = SetFamily.from_masks(2, [0b01, 0b11])
         with pytest.raises(ValueError, match=r"^condition 1 violated at edge \(0, 1\): "):
             cover_from_families(g, FamilyAssignment(2, (s1, s1)))
 
     def test_disjoint_members_is_condition_2(self):
         g = complete_graph(2)
-        f_ok = SetFamily.from_sets(2, [{1}])
-        f_bad = SetFamily.from_sets(2, [{1}, {2}])
+        f_ok = SetFamily.from_masks(2, [0b01])
+        f_bad = SetFamily.from_masks(2, [0b01, 0b10])
         with pytest.raises(
             ValueError, match=r"^condition 2 violated at vertex 0: members \{1\} and \{2\} are"
         ):
@@ -222,9 +223,9 @@ class TestValidateAssignment:
         # centre: built anyway, the orientations miss the triple (0, 1, 2)
         g = Graph.from_edges([(0, 1), (0, 2)], 3)
         fa = FamilyAssignment(2, (
-            SetFamily.from_sets(2, [{1}, {2}]),
-            SetFamily.from_sets(2, [{2}]),
-            SetFamily.from_sets(2, [{1}]),
+            SetFamily.from_masks(2, [0b01, 0b10]),
+            SetFamily.from_masks(2, [0b10]),
+            SetFamily.from_masks(2, [0b01]),
         ))
         with pytest.raises(ValueError, match=r"^condition 2 violated at vertex 0: "):
             cover_from_families(g, fa)
@@ -232,17 +233,17 @@ class TestValidateAssignment:
     def test_condition_1_is_reported_before_condition_2(self):
         # vertex 0 fails condition 2, but the edge scan comes first
         g = complete_graph(2)
-        f_bad = SetFamily.from_sets(2, [{1}, {2}])
-        f_full = SetFamily.from_sets(2, [{1, 2}])
+        f_bad = SetFamily.from_masks(2, [0b01, 0b10])
+        f_full = SetFamily.from_masks(2, [0b11])
         with pytest.raises(ValueError, match=r"^condition 1 violated at edge \(0, 1\): "):
             cover_from_families(g, FamilyAssignment(2, (f_bad, f_full)))
 
     def test_condition_2_names_the_first_bad_vertex(self):
         # vertices 1 and 3 share a family, vertex 2 holds another bad one
         g = Graph.from_edges([], 4)
-        ok = SetFamily.from_sets(2, [{1}])
+        ok = SetFamily.from_masks(2, [0b01])
         empty_set = SetFamily.from_masks(2, [0])
-        split = SetFamily.from_sets(2, [{1}, {2}])
+        split = SetFamily.from_masks(2, [0b01, 0b10])
         fa = FamilyAssignment(2, (ok, empty_set, split, empty_set))
         with pytest.raises(
             ValueError, match=r"^condition 2 violated at vertex 1: members \{\} and \{\} are"
@@ -256,7 +257,7 @@ class TestDisjointMembers:
         # members; the pair is the smallest S, then the smallest T
         fams = enumerate_mifs(4).families
         for f1, f2 in itertools.permutations(fams, 2):
-            want = min((s, t) for s in f1.members() for t in f2.members() if not s & t)
+            want = min((s, t) for s in _bits(f1.member) for t in _bits(f2.member) if not s & t)
             assert _disjoint_members(f1, f2) == want
 
 
@@ -264,7 +265,7 @@ class TestCoverFromFamilies:
     def test_k2_example(self):
         g = complete_graph(2)
         fa = FamilyAssignment(
-            2, (SetFamily.from_sets(2, [{1}]), SetFamily.from_sets(2, [{2}]))
+            2, (SetFamily.from_masks(2, [0b01]), SetFamily.from_masks(2, [0b10]))
         )
         cert = cover_from_families(g, fa)
         assert cert.k == 2
@@ -283,7 +284,7 @@ class TestCoverFromFamilies:
 
     def test_condition_1_violation_names_edge(self):
         g = complete_graph(2)
-        same = SetFamily.from_sets(2, [{1}, {1, 2}])
+        same = SetFamily.from_masks(2, [0b01, 0b11])
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
             cover_from_families(g, FamilyAssignment(2, (same, same)))
 
@@ -576,12 +577,12 @@ class TestRoundTrip:
 
 
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: FamilyAssignment(3, (SetFamily.from_sets(2, [{1}]),)),
+    pytest.param(lambda: FamilyAssignment(3, (SetFamily.from_masks(2, [0b01]),)),
                  "family ground set does not match assignment k", id="assignment-k"),
     pytest.param(lambda: CoverCertificate(2, (0,)),
                  "k does not match the number of orientations", id="certificate-k"),
     pytest.param(lambda: cover_from_families(
-                     complete_graph(3), FamilyAssignment(2, (SetFamily.from_sets(2, [{1}]),) * 2)),
+                     complete_graph(3), FamilyAssignment(2, (SetFamily.from_masks(2, [0b01]),) * 2)),
                  "assignment size does not match vertex count", id="assignment-size"),
 ])
 def test_record_error_message(call, message):

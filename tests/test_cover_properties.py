@@ -75,7 +75,7 @@ def _literal_failure(g, families):
     return None
 
 
-_STAR_1, _STAR_2 = (SetFamily.from_sets(2, [{i}, {1, 2}]) for i in (1, 2))
+_STAR_1, _STAR_2 = (SetFamily.from_masks(2, [i, 0b11]) for i in (0b01, 0b10))
 _ALL_SETS = SetFamily.from_masks(2, range(4))
 
 

@@ -10,7 +10,6 @@ from orcov import (
     enumerate_mifs,
     hosten_morris,
     is_intersecting,
-    is_maximal_intersecting,
     sorted_mif_masks,
     upward_closure,
 )
@@ -28,7 +27,6 @@ from orcov.families import (
     _upset_orbits,
     _upsets,
     family_lines,
-    format_family,
     format_subset,
     lambda_provenance,
 )
@@ -69,7 +67,7 @@ def brace_lists(k: int, member: int) -> str:
 
 
 def pairwise_intersecting(f: SetFamily) -> bool:
-    members = list(f.members())
+    members = _bits(f.member)
     return all(a & b for a in members for b in members)
 
 
@@ -106,19 +104,19 @@ class TestSubsetVectors:
         families = [SetFamily(k, member) for k in (1, 2, 3) for member in range(1 << (1 << k))]
         families += [f for f in seeded_families(seed=24, kmax=7, per_k=24) if f.k >= 4]
         for f in families:
-            want = sum(1 << s for s in range(1 << f.k) if any(s & t == 0 for t in f.members()))
+            want = sum(1 << s for s in range(1 << f.k) if any(s & t == 0 for t in _bits(f.member)))
             assert _avoiders(f) == want
 
 
 class TestPredicates:
     def test_empty_set_breaks_intersecting(self):
-        assert not is_intersecting(SetFamily.from_sets(2, [()]))
+        assert not is_intersecting(SetFamily.from_masks(2, [0b00]))
 
     def test_star_is_intersecting(self):
         assert is_intersecting(star(3, 1))
 
     def test_disjoint_pair_breaks_intersecting(self):
-        assert not is_intersecting(SetFamily.from_sets(2, [{1}, {2}]))
+        assert not is_intersecting(SetFamily.from_masks(2, [0b01, 0b10]))
 
     def test_intersecting_matches_pairwise_definition(self):
         families = [SetFamily(3, member) for member in range(1 << 8)]
@@ -129,34 +127,16 @@ class TestPredicates:
             assert is_intersecting(f) == pairwise_intersecting(f)
         assert answers == {True, False}
 
-    def test_maximal_examples(self):
-        assert is_maximal_intersecting(SetFamily.from_sets(2, [{1}, {1, 2}]))
-        assert not is_maximal_intersecting(SetFamily.from_sets(2, [{1, 2}]))
-        big = SetFamily.from_masks(3, [s for s in range(8) if s.bit_count() >= 2])
-        assert is_maximal_intersecting(big)
-
-    def test_maximal_matches_brute_definition_k3(self):
-        # no intersecting proper superset, checked literally
-        for member in range(1 << 8):
-            f = SetFamily(3, member)
-            if not is_intersecting(f):
-                continue
-            extendable = any(
-                s != 0 and s not in f and all(s & m for m in f.members())
-                for s in range(8)
-            )
-            assert is_maximal_intersecting(f) == (not extendable)
-
 
 class TestClosure:
     def test_upward_closure_examples(self):
-        assert upward_closure(SetFamily.from_sets(2, [{1}])) == SetFamily.from_sets(
-            2, [{1}, {1, 2}]
+        assert upward_closure(SetFamily.from_masks(2, [0b01])) == SetFamily.from_masks(
+            2, [0b01, 0b11]
         )
         full = SetFamily(2, 0b1111)
         assert upward_closure(full) == full
-        assert upward_closure(SetFamily.from_sets(3, [{1, 2}])) == SetFamily.from_sets(
-            3, [{1, 2}, {1, 2, 3}]
+        assert upward_closure(SetFamily.from_masks(3, [0b011])) == SetFamily.from_masks(
+            3, [0b011, 0b111]
         )
 
     def test_upward_closure_is_least_fixed_point(self):
@@ -170,20 +150,20 @@ class TestClosure:
             assert upward_closure(c) == c
             # a set is in the closure iff it contains a member of f
             for s in range(1 << f.k):
-                assert (s in c) == any((s | m) == s for m in f.members())
+                assert (s in c) == any((s | m) == s for m in _bits(f.member))
 
 
 class TestEnumeration:
     def test_k1(self):
         cat = enumerate_mifs(1)
         assert cat.count == 1
-        assert cat.families[0] == SetFamily.from_sets(1, [{1}])
+        assert cat.families[0] == SetFamily.from_masks(1, [0b1])
 
     def test_k2_exact(self):
         cat = enumerate_mifs(2)
         assert cat.families == (
-            SetFamily.from_sets(2, [{1}, {1, 2}]),
-            SetFamily.from_sets(2, [{2}, {1, 2}]),
+            SetFamily.from_masks(2, [0b01, 0b11]),
+            SetFamily.from_masks(2, [0b10, 0b11]),
         )
 
     def test_k3_exact(self):
@@ -415,8 +395,8 @@ class TestSerialization:
             assert format_subset(mask) == "{" + ",".join(elems) + "}"
 
     def test_family_format(self):
-        assert SetFamily.from_sets(2, [{1}, {1, 2}]).format() == "{1}{1,2}"
-        assert SetFamily.from_sets(2, [{2}, {1, 2}]).format() == "{2}{1,2}"
+        assert SetFamily.from_masks(2, [0b01, 0b11]).format() == "{1}{1,2}"
+        assert SetFamily.from_masks(2, [0b10, 0b11]).format() == "{2}{1,2}"
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_format_any_family(self, k):
@@ -424,7 +404,7 @@ class TestSerialization:
         rng = random.Random(k)
         members = [0, (1 << (1 << k)) - 1] + [rng.getrandbits(1 << k) for _ in range(300)]
         want = [brace_lists(k, m) for m in members]
-        assert [format_family(k, m) for m in members] == want
+        assert [SetFamily(k, m).format() for m in members] == want
         # 302 lines cross the batch boundary from k = 6 on
         lines = b"".join(family_lines(k, members)).decode("ascii")
         assert lines == "".join(w + "\n" for w in want)
@@ -440,9 +420,7 @@ class TestSerialization:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_from_sets_validates(self):
-        with pytest.raises(ValueError):
-            SetFamily.from_sets(2, [{3}])
+    def test_constructors_validate(self):
         with pytest.raises(ValueError):
             SetFamily.from_masks(2, [4])
         with pytest.raises(ValueError):

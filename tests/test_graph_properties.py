@@ -3,7 +3,7 @@
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from conftest import reference_edge_list_pairs, relabeled  # noqa: E402
 
@@ -100,7 +100,7 @@ def reference_from_edges(edges, n):
     """Graph.from_edges with its checks first: both endpoint scans, then the build.
 
     The out-of-range scan names an endpoint only when there is one, and the
-    build reads both rows of a pair before either shift, as _rows does.
+    build reads both rows of a pair before either shift, as from_edges does.
     """
     pairs = list(edges)
     if min(map(min, pairs), default=0) < 0:
@@ -140,6 +140,9 @@ PAIRS = st.one_of(
 
 @settings(PROPERTY, max_examples=600)
 @given(st.lists(PAIRS, max_size=6), st.one_of(st.integers(-1, 8), st.just(10**20)))
+# an in-range float at either end of a pair fails as a row index, not as a shift count
+@example([(0, 1.0)], 2)
+@example([(1.0, 0)], 2)
 def test_from_edges_matches_the_checks_first_order(pairs, n):
     """The same graph, or the same exception type and message, as the checks-first build."""
     assert outcome(lambda: Graph.from_edges(pairs, n)) == outcome(

@@ -439,6 +439,17 @@ def test_a_clash_on_any_edge_is_not_proper():
             assert not is_proper_coloring(g, colors), (g, u, v)
 
 
+def test_proper_coloring_matches_the_edge_wise_definition():
+    """Any colours, gaps and negative ones included: proper iff every edge's ends differ."""
+    rng = random.Random(39)
+    for g in (path_graph(2), cycle_graph(5), petersen_graph(), complete_graph(4),
+              wheel_graph(7)):
+        for _ in range(200):
+            colors = [rng.choice([-1, 0, 1, 2, 7]) for _ in range(g.n)]
+            assert is_proper_coloring(g, colors) == all(colors[u] != colors[v]
+                                                        for u, v in g.edges)
+
+
 def test_bits_matches_shift_loop():
     rng = random.Random(6)
     masks = [0, 1, 2, 1 << 200, (1 << 1200) - 1, (1 << 1200) - 2]

@@ -36,12 +36,12 @@ from orcov import oracle
 
 class TestBruteMifs:
     def test_k1(self):
-        assert brute_mifs(1) == (SetFamily.from_sets(1, [{1}]),)
+        assert brute_mifs(1) == (SetFamily.from_masks(1, [0b1]),)
 
     def test_k2_hand_listing(self):
         assert brute_mifs(2) == (
-            SetFamily.from_sets(2, [{1}, {1, 2}]),
-            SetFamily.from_sets(2, [{2}, {1, 2}]),
+            SetFamily.from_masks(2, [0b01, 0b11]),
+            SetFamily.from_masks(2, [0b10, 0b11]),
         )
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
