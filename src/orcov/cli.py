@@ -3,7 +3,8 @@
 Machine-readable results go to stdout, diagnostics to stderr.  Exit
 codes: 0 success or accept, 1 cover verification rejected, 2 usage,
 input or output error (a reader that closed stdout, and a stdin or
-stdout closed at start, included), 3 capacity or budget error.
+stdout closed at start, included), 3 capacity or budget error, or
+out of memory.
 """
 
 from __future__ import annotations
@@ -399,6 +400,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         code, error = EXIT_USAGE, exc
     except (CapacityError, BudgetError) as exc:
         code, error = EXIT_CAPACITY, exc
+    except MemoryError:  # no reference kept: its traceback holds the frames that filled memory
+        code, error = EXIT_CAPACITY, "out of memory"
     except OSError as exc:
         if isinstance(exc, BrokenPipeError):
             # the reader closed stdout: keep the last flush quiet

@@ -22,7 +22,15 @@ from operator import add
 from collections.abc import Sequence
 
 from .errors import ParseError
-from .families import SetFamily, _avoiders, _disjoint_pair, format_subset, sorted_mif_masks
+from .families import (
+    KMAX_HARD,
+    SetFamily,
+    _avoiders,
+    _disjoint_pair,
+    _lambda_sums,
+    format_subset,
+    sorted_mif_masks,
+)
 from .graphs import (
     DEFAULT_CHI_VERTEX_BOUND,
     Graph,
@@ -559,15 +567,30 @@ def _meta_fault(g: Graph, cert: CoverCertificate) -> str | None:
     The readers check only the block's form; this checks its claims, on
     the record either reader returns.  A coloring that is not null must
     give each of g's n vertices a colour, and no edge may join two
-    vertices of one colour.
+    vertices of one colour.  A family_indices list that is not null
+    must be distinct, one entry per colour 0, 1, ... of a coloring that
+    is not null, and, where lambda(k) is computed (k <= KMAX_HARD),
+    below it: its partial sums stop at the first that passes the
+    largest entry.
     """
-    coloring = cert.meta.coloring if cert.meta is not None else None
-    if coloring is None:
+    if cert.meta is None:
         return None
-    if len(coloring) != g.n:
-        return f"certificate meta.coloring has {len(coloring)} entries for {g.n} vertices"
-    if not is_proper_coloring(g, coloring):
-        return "certificate meta.coloring gives two adjacent vertices one colour"
+    coloring, indices = cert.meta.coloring, cert.meta.family_indices
+    if coloring is not None:
+        if len(coloring) != g.n:
+            return f"certificate meta.coloring has {len(coloring)} entries for {g.n} vertices"
+        if not is_proper_coloring(g, coloring):
+            return "certificate meta.coloring gives two adjacent vertices one colour"
+    if indices is None:
+        return None
+    if len(set(indices)) < len(indices):
+        return "certificate meta.family_indices repeats an entry"
+    if coloring is not None and set(coloring) != set(range(len(indices))):
+        return "certificate meta.family_indices does not hold one entry per colour of meta.coloring"
+    if indices and 1 <= cert.k <= KMAX_HARD:
+        i = min(indices) if min(indices) < 0 else max(indices)
+        if i < 0 or all(lam <= i for lam in _lambda_sums(cert.k)):
+            return f"certificate meta.family_indices lists {i}, outside [0, lambda({cert.k}))"
     return None
 
 

@@ -15,16 +15,16 @@ decomposition: _mif_terms yields the terms of lambda(k)'s sum from
 up-sets built level by level with their blockers (_upsets), one
 up-set per symmetry class weighted by the size of its class
 (_upset_orbits, whose classes close under delta swaps of member
-vectors), and _mif_count adds them up.  The sum is exact at k = 8 as
-well (LITERATURE_LAMBDA[8], in about 2 s), but only k <= KMAX_HARD is
-served as computed.
+vectors), and _lambda_sums serves their partial sums.  The sum is
+exact at k = 8 as well (LITERATURE_LAMBDA[8], in about 2 s), but only
+k <= KMAX_HARD is served as computed.
 """
 
 from __future__ import annotations
 
 import functools
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from .errors import CapacityError
 from .graphs import _Value, _bit_string, _bits, _set
@@ -375,13 +375,27 @@ def _mif_terms(k: int) -> Iterator[int]:
                 yield size * antichains((a & bb) | (b & ba) << half)
 
 
-def _mif_count(k: int) -> int:
-    """lambda(k): the sum of _mif_terms(k), sharing no search with _mif_walk."""
-    return sum(_mif_terms(k))
+def _lambda_sums(k: int, literature_table: bool = False) -> Iterator[int]:
+    """Increasing lower bounds on lambda(k), the last being lambda(k) itself.
 
-
-# an alias, not a decorator: _mif_count stays uncached, so timing it times a count
-_lambda = functools.cache(_mif_count)
+    The partial sums of _mif_terms(k) for k <= KMAX_HARD, sharing no
+    search with _mif_walk; LITERATURE_LAMBDA[k] only on request.  A k
+    that is not served raises here, before anything is read.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    if k <= KMAX_HARD:
+        return accumulate(_mif_terms(k))
+    if k in LITERATURE_LAMBDA:
+        if literature_table:
+            return iter((LITERATURE_LAMBDA[k],))
+        raise CapacityError(
+            f"lambda({k}) is only served from the literature table; pass literature_table=True"
+        )
+    raise CapacityError(
+        f"lambda({k}) is beyond the enumeration capacity k <= {KMAX_HARD} "
+        f"and the literature table (k <= {max(LITERATURE_LAMBDA)})"
+    )
 
 
 def sorted_mif_masks(k: int) -> list[int]:
@@ -408,24 +422,11 @@ def enumerate_mifs(k: int) -> MifCatalog:
 def hosten_morris(k: int, literature_table: bool = False) -> int:
     """lambda(k): the number of maximal intersecting families over [k].
 
-    Values within the enumeration capacity are computed (and memoized
-    per process); k = 8, 9 are served from LITERATURE_LAMBDA only when
+    Values within the enumeration capacity are computed on each call;
+    k = 8, 9 are served from LITERATURE_LAMBDA only when
     literature_table is set.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if k <= KMAX_HARD:
-        return _lambda(k)
-    if k in LITERATURE_LAMBDA:
-        if literature_table:
-            return LITERATURE_LAMBDA[k]
-        raise CapacityError(
-            f"lambda({k}) is only served from the literature table; pass literature_table=True"
-        )
-    raise CapacityError(
-        f"lambda({k}) is beyond the enumeration capacity k <= {KMAX_HARD} "
-        f"and the literature table (k <= {max(LITERATURE_LAMBDA)})"
-    )
+    return max(_lambda_sums(k, literature_table))
 
 
 def lambda_provenance(k: int) -> str:

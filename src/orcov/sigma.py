@@ -11,16 +11,10 @@ path.  All logarithms are base 2.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from itertools import count
 
 from .errors import CapacityError
-from .families import (
-    KMAX_HARD,
-    LITERATURE_LAMBDA,
-    _mif_terms,
-    hosten_morris,
-    lambda_provenance,
-)
+from .families import _lambda_sums, lambda_provenance
 from .graphs import DEFAULT_CHI_VERTEX_BOUND, Graph, _Value, _set, chromatic_number
 
 
@@ -60,26 +54,24 @@ class EstimateResult(_Value):
 def sigma_complete(n: int, literature_table: bool = False) -> SigmaResult:
     """sigma(K_n): smallest k with lambda(k) >= n.
 
-    For k <= KMAX_HARD each lambda(k) is summed from _mif_terms and the
-    sum stops at the first partial sum that reaches n: every term is a
-    positive count (an antichain count times the size of a symmetry
-    class), so that partial sum proves lambda(k) >= n, and a sum that
-    never reaches n is lambda(k) itself; n = 2647 stops after 30 of
-    lambda(7)'s 1,568 terms.  Rejects n < 2 (K_1 has no edges, so its
-    covering number is undefined).
+    Walks k = 1, 2, ... over _lambda_sums(k), up to the first k it does
+    not serve, and stops at the first partial sum that reaches n: that
+    sum proves lambda(k) >= n, and a sum that never reaches n is
+    lambda(k) itself; n = 2647 stops after 30 of lambda(7)'s 1,568
+    terms.  Rejects n < 2 (K_1 has no edges, so its covering number is
+    undefined).
     """
     if n < 2:
         raise ValueError("sigma(K_n) requires n >= 2; K_1 has no edges")
-    top = max(LITERATURE_LAMBDA) if literature_table else KMAX_HARD
-    for k in range(1, top + 1):
-        if k <= KMAX_HARD:
-            sums = accumulate(_mif_terms(k))
-        else:
-            sums = (hosten_morris(k, literature_table=literature_table),)
+    for k in count(1):
+        try:
+            sums = _lambda_sums(k, literature_table)
+        except CapacityError:  # lambda(1) is always served, so lam is bound here
+            message = f"sigma(K_n) supported up to n = lambda({k - 1}) = {lam}; got n={n}"
+            raise CapacityError(message) from None
         for lam in sums:
             if lam >= n:
                 return SigmaResult(value=k, chi=n, witness_k=k, provenance=lambda_provenance(k))
-    raise CapacityError(f"sigma(K_n) supported up to n = lambda({top}) = {lam}; got n={n}")
 
 
 def sigma_of_graph(

@@ -26,6 +26,18 @@ def graph_from_mask(n: int, mask: int) -> Graph:
     )
 
 
+def atlas_graphs(n: int) -> list[Graph]:
+    """One graph per isomorphism class of n-vertex graphs, n <= 7, from networkx's atlas.
+
+    The atlas lists every graph on at most 7 vertices, up to
+    isomorphism, on the vertices 0..n-1.
+    """
+    import networkx as nx  # a test extra, loaded only where the atlas is read
+
+    return [Graph.from_edges(list(a.edges), n=n)
+            for a in nx.graph_atlas_g() if a.number_of_nodes() == n]
+
+
 def all_labeled_graphs(n: int, nonempty: bool = False):
     """Every labeled graph on n vertices (optionally skipping the empty one)."""
     npairs = n * (n - 1) // 2

@@ -492,6 +492,14 @@ def test_row_build_out_of_memory_exit_3(tmp_path):
     assert proc.stderr == "error: cannot allocate adjacency rows for n=5000000 vertices\n"
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/statm")
+def test_out_of_memory_is_exit_3_with_one_line():
+    """Listing lambda(7)'s 1,422,564 families needs more than the limit: no traceback."""
+    proc = run_process("enumerate-mifs", "7", entry=("-c", _MAIN_UNDER_RLIMIT))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: out of memory\n"
+
+
 class TestClosedStdout:
     """A reader that closed stdout is an output error (exit 2), not a rejection."""
 
@@ -743,19 +751,21 @@ class TestMalformedCertificate:
         assert "Traceback" not in proc.stderr
 
 
+@pytest.fixture
+def pendant_triangle(capsys, tmp_path):
+    """A triangle with a pendant edge, and construct-cover's certificate of it (k = 3)."""
+    graph = tmp_path / "g.el"
+    graph.write_text("0 1\n1 2\n2 0\n2 3\n")
+    code, out, _ = run(capsys, "construct-cover", str(graph), "--json")
+    assert code == 0 and '"k": 3,' in out
+    assert out.count(TestColoringClaim.WRITTEN) == out.count(TestIndexClaim.WRITTEN) == 1
+    return str(graph), out
+
+
 class TestColoringClaim:
     """verify-cover checks meta.coloring against the graph: a false claim is exit 2."""
 
     WRITTEN = '"coloring": [0, 1, 2, 0]'
-
-    @pytest.fixture
-    def pendant_triangle(self, capsys, tmp_path):
-        """A triangle with a pendant edge, and construct-cover's certificate of it."""
-        graph = tmp_path / "g.el"
-        graph.write_text("0 1\n1 2\n2 0\n2 3\n")
-        code, out, _ = run(capsys, "construct-cover", str(graph), "--json")
-        assert code == 0 and out.count(self.WRITTEN) == 1
-        return str(graph), out
 
     @pytest.mark.parametrize("layout", ["writer", "indent-2"])
     @pytest.mark.parametrize("coloring, message", [
@@ -789,13 +799,55 @@ class TestColoringClaim:
         fa = orcov.FamilyAssignment(3, tuple(
             orcov.SetFamily(3, catalog[c]) for c in orcov.exact_coloring(g).colors))
         cert = orcov.cover_from_families(g, fa)
-        assert cert.meta.coloring is None
+        assert cert.meta.coloring is None and cert.meta.family_indices is None
         graph = tmp_path / "g.el"
         graph.write_text("".join(f"{u} {v}\n" for u, v in g.edges))
         path = tmp_path / "cert.json"
         path.write_text(orcov.certificate_to_json(g, cert))
         assert '"coloring": null' in path.read_text()
         assert run(capsys, "verify-cover", str(graph), str(path)) == (0, "accept\n", "")
+
+
+class TestIndexClaim:
+    """verify-cover checks meta.family_indices: distinct, one per colour, below lambda(k)."""
+
+    WRITTEN = '"family_indices": [0, 1, 2]'
+
+    @pytest.mark.parametrize("layout", ["writer", "indent-2"])
+    @pytest.mark.parametrize("indices, message", [
+        ("[0, 1, 1]", "repeats an entry"),
+        ("[0, 1]", "does not hold one entry per colour of meta.coloring"),
+        ("[0, 1, 2, 3]", "does not hold one entry per colour of meta.coloring"),
+        ("[0, 1, 4]", "lists 4, outside [0, lambda(3))"),  # lambda(3) = 4
+        ("[0, -1, 2]", "lists -1, outside [0, lambda(3))"),
+    ], ids=["repeated", "short", "long", "lambda-3", "negative"])
+    def test_false_claim_exit_2(self, capsys, tmp_path, pendant_triangle, indices, message,
+                                layout):
+        graph, text = pendant_triangle
+        text = text.replace(self.WRITTEN, f'"family_indices": {indices}')
+        if layout == "indent-2":
+            text = json.dumps(json.loads(text), indent=2)
+        cert = tmp_path / "cert.json"
+        cert.write_text(text)
+        assert run(capsys, "verify-cover", graph, str(cert)) == (
+            2, "", f"error: certificate meta.family_indices {message}\n")
+
+    @pytest.mark.parametrize("indices", ["[3, 0, 1]", "[2, 1, 0]"])
+    def test_true_claim_accepted(self, capsys, tmp_path, pendant_triangle, indices):
+        """Any distinct indices below lambda(3) = 4, one per colour, are a true claim."""
+        graph, text = pendant_triangle
+        cert = tmp_path / "cert.json"
+        cert.write_text(text.replace(self.WRITTEN, f'"family_indices": {indices}'))
+        assert run(capsys, "verify-cover", graph, str(cert)) == (0, "accept\n", "")
+
+    def test_null_coloring_leaves_the_colour_count_unchecked(self, capsys, tmp_path,
+                                                            pendant_triangle):
+        graph, text = pendant_triangle
+        text = text.replace(TestColoringClaim.WRITTEN, '"coloring": null')
+        cert = tmp_path / "cert.json"
+        for indices, code in (("[3]", 0), ("[3, 3]", 2), ("[4]", 2)):
+            cert.write_text(text.replace(self.WRITTEN, f'"family_indices": {indices}'))
+            assert run(capsys, "verify-cover", graph, str(cert))[0] == code
 
 
 class TestCollector:

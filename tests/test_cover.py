@@ -37,7 +37,7 @@ from orcov import (
     sigma_of_graph,
     verify_cover,
 )
-from orcov.cover import _edge_masks, _edges_json, _ints_json
+from orcov.cover import _edge_masks, _edges_json, _ints_json, _meta_fault
 from orcov.families import _disjoint_members, sorted_mif_masks
 from orcov.graphs import _bits
 
@@ -492,9 +492,11 @@ GOLDEN_IDS = ["K12", "K6x3", "petersen", "gnp20", "gnp30"]
 def test_golden_certificate(g, digest):
     """construct_cover's certificate, and the one the benchmark's traced replay composes from
     the public steps: the colouring at chi, the catalog's first chi families spread over the
-    vertices, cover_from_families, and the meta rebuilt with the colouring and range(chi)."""
+    vertices, cover_from_families, and the meta rebuilt with the colouring and range(chi).
+    verify-cover's meta check finds no false claim in it."""
     text = certificate_to_json(g, construct_cover(g))
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+    assert _meta_fault(g, certificate_from_json(text, g)) is None
     chi = chromatic_number(g)
     k = sigma_complete(chi).value
     colors = proper_coloring(g, chi).colors
@@ -503,6 +505,19 @@ def test_golden_certificate(g, digest):
     meta = CertificateMeta(colors, tuple(range(chi)), assigned.meta.direction_sets)
     composed = certificate_to_json(g, CoverCertificate(assigned.k, assigned.orientations, meta))
     assert hashlib.sha256(composed.encode("ascii")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("k, index, fault", [
+    (1, 0, False), (1, 1, True), (3, 3, False), (3, 4, True), (3, -1, True),
+    (7, 1422563, False), (7, 1422564, True),
+    (8, 10**30, False), (8, -1, False),  # lambda(8) is not computed, so not checked
+], ids=["k1-last", "k1-past", "k3-last", "k3-past", "k3-negative", "k7-last", "k7-past",
+        "k8-past", "k8-negative"])
+def test_family_indices_lie_below_lambda_where_it_is_computed(k, index, fault):
+    g = complete_graph(2)
+    cert = CoverCertificate(k, (0,) * k, CertificateMeta(family_indices=(index,)))
+    message = f"certificate meta.family_indices lists {index}, outside [0, lambda({k}))"
+    assert _meta_fault(g, cert) == (message if fault else None)
 
 
 def _odd_cycle(g: Graph) -> list[int] | None:

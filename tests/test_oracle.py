@@ -6,6 +6,8 @@ from types import SimpleNamespace
 import pytest
 from conftest import (
     all_labeled_graphs,
+    all_pairs,
+    atlas_graphs,
     graph_from_mask,
     iso_class_masks,
     k4_minus_edge,
@@ -103,6 +105,21 @@ class TestBruteSigma:
         for mask in masks:
             g = graph_from_mask(6, mask)
             assert brute_sigma(g, budget) == sigma_of_graph(g).value, g.edges
+
+    @pytest.mark.parametrize("n, classes", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)])
+    def test_the_atlas_lists_the_classes_of_iso_class_masks(self, n, classes):
+        """The slow tier sweeps the 7-vertex classes of networkx's atlas; up to 6 vertices
+        the atlas holds iso_class_masks' classes, each met by exactly one of its graphs."""
+        pytest.importorskip("networkx")
+        pairs = all_pairs(n)
+        perms = [{(u, v): 1 << pairs.index(tuple(sorted((p[u], p[v])))) for u, v in pairs}
+                 for p in itertools.permutations(range(n))]
+        edge_lists = [g.edges for g in atlas_graphs(n)]
+        # the smallest edge mask over all relabellings: the class's entry in iso_class_masks
+        smallest = {min(sum(map(perm.__getitem__, edges)) for perm in perms)
+                    for edges in edge_lists}
+        assert len(edge_lists) == len(smallest) == classes
+        assert sorted(smallest) == iso_class_masks(n)
 
     def test_edgeless_rejected(self):
         with pytest.raises(ValueError):
